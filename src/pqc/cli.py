@@ -73,6 +73,13 @@ def _parse_point(text: str, cfg: Config):
         raise ParseError(f"bad point {text!r}") from exc
 
 
+def _parse_rho(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad --rho {text!r}; expected e.g. 2 or 3/2") from exc
+
+
 def _resolve_text_config(args) -> tuple[Config, int]:
     with open(args.input, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -122,7 +129,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_query(args) -> int:
-    rho = Fraction(args.rho) if args.rho else Fraction(2)
+    rho = _parse_rho(args.rho) if args.rho else Fraction(2)
     store = CompressedStore.load(args.input, rho=rho)
     cfg = store.cfg
     store.counters.reset()
@@ -135,8 +142,11 @@ def cmd_query(args) -> int:
         parts = args.square.replace(",", " ").split()
         if len(parts) != cfg.d + 1:
             raise ParseError(f"--square needs {cfg.d} corner values and a height")
-        corner = tuple(int(t) for t in parts[: cfg.d])
-        s = validate_square(TrieSquare(corner, int(parts[-1])), cfg)
+        try:
+            values = [int(t) for t in parts]
+        except ValueError as exc:
+            raise ParseError(f"bad --square {args.square!r}") from exc
+        s = validate_square(TrieSquare(tuple(values[:-1]), values[-1]), cfg)
         rng = vertices(s, store)
         _emit(out, lo=rng.lo, hi=rng.hi, count=len(rng))
         for q in store.iter_range(rng.lo, rng.hi):
@@ -168,9 +178,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    rho = Fraction(args.rho)
-    store = CompressedStore.load(args.input, rho=rho)
+    rho = _parse_rho(args.rho)
     params = RefineParams(rho=rho, gamma=args.gamma, max_rounds=args.max_rounds)
+    store = CompressedStore.load(args.input, rho=rho)
     store, report = refine(store, params)
     store.save(args.output)
     _emit(

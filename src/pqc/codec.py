@@ -42,20 +42,6 @@ def gamma_encode(value: int, out, width: int = None) -> int:
     return out.write_gamma(value)
 
 
-def gamma_decode(inp) -> int:
-    return inp.read_gamma()
-
-
-def signed_gamma_encode(value: int, out, width: int = None) -> int:
-    if width is not None and abs(value) >= (1 << width):
-        raise OverflowError(f"{value} does not fit in {width} bits")
-    return out.write_signed_gamma(value)
-
-
-def signed_gamma_decode(inp) -> int:
-    return inp.read_signed_gamma()
-
-
 def xor_code_point(prev: Point, cur: Point, shift: int, out) -> int:
     """Append the per-axis gamma codes of (prev ^ cur) >> shift."""
     bits = 0

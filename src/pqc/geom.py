@@ -273,8 +273,7 @@ def nearest_neighbor(v: Point, src: PointSource, cfg: Config = None) -> tuple[in
     """Squared distance and coordinates of the nearest stored point != v."""
     cfg = cfg or src.cfg
     validate_point(v, cfg)
-    ctx = src.query_context()
-    nn_sq, cand, _ = _gather(v, ctx, cfg, None)
+    nn_sq, cand, _ = _gather(v, src, cfg, None)
     if nn_sq is None:
         raise PqcError("nearest neighbour undefined: no other stored point")
     best = min((d2, q) for d2, q in cand)
@@ -300,9 +299,8 @@ def clipped_voronoi(
     beta = Fraction(beta)
     if src.count() < 2:
         raise PqcError("clipped Voronoi needs at least two stored points")
-    ctx = src.query_context()
 
-    nn_sq, cand, scanned = _gather(v, ctx, cfg, 4 * beta * beta)
+    nn_sq, cand, scanned = _gather(v, src, cfg, 4 * beta * beta)
     if nn_sq is None:
         raise PqcError("nearest neighbour undefined: no other stored point")
     r_clip_sq = beta * beta * nn_sq  # exact squared clip radius

@@ -183,7 +183,6 @@ def read_multiscan(
         last_scan = scan_index == len(levels) - 1
         store = CompressedStore(cfg, mode)
         store._allow_duplicates = not last_scan
-        test_ctx = prev_store.query_context() if prev_store is not None else None
         j = -1
         for j, p in enumerate(reader.masked(mask_bits)):
             if n is None:
@@ -191,10 +190,10 @@ def read_multiscan(
                     state.grow()
             elif j >= n:
                 raise ParseError(f"input grew to more than {n} points between scans")
-            if test_ctx is not None and lossy:
+            if prev_store is not None and lossy:
                 if state.heights[j] == _UNSET:
                     square = TrieSquare(clear_low_bits(p, prev_level), prev_level)
-                    if not is_crowded(square, test_ctx):
+                    if not is_crowded(square, prev_store):
                         state.heights[j] = prev_level
                 elif state.counters[j] < gamma:
                     # Uncrowded once means uncrowded at every lower level;
@@ -221,6 +220,8 @@ def read_multiscan(
             store.insert(value, h_enc if lossy else 0)
         if n is None:
             n = j + 1
+        elif j + 1 != n:
+            raise ParseError(f"input shrank from {n} to {j + 1} points between scans")
         prev_level = mask_bits
         live = store.file_bits() // 8 + (
             prev_store.file_bits() // 8 if prev_store is not None else 0

@@ -226,8 +226,3 @@ def clear_low_bits(p: Point, nbits: int) -> Point:
         return tuple(p)
     mask = ~((1 << nbits) - 1)
     return tuple(c & mask for c in p)
-
-
-def sort_points(points: Sequence[Point], cfg: Config) -> list[Point]:
-    """Points sorted by Morton key."""
-    return sorted(points, key=lambda p: _impl.interleave(p, cfg.w))

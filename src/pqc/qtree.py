@@ -5,7 +5,8 @@ The operations here never materialise a tree.  They only need a
 a given rank, and find the rank of the first point whose Morton key is at
 least a given key.  A plain sorted array and the compressed block store
 both satisfy that contract, so every query below runs unchanged over
-either.
+either.  Sources do their own caching: the compressed store keeps its
+recently decoded blocks, so queries pass the source straight through.
 
 A square is *crowded* when it holds two or more points, or holds exactly
 one while some equal-size neighbour square is nonempty.  Crowdedness is
@@ -64,8 +65,8 @@ class PointSource:
     """Read interface over a Morton-sorted point sequence.
 
     Subclasses provide count / point_at / successor_rank; the rest has
-    workable defaults.  ``query_context()`` may return a caching view whose
-    lifetime is a single logical query; the default is the source itself.
+    workable defaults.  A source that caches does so itself, behind these
+    methods; queries never ask for a separate view.
     """
 
     cfg: Config
@@ -94,6 +95,7 @@ class PointSource:
             yield self.point_at(r)
 
     def query_context(self) -> "PointSource":
+        """The identity; kept for external callers, nothing in pqc calls it."""
         return self
 
 
@@ -144,9 +146,6 @@ class ArrayPointSource(PointSource):
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         return iter(self._points[lo:hi])
 
-    def key_at(self, rank: int) -> int:
-        return self._keys[rank]
-
 
 def vertices(s: TrieSquare, src: PointSource) -> VertexRange:
     """Contiguous rank range of the stored points inside ``s``.
@@ -187,7 +186,6 @@ def square_of(p: Point, src: PointSource, cfg: Config = None) -> TrieSquare:
     """
     cfg = cfg or src.cfg
     validate_point(p, cfg)
-    src = src.query_context()
     if src.has_heights:
         key = interleave(p, cfg)
         r = src.successor_rank(key)

@@ -72,7 +72,6 @@ class RefineReport:
     payload_bits_before: int
     payload_bits_after: int
     insertions: list[Insertion] = field(default_factory=list)
-    round_min_parent_nn_sq: list = field(default_factory=list)
 
     @property
     def final_max_aspect(self) -> float:
@@ -196,7 +195,6 @@ def refine(
             )
         inserted = False
         deferred_min: Optional[int] = None
-        round_parent_nn: Optional[int] = None
         snapshot = [hp.coords for hp in store.decode_all()]
         for v in snapshot:
             size = 1 << heights[v]
@@ -225,15 +223,12 @@ def refine(
                 report.insertions.append(
                     Insertion(v, xr, cell.nn_sq, nn_x_sq, rounds)
                 )
-                if round_parent_nn is None or cell.nn_sq < round_parent_nn:
-                    round_parent_nn = cell.nn_sq
                 for q, (reach_sq, _aspect) in list(clean.items()):
                     d2 = (q[0] - xr[0]) ** 2 + (q[1] - xr[1]) ** 2
                     if d2 <= reach_sq:
                         del clean[q]
                 cell = clipped_voronoi(v, beta, store, cfg)
             clean[v] = (4 * beta * beta * cell.nn_sq, cell.aspect_sq)
-        report.round_min_parent_nn_sq.append(round_parent_nn)
         if inserted:
             pass  # repeat the same threshold until the scale is quiet
         elif deferred_min is not None:

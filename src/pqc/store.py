@@ -31,6 +31,7 @@ stored; decoding runs until the payload bit length is exhausted.
 
 from __future__ import annotations
 
+import bisect
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ LOSSLESS = "lossless"
 LOSSY = "lossy"
 _MODE_CODE = {LOSSLESS: 0, LOSSY: 1}
 _MODE_NAME = {0: LOSSLESS, 1: LOSSY}
+_CACHE_BLOCKS = 8  # decoded blocks kept by each store, least recently used out
 
 
 @dataclass
@@ -82,7 +84,11 @@ def _encode_block(points: Sequence[HeightedPoint], cfg: Config, lossy: bool) -> 
 
 
 class CompressedStore(PointSource):
-    """PointSource over gamma-coded blocks; supports dynamic insertion."""
+    """PointSource over gamma-coded blocks; supports dynamic insertion.
+
+    Reads go through a small LRU of decoded blocks with their Morton keys,
+    so a store is not safe to share between threads without a lock.
+    """
 
     def __init__(self, cfg: Config, mode: str = LOSSY):
         if mode not in _MODE_CODE:
@@ -95,6 +101,8 @@ class CompressedStore(PointSource):
         self._offsets: list[int] = []  # starting rank of each block
         self._n = 0
         self._allow_duplicates = False
+        # block index -> (decoded points, their Morton keys); cleared on write
+        self._cache: OrderedDict[int, tuple] = OrderedDict()
 
     # -- construction ---------------------------------------------------
 
@@ -151,6 +159,7 @@ class CompressedStore(PointSource):
         return store
 
     def _append_block(self, block: Block):
+        self._cache.clear()
         self._offsets.append(self._n)
         self._blocks.append(block)
         self._head_keys.append(interleave(block.head.coords, self.cfg))
@@ -211,38 +220,40 @@ class CompressedStore(PointSource):
         return self.mode == LOSSY
 
     def _block_of_rank(self, rank: int) -> int:
-        import bisect
-
         if not 0 <= rank < self._n:
             raise IndexError(f"rank {rank} outside [0, {self._n})")
         return bisect.bisect_right(self._offsets, rank) - 1
 
-    def point_at(self, rank: int) -> Point:
-        b = self._block_of_rank(rank)
-        return self.decode_block(b)[rank - self._offsets[b]].coords
-
-    def height_at(self, rank: int) -> int:
-        b = self._block_of_rank(rank)
-        return self.decode_block(b)[rank - self._offsets[b]].height
+    def _block(self, b: int) -> tuple[list[HeightedPoint], list[int]]:
+        """Decoded points and Morton keys of block ``b``, from the LRU of
+        the last _CACHE_BLOCKS blocks read.  Callers must not mutate them."""
+        entry = self._cache.get(b)
+        if entry is not None:
+            self._cache.move_to_end(b)
+            return entry
+        pts = self.decode_block(b)
+        cfg = self.cfg
+        entry = (pts, [interleave(hp.coords, cfg) for hp in pts])
+        self._cache[b] = entry
+        if len(self._cache) > _CACHE_BLOCKS:
+            self._cache.popitem(last=False)
+        return entry
 
     def heighted_at(self, rank: int) -> HeightedPoint:
         b = self._block_of_rank(rank)
-        return self.decode_block(b)[rank - self._offsets[b]]
+        return self._block(b)[0][rank - self._offsets[b]]
+
+    def point_at(self, rank: int) -> Point:
+        return self.heighted_at(rank).coords
+
+    def height_at(self, rank: int) -> int:
+        return self.heighted_at(rank).height
 
     def successor_rank(self, key: int) -> int:
-        import bisect
-
-        if not self._blocks:
-            return 0
         b = bisect.bisect_right(self._head_keys, key) - 1
         if b < 0:
             return 0
-        cfg = self.cfg
-        offset = self._offsets[b]
-        for i, hp in enumerate(self.decode_block(b)):
-            if interleave(hp.coords, cfg) >= key:
-                return offset + i
-        return offset + self._blocks[b].count
+        return self._offsets[b] + bisect.bisect_left(self._block(b)[1], key)
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         if lo >= hi:
@@ -250,16 +261,13 @@ class CompressedStore(PointSource):
         b = self._block_of_rank(lo)
         rank = lo
         while rank < hi:
-            pts = self.decode_block(b)
+            pts = self._block(b)[0]
             start = rank - self._offsets[b]
             stop = min(hi - self._offsets[b], len(pts))
             for hp in pts[start:stop]:
                 yield hp.coords
             rank = self._offsets[b] + stop
             b += 1
-
-    def query_context(self) -> PointSource:
-        return _CachingReader(self)
 
     # -- insertion ---------------------------------------------------------
 
@@ -287,20 +295,15 @@ class CompressedStore(PointSource):
         if not self._blocks:
             self._append_block(_encode_block([hp], cfg, lossy))
             return
-        import bisect
-
-        b = bisect.bisect_right(self._head_keys, key) - 1
-        if b < 0:
-            b = 0
-        points = self.decode_block(b)
-        keys = [interleave(q.coords, cfg) for q in points]
+        b = max(bisect.bisect_right(self._head_keys, key) - 1, 0)
+        cached, keys = self._block(b)
         pos = bisect.bisect_right(keys, key)
         if not self._allow_duplicates and pos > 0 and keys[pos - 1] == key:
             raise DuplicatePointError(f"point {p} already stored")
-        points.insert(pos, hp)
-        self._rewrite_block(b, points)
+        self._rewrite_block(b, cached[:pos] + [hp] + cached[pos:])
 
     def _rewrite_block(self, b: int, points: list[HeightedPoint]):
+        self._cache.clear()  # a split shifts the indices of later blocks
         cfg = self.cfg
         lossy = self.mode == LOSSY
         limit = 2 * cfg.w
@@ -463,87 +466,3 @@ class CompressedStore(PointSource):
     def load(cls, path, rho=None) -> "CompressedStore":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read(), rho=rho)
-
-
-class _CachingReader(PointSource):
-    """Single-query view of a store with a small decoded-block cache.
-
-    One of these lives for the duration of one logical query, so
-    concurrent readers never share mutable state.  Never keep one across
-    an insert.
-    """
-
-    _CACHE_BLOCKS = 8
-
-    def __init__(self, store: CompressedStore):
-        self._store = store
-        self.cfg = store.cfg
-        self.counters = store.counters
-        self._cache: OrderedDict[int, tuple] = OrderedDict()
-
-    def _block(self, b: int):
-        hit = self._cache.get(b)
-        if hit is not None:
-            self._cache.move_to_end(b)
-            return hit
-        pts = self._store.decode_block(b)
-        keys = None
-        entry = [pts, keys]
-        self._cache[b] = entry
-        if len(self._cache) > self._CACHE_BLOCKS:
-            self._cache.popitem(last=False)
-        return entry
-
-    def _block_keys(self, b: int):
-        entry = self._block(b)
-        if entry[1] is None:
-            cfg = self.cfg
-            entry[1] = [interleave(hp.coords, cfg) for hp in entry[0]]
-        return entry[1]
-
-    def count(self) -> int:
-        return self._store.count()
-
-    @property
-    def has_heights(self) -> bool:
-        return self._store.has_heights
-
-    def point_at(self, rank: int) -> Point:
-        s = self._store
-        b = s._block_of_rank(rank)
-        return self._block(b)[0][rank - s._offsets[b]].coords
-
-    def height_at(self, rank: int) -> int:
-        s = self._store
-        b = s._block_of_rank(rank)
-        return self._block(b)[0][rank - s._offsets[b]].height
-
-    def successor_rank(self, key: int) -> int:
-        import bisect
-
-        s = self._store
-        if not s._blocks:
-            return 0
-        b = bisect.bisect_right(s._head_keys, key) - 1
-        if b < 0:
-            return 0
-        keys = self._block_keys(b)
-        return s._offsets[b] + bisect.bisect_left(keys, key)
-
-    def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
-        if lo >= hi:
-            return
-        s = self._store
-        b = s._block_of_rank(lo)
-        rank = lo
-        while rank < hi:
-            pts = self._block(b)[0]
-            start = rank - s._offsets[b]
-            stop = min(hi - s._offsets[b], len(pts))
-            for hp in pts[start:stop]:
-                yield hp.coords
-            rank = s._offsets[b] + stop
-            b += 1
-
-    def query_context(self) -> PointSource:
-        return self

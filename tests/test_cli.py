@@ -271,3 +271,34 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["query", str(store), "square-of"]) == 1
         capsys.readouterr()
+
+    def _figure_store(self, tmp_path, capsys):
+        src = tmp_path / "fig.txt"
+        src.write_text(FIGURE_LINES)
+        store = tmp_path / "fig.pqc"
+        main(["compress", str(src), "-o", str(store), "--width", "5", "--lossless"])
+        capsys.readouterr()
+        return str(store)
+
+    def test_bad_square_value_is_1(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        assert main(["query", store, "vertices", "--square", "1,2,x"]) == 1
+        assert "pqc: error:" in capsys.readouterr().err
+
+    def test_bad_query_rho_is_1(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        argv = ["query", store, "voronoi", "--point", "5,2", "--rho", "abc"]
+        assert main(argv) == 1
+        assert "pqc: error:" in capsys.readouterr().err
+
+    def test_bad_refine_rho_is_1(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "abc"]
+        assert main(argv) == 1
+        assert "pqc: error:" in capsys.readouterr().err
+
+    def test_refine_rho_too_small_is_3(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "1"]
+        assert main(argv) == 3
+        assert "rho" in capsys.readouterr().err

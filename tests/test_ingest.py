@@ -132,6 +132,19 @@ class TestMultiscan:
         with pytest.raises(DuplicatePointError):
             read_multiscan(reader, cfg, LOSSY)
 
+    def test_input_shrinking_between_scans_rejected(self):
+        class ShrinkingReader(MemoryPointReader):
+            def masked(self, bits):
+                first = self.passes == 0
+                for i, p in enumerate(super().masked(bits)):
+                    if first or i < 150:
+                        yield p
+
+        cfg = Config(d=2, w=10, gamma=2)
+        pts = random_points(cfg, 5, 200)
+        with pytest.raises(ParseError, match="shrank"):
+            read_multiscan(ShrinkingReader(pts, cfg), cfg, LOSSY)
+
     def test_adjacent_points_height_floor(self):
         cfg = Config(d=2, w=8, gamma=1)
         pts = [(17, 40), (18, 40), (200, 220)]

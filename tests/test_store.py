@@ -15,7 +15,7 @@ from pqc.errors import (
 from pqc.geom import HeightedPoint, round_set
 from pqc.morton import Config, interleave
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
-from pqc.qtree import square_of, vertices
+from pqc.qtree import ArrayPointSource, square_of, vertices
 from pqc.morton import TrieSquare
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
@@ -300,27 +300,49 @@ class TestAccounting:
         assert 1.6 <= ratio <= 2.4
 
 
-class TestCachingReader:
-    def test_context_matches_store(self):
-        cfg = Config(d=2, w=10, gamma=0)
-        pts = random_points(cfg, 17, 300)
-        st = lossless_store(pts, cfg)
-        ctx = st.query_context()
-        assert ctx.count() == st.count()
-        rng = random.Random(0)
-        for _ in range(200):
-            k = rng.randrange(0, 1 << 20)
-            assert ctx.successor_rank(k) == st.successor_rank(k)
-        for r in (0, 5, 123, 299):
-            assert ctx.point_at(r) == st.point_at(r)
-        assert list(ctx.iter_range(50, 200)) == list(st.iter_range(50, 200))
+class TestBlockCache:
+    def test_reads_match_oracle_across_splits(self):
+        # gamma == w leaves every point rounded at every height, so the
+        # heights can be arbitrary.
+        cfg = Config(d=2, w=10, gamma=10)
+        rng = random.Random(3)
+        pts = random_points(cfg, 17, 400)
+        rng.shuffle(pts)
+        height = {p: rng.randrange(cfg.w + 1) for p in pts}
+        stored = sorted(pts[:300], key=lambda p: interleave(p, cfg))
+        st = CompressedStore.build(
+            [HeightedPoint(p, height[p]) for p in stored], cfg, LOSSY
+        )
+
+        def check():
+            oracle = ArrayPointSource(stored, cfg, [height[p] for p in stored])
+            assert st.count() == oracle.count()
+            for _ in range(100):
+                k = rng.randrange(1 << (2 * cfg.w))
+                assert st.successor_rank(k) == oracle.successor_rank(k)
+            for r in rng.sample(range(st.count()), 30):
+                assert st.point_at(r) == oracle.point_at(r)
+                assert st.height_at(r) == oracle.height_at(r)
+            lo = rng.randrange(st.count() - 60)
+            assert list(st.iter_range(lo, lo + 60)) == list(oracle.iter_range(lo, lo + 60))
+
+        check()
+        blocks = st.block_count
+        for p in pts[300:]:
+            # Cache the target block and the ones after it, whose indices
+            # a split shifts.
+            r = st.successor_rank(interleave(p, cfg))
+            list(st.iter_range(r, min(r + 8 * cfg.w, st.count())))
+            st.insert(p, height[p])
+            stored = sorted(stored + [p], key=lambda q: interleave(q, cfg))
+            check()
+        assert st.block_count > blocks
 
     def test_cache_reduces_decodes(self):
         cfg = Config(d=2, w=10, gamma=0)
         pts = random_points(cfg, 17, 300)
         st = lossless_store(pts, cfg)
         st.counters.reset()
-        ctx = st.query_context()
         for _ in range(50):
-            ctx.point_at(7)
+            st.point_at(7)
         assert st.counters.blocks_decoded == 1
