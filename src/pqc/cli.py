@@ -74,10 +74,15 @@ def _parse_point(text: str, cfg: Config):
 
 
 def _parse_rho(text: str) -> Fraction:
+    """--rho as an exact fraction, range-checked as a parameter so that a
+    bad value is never mistaken for a bad store header on load."""
     try:
-        return Fraction(text)
+        rho = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad --rho {text!r}; expected e.g. 2 or 3/2") from exc
+    if rho <= 1:
+        raise DomainError(f"rho must exceed 1, not {rho}")
+    return rho
 
 
 def _resolve_text_config(args) -> tuple[Config, int]:

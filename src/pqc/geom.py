@@ -16,6 +16,7 @@ summary numbers; anything a test compares is rational.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,7 +145,8 @@ class ClippedVoronoiCell:
     counterclockwise order.  ``clip_bounded`` reports whether any vertex
     reaches the clip radius, in which case the true cell may extend
     farther and ``aspect`` is clamped at ``beta``.  ``aspect_sq`` is the
-    exact square of the reported aspect ratio.
+    exact square of the reported aspect ratio.  ``squares_scanned`` counts
+    the squares the neighbour scan visited before it could stop.
     """
 
     center: Point
@@ -213,28 +215,26 @@ def _ring_corners(base: Point, side: int, k: int, cfg: Config) -> Iterator[Point
             yield corner
 
 
-def _gather(v, src, cfg, beta_sq_x4: Optional[Fraction]):
-    """Scan squares around v in distance order, collecting stored points.
+def _scan(v, src, cfg):
+    """Scan squares around v level by level, in growing distance.
 
     The scan starts at the height of square_of(v) and doubles the square
     size every level, visiting Chebyshev rings 0..4 of the starting level
     and rings 1..4 afterwards.  Finishing the level of side s covers every
     point within Chebyshev (hence Euclidean) distance 3s, so the number of
-    squares visited depends on the ratio between the stopping radius and
-    the local leaf size, never on the total point count.
+    squares visited depends on the ratio between the radius a caller
+    needs and the local leaf size, never on the total point count.
 
-    Returns (nn_sq, candidates, squares_scanned) where candidates holds a
-    (dist_sq, point) pair for every stored point other than v within the
-    stopping radius.  With ``beta_sq_x4`` None the scan stops once the
-    nearest neighbour is certain; otherwise it also exhausts every square
-    that could hold points with dist_sq <= beta_sq_x4 * nn_sq.
+    After each level it yields (pairs, covered_sq, squares): a
+    (dist_sq, point) pair for every stored point other than v first seen
+    at this level, the squared distance within which every stored point
+    has now been seen, and the number of squares the level visited.  The
+    level that spans the whole domain yields covered_sq None and ends the
+    scan.  Callers stop pulling levels once they have seen far enough.
     """
     s0 = square_of(v, src, cfg)
     d = cfg.d
-    nn_sq = None
     seen = set()
-    cand: list[tuple[int, Point]] = []
-    scanned = 0
     h = s0.height
     first = True
     while True:
@@ -242,9 +242,11 @@ def _gather(v, src, cfg, beta_sq_x4: Optional[Fraction]):
         whole_domain = side >= cfg.coord_limit
         base = clear_low_bits(v, h)
         rings = range(0, 1) if whole_domain else range(0 if first else 1, 5)
+        pairs: list[tuple[int, Point]] = []
+        squares = 0
         for k in rings:
             for corner in _ring_corners(base, side, k, cfg):
-                scanned += 1
+                squares += 1
                 src.counters.squares_scanned += 1
                 rng = vertices(TrieSquare(corner, h), src)
                 for q in src.iter_range(rng.lo, rng.hi):
@@ -255,29 +257,39 @@ def _gather(v, src, cfg, beta_sq_x4: Optional[Fraction]):
                     for a in range(d):
                         diff = q[a] - v[a]
                         d2 += diff * diff
-                    cand.append((d2, q))
-                    if nn_sq is None or d2 < nn_sq:
-                        nn_sq = d2
+                    pairs.append((d2, q))
         if whole_domain:
-            break
-        covered_sq = 9 * side * side  # everything within 3*side is in hand
-        if nn_sq is not None and covered_sq >= nn_sq:
-            if beta_sq_x4 is None or covered_sq >= beta_sq_x4 * nn_sq:
-                break
+            yield pairs, None, squares
+            return
+        yield pairs, 9 * side * side, squares  # everything within 3*side
         h += 1
         first = False
-    return nn_sq, cand, scanned
+
+
+def _scan_to_nn(levels):
+    """Pull levels of a scan into a heap of (dist_sq, point) pairs until
+    its top is the nearest neighbour: seen, and no farther than the
+    distance the scan covers.
+
+    Returns (heap, covered_sq, squares scanned so far).
+    """
+    heap: list[tuple[int, Point]] = []
+    squares = 0
+    for pairs, covered_sq, level_squares in levels:
+        squares += level_squares
+        for pair in pairs:
+            heapq.heappush(heap, pair)
+        if heap and (covered_sq is None or heap[0][0] <= covered_sq):
+            return heap, covered_sq, squares
+    raise PqcError("nearest neighbour undefined: no other stored point")
 
 
 def nearest_neighbor(v: Point, src: PointSource, cfg: Config = None) -> tuple[int, Point]:
     """Squared distance and coordinates of the nearest stored point != v."""
     cfg = cfg or src.cfg
     validate_point(v, cfg)
-    nn_sq, cand, _ = _gather(v, src, cfg, None)
-    if nn_sq is None:
-        raise PqcError("nearest neighbour undefined: no other stored point")
-    best = min((d2, q) for d2, q in cand)
-    return best
+    heap, _, _ = _scan_to_nn(_scan(v, src, cfg))
+    return heap[0]
 
 
 def clipped_voronoi(
@@ -285,12 +297,14 @@ def clipped_voronoi(
 ) -> ClippedVoronoiCell:
     """Voronoi cell of ``v`` within the domain box, clipped at beta*NN(v).
 
-    Candidate sites are gathered out to distance 2*beta*NN(v); bisectors of
-    anything farther cannot reach the clip ball.  The initial polygon is
-    the square circumscribing the clip circle intersected with the domain
-    box; candidate bisectors are then applied nearest-first, stopping once
-    the remaining sites are more than twice as far as the farthest polygon
-    vertex (their halfplanes cannot cut it).
+    The initial polygon is the square circumscribing the clip circle
+    intersected with the domain box.  Candidate bisectors are applied
+    nearest-first while the squares around ``v`` are scanned outward
+    level by level: a site is clipped once the scan covers its distance,
+    so the order matches a full sort.  Sites beyond 2*beta*NN(v) cannot
+    reach the clip ball, and once the remaining sites are more than twice
+    as far as the farthest polygon vertex their halfplanes cannot cut it;
+    the scan stops at whichever bound the covered distance reaches first.
     """
     cfg = cfg or src.cfg
     if cfg.d != 2:
@@ -300,9 +314,10 @@ def clipped_voronoi(
     if src.count() < 2:
         raise PqcError("clipped Voronoi needs at least two stored points")
 
-    nn_sq, cand, scanned = _gather(v, src, cfg, 4 * beta * beta)
-    if nn_sq is None:
-        raise PqcError("nearest neighbour undefined: no other stored point")
+    levels = _scan(v, src, cfg)
+    # heap: the seen sites not yet clipped, in (d2, q) order
+    heap, covered_sq, scanned = _scan_to_nn(levels)
+    nn_sq = heap[0][0]
     r_clip_sq = beta * beta * nn_sq  # exact squared clip radius
     reach_sq = 4 * r_clip_sq
 
@@ -323,26 +338,39 @@ def clipped_voronoi(
     for a, b, c in ((-1, 0, 0), (1, 0, wmax), (0, -1, 0), (0, 1, wmax)):
         poly = clip_halfplane(poly, a, b, c)
 
-    cand = sorted(
-        ((d2, q) for d2, q in cand if d2 <= reach_sq),
-        key=lambda t: (t[0], t[1]),
-    )
     lines: list[tuple[Point, tuple[int, int, int]]] = []
     max_n, max_d = _poly_max_dist_sq(poly, vx, vy)
-    for d2, q in cand:
-        # Sorted ascending: once a site is over twice as far as the
-        # farthest vertex, its bisector misses the polygon, as do all
-        # later ones.
-        if d2 * max_d > 4 * max_n:
+    while True:
+        # Every site with d2 <= covered_sq has been seen, so popping up to
+        # there follows the full (d2, q) order.
+        limit = reach_sq if covered_sq is None else min(covered_sq, reach_sq)
+        while heap and heap[0][0] <= limit:
+            d2, q = heapq.heappop(heap)
+            # Once a site is over twice as far as the farthest vertex, its
+            # bisector misses the polygon, as do all later ones.  Then
+            # covered_sq * max_d > 4 * max_n too, and the scan ends below.
+            if d2 * max_d > 4 * max_n:
+                break
+            a = 2 * (q[0] - vx)
+            b = 2 * (q[1] - vy)
+            c = q[0] * q[0] + q[1] * q[1] - vx * vx - vy * vy
+            new_poly = clip_halfplane(poly, a, b, c)
+            lines.append((q, (a, b, c)))
+            if new_poly is not poly:
+                poly = new_poly
+                max_n, max_d = _poly_max_dist_sq(poly, vx, vy)
+        # Unseen sites lie beyond covered_sq: stop once that is out of reach
+        # of the clip ball or of the polygon.
+        if (
+            covered_sq is None
+            or covered_sq >= reach_sq
+            or covered_sq * max_d >= 4 * max_n
+        ):
             break
-        a = 2 * (q[0] - vx)
-        b = 2 * (q[1] - vy)
-        c = q[0] * q[0] + q[1] * q[1] - vx * vx - vy * vy
-        new_poly = clip_halfplane(poly, a, b, c)
-        lines.append((q, (a, b, c)))
-        if new_poly is not poly:
-            poly = new_poly
-            max_n, max_d = _poly_max_dist_sq(poly, vx, vy)
+        pairs, covered_sq, squares = next(levels)
+        scanned += squares
+        for pair in pairs:
+            heapq.heappush(heap, pair)
 
     neighbors = []
     for q, (a, b, c) in lines:

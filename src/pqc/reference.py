@@ -160,6 +160,7 @@ class BruteCell:
     polygon: list[tuple[Fraction, Fraction]]
     aspect_sq: Fraction
     area: Fraction
+    clip_bounded: bool = False
 
 
 def _cut(poly, a, b, c):
@@ -202,23 +203,26 @@ def _meet(p, q, a, b, c):
     return (X, Y, Z)
 
 
-def brute_voronoi(points: Sequence[Point], v: Point, cfg: Config) -> BruteCell:
-    """Voronoi cell of ``v`` by cutting all n-1 bisectors against the
-    domain box, with exact rational arithmetic throughout."""
-    v = tuple(v)
+def _others(points: Sequence[Point], v: Point):
     others = [tuple(p) for p in points if tuple(p) != v]
     if not others:
         raise DomainError("brute Voronoi needs at least two points")
-    wmax = cfg.coord_max
-    poly = [(0, 0, 1), (wmax, 0, 1), (wmax, wmax, 1), (0, wmax, 1)]
+    nn_sq = min((q[0] - v[0]) ** 2 + (q[1] - v[1]) ** 2 for q in others)
+    return others, nn_sq
+
+
+def _cut_cell(v: Point, sites, box) -> tuple[list, list[Point]]:
+    """Cut every site's bisector from the box [x0, x1] x [y0, y1]; returns
+    the polygon and the sites whose bisector carries one of its edges."""
+    x0, y0, x1, y1 = box
+    poly = [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
     lines = []
-    for q in others:
+    for q in sites:
         a = 2 * (q[0] - v[0])
         b = 2 * (q[1] - v[1])
         c = q[0] ** 2 + q[1] ** 2 - v[0] ** 2 - v[1] ** 2
         poly = _cut(poly, a, b, c)
         lines.append((q, a, b, c))
-    nn_sq = min((q[0] - v[0]) ** 2 + (q[1] - v[1]) ** 2 for q in others)
     neighbors = []
     for q, a, b, c in lines:
         on = [
@@ -233,24 +237,79 @@ def brute_voronoi(points: Sequence[Point], v: Point, cfg: Config) -> BruteCell:
                 hit = True
         if hit:
             neighbors.append(q)
-    max_sq = Fraction(0)
-    for X, Y, Z in poly:
-        dx = Fraction(X, Z) - v[0]
-        dy = Fraction(Y, Z) - v[1]
-        max_sq = max(max_sq, dx * dx + dy * dy)
-    area = Fraction(0)
+    return poly, sorted(neighbors)
+
+
+def _summary(poly, v: Point):
+    """Exact vertices, largest squared distance from v, and area."""
     verts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in poly]
+    max_sq = Fraction(0)
+    for x, y in verts:
+        max_sq = max(max_sq, (x - v[0]) ** 2 + (y - v[1]) ** 2)
+    area = Fraction(0)
     for i in range(len(verts)):
         x1, y1 = verts[i - 1]
         x2, y2 = verts[i]
         area += x1 * y2 - x2 * y1
+    return verts, max_sq, abs(area) / 2
+
+
+def brute_voronoi(points: Sequence[Point], v: Point, cfg: Config) -> BruteCell:
+    """Voronoi cell of ``v`` by cutting all n-1 bisectors against the
+    domain box, with exact rational arithmetic throughout."""
+    v = tuple(v)
+    others, nn_sq = _others(points, v)
+    wmax = cfg.coord_max
+    poly, neighbors = _cut_cell(v, others, (0, 0, wmax, wmax))
+    verts, max_sq, area = _summary(poly, v)
     return BruteCell(
         center=v,
         nn_sq=nn_sq,
-        neighbors=sorted(neighbors),
+        neighbors=neighbors,
         polygon=verts,
         aspect_sq=max_sq / nn_sq,
-        area=abs(area) / 2,
+        area=area,
+    )
+
+
+def brute_clipped_voronoi(
+    points: Sequence[Point], v: Point, beta, cfg: Config
+) -> BruteCell:
+    """Voronoi cell of ``v`` clipped at radius beta*NN(v), by cutting the
+    bisector of every point within 2*beta*NN(v) against the domain box
+    intersected with the smallest integer square around the clip circle.
+
+    Points farther out cannot cut the clip ball.  Every one of those
+    bisectors is cut, with no early stop.  ``aspect_sq`` is clamped at
+    beta**2 and ``clip_bounded`` reports whether the polygon reaches past
+    the clip radius.
+    """
+    v = tuple(v)
+    others, nn_sq = _others(points, v)
+    r_clip_sq = Fraction(beta) ** 2 * nn_sq
+    half = math.isqrt(math.floor(r_clip_sq))
+    while half * half < r_clip_sq:
+        half += 1
+    wmax = cfg.coord_max
+    box = (
+        max(v[0] - half, 0),
+        max(v[1] - half, 0),
+        min(v[0] + half, wmax),
+        min(v[1] + half, wmax),
+    )
+    near = [
+        q for q in others if (q[0] - v[0]) ** 2 + (q[1] - v[1]) ** 2 <= 4 * r_clip_sq
+    ]
+    poly, neighbors = _cut_cell(v, near, box)
+    verts, max_sq, area = _summary(poly, v)
+    return BruteCell(
+        center=v,
+        nn_sq=nn_sq,
+        neighbors=neighbors,
+        polygon=verts,
+        aspect_sq=min(max_sq, r_clip_sq) / nn_sq,
+        area=area,
+        clip_bounded=max_sq > r_clip_sq,
     )
 
 

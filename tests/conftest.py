@@ -31,3 +31,23 @@ def random_points(cfg, seed, n, lo=0, hi=None):
     while len(pts) < n:
         pts.add(tuple(rng.randrange(lo, hi) for _ in range(cfg.d)))
     return sorted(pts)
+
+
+def clustered_points(cfg, seed, n):
+    """n distinct 2D points in tight clumps of mixed spread plus a sparse
+    background.  Most Voronoi cells reach past a small multiple of their
+    nearest-neighbour distance, so clipped cells are mostly clip-bounded."""
+    rng = random.Random(seed)
+    lim = cfg.coord_limit
+    pts = set()
+    while len(pts) < n:
+        if rng.random() < 0.1:
+            pts.add((rng.randrange(lim), rng.randrange(lim)))
+            continue
+        cx, cy = rng.randrange(lim), rng.randrange(lim)
+        spread = rng.choice((2, 8, 32))
+        for _ in range(rng.randint(2, 4)):
+            p = (cx + rng.randint(-spread, spread), cy + rng.randint(-spread, spread))
+            if 0 <= p[0] < lim and 0 <= p[1] < lim:
+                pts.add(p)
+    return sorted(pts)[:n]

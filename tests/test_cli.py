@@ -291,6 +291,14 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "pqc: error:" in capsys.readouterr().err
 
+    def test_query_rho_too_small_is_3(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        argv = ["query", store, "voronoi", "--point", "5,2", "--rho", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "rho must exceed 1" in err
+        assert "header" not in err
+
     def test_bad_refine_rho_is_1(self, tmp_path, capsys):
         store = self._figure_store(tmp_path, capsys)
         argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "abc"]

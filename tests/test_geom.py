@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jittered_net, random_points
+from conftest import clustered_points, jittered_net, random_points
 from pqc.errors import DimensionError, PqcError
 from pqc.geom import (
     HeightedPoint,
@@ -20,7 +20,13 @@ from pqc.geom import (
 )
 from pqc.morton import Config, interleave
 from pqc.qtree import ArrayPointSource, square_of
-from pqc.reference import ExplicitQuadtree, brute_voronoi, check_well_spaced
+from pqc.reference import (
+    ExplicitQuadtree,
+    brute_clipped_voronoi,
+    brute_voronoi,
+    check_well_spaced,
+)
+from pqc.store import LOSSY, CompressedStore
 
 
 def dist_sq(p, q):
@@ -155,6 +161,50 @@ class TestClippedVoronoi:
                 ref = brute_voronoi(pts, p, cfg)
                 assert sorted(cell.polygon) == sorted(ref.polygon)
                 assert sorted(cell.neighbors) == ref.neighbors
+
+    @staticmethod
+    def _clustered_sources(seed):
+        """The same clustered set as an array source, and as a lossy store
+        that then takes 30 uniform inserts; with each, the points it holds."""
+        cfg = Config(d=2, w=10, gamma=3)
+        pts = clustered_points(cfg, seed, 70)
+        yield ArrayPointSource(pts, cfg), pts
+        store = CompressedStore.build(round_set(pts, cfg), cfg, LOSSY)
+        held = {hp.coords for hp in store.decode_all()}
+        rng = random.Random(seed)
+        target = len(held) + 30
+        while len(held) < target:
+            p = (rng.randrange(cfg.coord_limit), rng.randrange(cfg.coord_limit))
+            if p not in held:
+                store.insert(p)
+                held.add(p)
+        yield store, [hp.coords for hp in store.decode_all()]
+
+    @pytest.mark.parametrize("beta", [Fraction(2), Fraction(7, 2), Fraction(4)])
+    def test_matches_clipped_brute_on_clustered_sets(self, beta):
+        # The scan stops as soon as unseen sites cannot cut the cell; the
+        # oracle cuts every site within reach of the clip ball.
+        checked = bounded = 0
+        for seed in range(2):
+            for src, pts in self._clustered_sources(40 + seed):
+                cfg = src.cfg
+                rng = random.Random(seed)
+                probes = pts + [
+                    (rng.randrange(cfg.coord_limit), rng.randrange(cfg.coord_limit))
+                    for _ in range(10)
+                ]
+                for p in probes:
+                    cell = clipped_voronoi(p, beta, src, cfg)
+                    ref = brute_clipped_voronoi(pts, p, beta, cfg)
+                    assert cell.nn_sq == ref.nn_sq
+                    assert sorted(cell.neighbors) == ref.neighbors
+                    assert sorted(cell.polygon) == sorted(ref.polygon)
+                    assert cell.clip_bounded == ref.clip_bounded
+                    assert cell.aspect_sq == ref.aspect_sq
+                    checked += 1
+                    bounded += cell.clip_bounded
+        assert checked >= 350
+        assert 2 * bounded > checked
 
     def test_huge_beta_equals_brute_everywhere(self):
         cfg = Config(d=2, w=8, gamma=0)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import jittered_net, random_points
 from pqc.errors import DimensionError, DomainError
+from pqc.geom import round_set
 from pqc.morton import Config, TrieSquare, clear_low_bits, interleave, square_contains
 from pqc.qtree import (
     ArrayPointSource,
@@ -18,6 +19,7 @@ from pqc.qtree import (
     vertices,
 )
 from pqc.reference import ExplicitQuadtree, brute_voronoi, check_well_spaced
+from pqc.store import LOSSY, CompressedStore
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
 CFG5 = Config(d=2, w=5, gamma=0)
@@ -249,3 +251,20 @@ class TestRestrictedVoronoi:
                 restricted_voronoi(p, src, cfg).squares_scanned for p in sample
             )
         assert worst["large"] <= 2 * worst["small"] + 8
+
+    def test_cell_decodes_few_blocks(self):
+        # A cell reads the blocks around its site, not every block out to
+        # 2*beta*NN.  Each cell starts from an empty block cache.
+        cfg = Config(d=2, w=12, gamma=5)
+        pts = jittered_net(cfg, 7, f0=48)
+        store = CompressedStore.build(round_set(pts, cfg), cfg, LOSSY)
+        assert (store.count(), store.block_count) == (5625, 235)
+        step = store.count() // 40
+        sites = [store.point_at(r * step) for r in range(40)]
+        decoded = []
+        for p in sites:
+            store._cache.clear()
+            store.counters.reset()
+            restricted_voronoi(p, store, cfg)
+            decoded.append(store.counters.blocks_decoded)
+        assert sum(decoded) / len(decoded) <= 10

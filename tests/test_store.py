@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from conftest import jittered_net, random_points
 from pqc.errors import (
@@ -10,6 +11,7 @@ from pqc.errors import (
     DomainError,
     DuplicatePointError,
     FormatError,
+    PqcError,
     UnsortedInputError,
 )
 from pqc.geom import HeightedPoint, round_set
@@ -271,6 +273,66 @@ class TestPersistence:
             st.decode_block(0)
         assert exc.value.block_index == 0
         assert exc.value.bit_offset is not None
+
+
+def _fuzz_store_bytes():
+    """A small lossy store's file, with the byte spans of its header, its
+    block headers and its block payloads."""
+    cfg = Config(d=2, w=8, gamma=2)
+    store = CompressedStore.build(
+        round_set(random_points(cfg, 5, 60), cfg), cfg, LOSSY
+    )
+    data = store.to_bytes()
+    header, tables, payloads = [(0, 21)], [], []
+    pos = 21
+    for blk in store._blocks:
+        tables.append((pos, pos + 4 * cfg.d + 5))
+        pos = tables[-1][1]
+        payloads.append((pos, pos + (blk.bit_len + 7) // 8))
+        pos = payloads[-1][1]
+    assert pos == len(data) and len(payloads) >= 3
+    return data, {"header": header, "table": tables, "payload": payloads}
+
+
+FUZZ_DATA, FUZZ_SPANS = _fuzz_store_bytes()
+
+
+def _load_or_pqc_error(data: bytes):
+    """Loading either fails with a PqcError or yields a store that saves
+    back to the very same bytes."""
+    try:
+        store = CompressedStore.from_bytes(data)
+    except PqcError:
+        return
+    assert store.to_bytes() == data
+
+
+class TestFromBytesFuzz:
+    @given(strategies.integers(0, len(FUZZ_DATA) - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_truncated(self, cut):
+        _load_or_pqc_error(FUZZ_DATA[:cut])
+
+    @given(
+        strategies.sampled_from(sorted(FUZZ_SPANS)),
+        strategies.data(),
+        strategies.lists(strategies.integers(0, 255), min_size=1, max_size=4),
+    )
+    @settings(deadline=None, max_examples=600)
+    def test_mutated(self, region, data, values):
+        lo, hi = data.draw(strategies.sampled_from(FUZZ_SPANS[region]))
+        at = data.draw(strategies.integers(lo, hi - 1))
+        mutated = bytearray(FUZZ_DATA)
+        mutated[at : at + len(values)] = bytes(values)
+        _load_or_pqc_error(bytes(mutated))
+
+    @given(
+        strategies.integers(0, len(FUZZ_DATA)),
+        strategies.binary(min_size=1, max_size=8),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_spliced(self, at, extra):
+        _load_or_pqc_error(FUZZ_DATA[:at] + extra + FUZZ_DATA[at:])
 
 
 class TestAccounting:
