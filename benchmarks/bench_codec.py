@@ -2,9 +2,10 @@
 """Benchmark the pure-Python bit kernels against the compiled extension.
 
 Times the hot paths behind store construction and queries: block record
-encoding, block record decoding, and Morton key computation.  Both kernel
-implementations produce bit-identical streams; this script only measures
-speed.
+encoding, block record decoding, and Morton key computation.  Before
+timing, each backend must decode its own streams back to exactly the
+encoded points and heights, and its Morton keys must match the bit-by-bit
+definition; a backend that fails either check stops the script.
 
     python benchmarks/bench_codec.py --n 200000 --w 16 --gamma 5
 """
@@ -57,6 +58,23 @@ def make_blocks(cfg, n, block_size):
     return pts, blocks
 
 
+def check_backend(mod, cfg, blocks, payloads, pts):
+    """Exit unless ``mod`` decodes every block to its encoded records and
+    keys every point as the bit loop does."""
+    for (data, bits), (head, head_h, coords, heights) in zip(payloads, blocks):
+        r = mod.BitReader(data, bits)
+        got = mod.decode_records(r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits)
+        if got != (coords, heights) or r.tell() != bits:
+            raise SystemExit(f"{mod.BACKEND}: decode does not return the encoded block")
+    for p in pts:
+        key = 0
+        for bit in range(cfg.w - 1, -1, -1):
+            for c in p:
+                key = (key << 1) | ((c >> bit) & 1)
+        if mod.interleave(p, cfg.w) != key:
+            raise SystemExit(f"{mod.BACKEND}: wrong Morton key for {p}")
+
+
 def bench(fn, repeat):
     best = float("inf")
     for _ in range(repeat):
@@ -95,6 +113,8 @@ def main():
             w = mod.BitWriter()
             mod.encode_records(w, head, head_h, coords, heights, cfg.gamma, True)
             payloads.append((w.getvalue(), w.bit_length))
+
+        check_backend(mod, cfg, blocks, payloads, pts)
 
         def decode_all():
             out = 0

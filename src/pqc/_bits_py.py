@@ -78,6 +78,11 @@ class BitWriter:
         return bytes(self._buf)
 
 
+def _need(nbits, pos, total):
+    # The message of a read past the end of the stream.
+    return f"need {nbits} bits at offset {pos} of {total}"
+
+
 class BitReader:
     """MSB-first bit cursor over a bytes object."""
 
@@ -101,9 +106,7 @@ class BitReader:
 
     def read_bits(self, nbits):
         if self._pos + nbits > self._nbits:
-            raise TruncatedStreamError(
-                f"need {nbits} bits at offset {self._pos} of {self._nbits}"
-            )
+            raise TruncatedStreamError(_need(nbits, self._pos, self._nbits))
         buf = self._buf
         pos = self._pos
         value = 0
@@ -139,10 +142,19 @@ class BitReader:
 
 def interleave(coords, w):
     """Morton key of a coordinate tuple: bit i of axis 0 lands above bit i of
-    axis 1, and so on, for i from w-1 down to 0."""
+    axis 1, and so on, for i from w-1 down to 0.
+
+    For d=2 with both coordinates below 2**16 the key is four lookups in
+    ``_SPREAD8``; wider 2D coordinates use :func:`_spread1`, and other
+    dimensions interleave bit by bit."""
     if len(coords) == 2:
         x, y = coords
-        return (_spread1(x) << 1) | _spread1(y)
+        if (x | y) >> 16:
+            return (_spread1(x) << 1) | _spread1(y)
+        t = _SPREAD8
+        return (
+            (t[x >> 8] << 17) | (t[y >> 8] << 16) | (t[x & 0xFF] << 1) | t[y & 0xFF]
+        )
     key = 0
     for bit in range(w - 1, -1, -1):
         for c in coords:
@@ -181,6 +193,10 @@ def _compact1(v):
     return v
 
 
+# _SPREAD8[b] is byte b with a zero bit inserted above each of its bits.
+_SPREAD8 = tuple(_spread1(b) for b in range(256))
+
+
 def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
     """Append one record per point to ``writer``; returns bits written.
 
@@ -208,27 +224,86 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
     """Decode records until the cursor reaches ``end_bit``.
 
     Returns (coords_list, heights_list).  Heights are all zero in lossless
-    mode.  Raises CorruptPayloadError / TruncatedStreamError on bad input.
+    mode.  Raises CorruptPayloadError / TruncatedStreamError on bad input,
+    with the same messages and the same final ``reader.tell()`` as reading
+    each record through :meth:`BitReader.read_signed_gamma` and
+    :meth:`BitReader.read_gamma` (``reference.bitwise_decode_records``).
+
+    The readable bits from the cursor on become one '0'/'1' string; each
+    gamma code is one ``str.find`` for the end of its zero run and one
+    ``int(..., 2)`` for its value.  The cursor is written back on return
+    and on every raise.
     """
     prev = list(prev)
     coords_out = []
     heights_out = []
+    pos = reader._pos
+    nbits = reader._nbits
+    # bits[i] is stream bit base + i, for every readable bit; the sentinel
+    # 1 above the top bit keeps leading zeros in bin()'s output.
+    first = pos >> 3
+    nbytes = (nbits + 7) >> 3
+    base = first << 3
+    limit = nbits - base
+    value = int.from_bytes(reader._buf[first:nbytes], "big") >> (8 * nbytes - nbits)
+    bits = bin(value | (1 << limit))[3:]
+    find = bits.find
+    p = pos - base
+    stop = end_bit - base
     shift = 0
     h = 0
-    while reader.tell() < end_bit:
-        if lossy:
-            h = prev_h + reader.read_signed_gamma()
-            if h < 0 or h > w:
-                raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
-            shift = h - gamma if h > gamma else 0
-            prev_h = h
-        for a in range(d):
-            delta = reader.read_gamma()
-            if delta >> (w - shift):
-                raise CorruptPayloadError(
-                    f"decoded coordinate delta {delta} overflows width {w}"
-                )
-            prev[a] = ((prev[a] >> shift) ^ delta) << shift
-        coords_out.append(tuple(prev))
-        heights_out.append(h)
+    try:
+        while p < stop:
+            if lossy:
+                # Signed gamma of the height delta; "1" is a zero delta.
+                j = find("1", p)
+                if j < 0:
+                    p = limit
+                    raise TruncatedStreamError(_need(1, nbits, nbits))
+                z = j - p
+                if z:
+                    p = j + z
+                    if p > limit:
+                        p = j + 1
+                        raise TruncatedStreamError(_need(z - 1, base + p, nbits))
+                    if p == limit:
+                        raise TruncatedStreamError(_need(1, nbits, nbits))
+                    if bits[p] == "1":
+                        h = prev_h - int(bits[j:p], 2)
+                    else:
+                        h = prev_h + int(bits[j:p], 2)
+                    p += 1
+                else:
+                    p = j + 1
+                    h = prev_h
+                if h < 0 or h > w:
+                    raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
+                shift = h - gamma if h > gamma else 0
+                prev_h = h
+            for a in range(d):
+                j = find("1", p)
+                if j < 0:
+                    p = limit
+                    raise TruncatedStreamError(_need(1, nbits, nbits))
+                z = j - p
+                if z:
+                    p = j + z
+                    if p > limit:
+                        p = j + 1
+                        raise TruncatedStreamError(_need(z - 1, base + p, nbits))
+                    delta = int(bits[j:p], 2)
+                    if delta >> (w - shift):
+                        raise CorruptPayloadError(
+                            f"decoded coordinate delta {delta} overflows width {w}"
+                        )
+                    prev[a] = ((prev[a] >> shift) ^ delta) << shift
+                else:
+                    p = j + 1
+                    if shift:
+                        prev[a] = (prev[a] >> shift) << shift
+            coords_out.append(tuple(prev))
+            heights_out.append(h)
+    finally:
+        reader._pos = base + p
     return coords_out, heights_out
+

@@ -4,7 +4,9 @@ Everything here favours being obviously correct over being fast, and none
 of it shares search or clipping code with the query modules it checks: the
 quadtree below is materialised by actually splitting squares, and the
 Voronoi cells are cut with a locally written clipper.  Point-in-square
-counting walks an x-sorted list, so no Morton machinery is involved.
+counting walks an x-sorted list, so no Morton machinery is involved.  The
+record decoder reads one gamma code at a time through the bit reader's own
+methods, without the kernel's string scan.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, DuplicatePointError, GenerationError
+from .errors import (
+    CorruptPayloadError,
+    DomainError,
+    DuplicatePointError,
+    GenerationError,
+)
 from .morton import Config, Point, TrieSquare
 
 # --- explicit quadtree --------------------------------------------------
@@ -414,3 +421,38 @@ def quadtree_superset(points: Sequence[Point], cfg: Config) -> list[Point]:
                 x, y = corner[0] + dx, corner[1] + dy
                 out.add((min(x, limit), min(y, limit)))
     return sorted(out)
+
+
+# --- bit-serial record decoder ------------------------------------------
+
+
+def bitwise_decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
+    """Decode records one gamma code at a time until the cursor reaches
+    ``end_bit``; same contract as the kernels' ``decode_records``.
+
+    Every bit goes through ``reader.read_signed_gamma`` / ``read_gamma``,
+    so a truncated stream raises the reader's own TruncatedStreamError and
+    leaves the cursor where that read stopped.
+    """
+    prev = list(prev)
+    coords_out = []
+    heights_out = []
+    shift = 0
+    h = 0
+    while reader.tell() < end_bit:
+        if lossy:
+            h = prev_h + reader.read_signed_gamma()
+            if h < 0 or h > w:
+                raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
+            shift = h - gamma if h > gamma else 0
+            prev_h = h
+        for a in range(d):
+            delta = reader.read_gamma()
+            if delta >> (w - shift):
+                raise CorruptPayloadError(
+                    f"decoded coordinate delta {delta} overflows width {w}"
+                )
+            prev[a] = ((prev[a] >> shift) ^ delta) << shift
+        coords_out.append(tuple(prev))
+        heights_out.append(h)
+    return coords_out, heights_out

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqc import codec
-from pqc.errors import TruncatedStreamError
+from pqc import _bits_py, codec
+from pqc.errors import CorruptPayloadError, TruncatedStreamError
 from pqc.morton import Config
+from pqc.reference import bitwise_decode_records
 
 
 def _backends():
@@ -202,6 +203,97 @@ class TestWriterReaderPrimitives:
             assert [(r.read_bits(n), n) for _, n in chunks] == chunks
 
 
+@st.composite
+def record_streams(draw):
+    """A record stream as the kernels' arguments: (d, w, gamma, lossy,
+    head, head height, coords, heights).  Lossy coordinates are rounded to
+    their heights, as ``round_set`` leaves them."""
+    d = draw(st.sampled_from([2, 3]))
+    w = draw(st.integers(1, 32))
+    gamma = draw(st.integers(0, w))
+    lossy = draw(st.booleans())
+    coord = st.integers(0, (1 << w) - 1)
+    n = draw(st.integers(0, 24))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=n + 1, max_size=n + 1))
+    hs = draw(st.lists(st.integers(0, w), min_size=n + 1, max_size=n + 1))
+    if lossy:
+        pts = [
+            tuple((c >> max(h - gamma, 0)) << max(h - gamma, 0) for c in p)
+            for p, h in zip(pts, hs)
+        ]
+    else:
+        hs = [0] * len(hs)
+    return d, w, gamma, lossy, pts[0], hs[0], pts[1:], hs[1:]
+
+
+def _decode_outcome(decode, data, nbits, start, args, end_bit):
+    """decode's result, or its exception class and message, plus the
+    final cursor."""
+    reader = _bits_py.BitReader(data, nbits)
+    if start:
+        reader.read_bits(start)
+    try:
+        out = decode(reader, *args, end_bit)
+    except (CorruptPayloadError, TruncatedStreamError) as exc:
+        out = (type(exc), str(exc))
+    return out, reader.tell()
+
+
+class TestRecordDecodeOracle:
+    """The string-scan ``decode_records`` against the bit-serial oracle."""
+
+    @given(record_streams(), st.data())
+    @settings(deadline=None, max_examples=400)
+    def test_matches_bitwise_decoder(self, stream, data):
+        d, w, gamma, lossy, head, head_h, coords, heights = stream
+        writer = _bits_py.BitWriter()
+        start = data.draw(st.integers(0, 19), label="start")
+        if start:
+            writer.write_bits(data.draw(st.integers(0, (1 << start) - 1)), start)
+        _bits_py.encode_records(writer, head, head_h, coords, heights, gamma, lossy)
+        buf, nbits = bytearray(writer.getvalue()), writer.bit_length
+        damage = data.draw(
+            st.sampled_from(["none", "truncate", "mutate", "overlong"]), label="damage"
+        )
+        if damage == "truncate":
+            nbits = data.draw(st.integers(start, nbits))
+        elif damage == "mutate" and buf:
+            for _ in range(data.draw(st.integers(1, 3))):
+                buf[data.draw(st.integers(0, len(buf) - 1))] = data.draw(
+                    st.integers(0, 255)
+                )
+        elif damage == "overlong":
+            buf += data.draw(st.binary(min_size=1, max_size=6))
+            nbits = data.draw(st.integers(nbits, 8 * len(buf)))
+        end_bit = data.draw(
+            st.one_of(st.just(nbits), st.integers(start, nbits)), label="end_bit"
+        )
+        args = (head, head_h, d, w, gamma, lossy)
+        fast = _decode_outcome(
+            _bits_py.decode_records, bytes(buf), nbits, start, args, end_bit
+        )
+        slow = _decode_outcome(
+            bitwise_decode_records, bytes(buf), nbits, start, args, end_bit
+        )
+        assert fast == slow
+        if damage == "none" and end_bit == nbits:
+            assert fast == ((list(coords), list(heights)), nbits)
+
+    def test_every_cut_of_the_figure_stream(self):
+        head, rest = FIGURE_POINTS[0], FIGURE_POINTS[1:]
+        w = _bits_py.BitWriter()
+        _bits_py.encode_records(w, head, 0, rest, [0] * len(rest), 0, False)
+        assert w.bit_length == 31  # the figure's 41 bits less the 10-bit head
+        args = (head, 0, 2, 5, 0, False)
+        for cut in range(32):
+            for end_bit in (cut, 31):
+                outcomes = [
+                    _decode_outcome(decode, w.getvalue(), cut, 0, args, end_bit)
+                    for decode in (_bits_py.decode_records, bitwise_decode_records)
+                ]
+                assert outcomes[0] == outcomes[1], (cut, end_bit)
+
+
 class TestBackendParity:
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
     @given(
@@ -232,3 +324,23 @@ class TestBackendParity:
                 key = py.interleave(p, w)
                 assert cy.interleave(p, w) == key
                 assert cy.deinterleave(key, d, w) == p == py.deinterleave(key, d, w)
+
+    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
+    @given(record_streams())
+    @settings(deadline=None, max_examples=200)
+    def test_record_parity(self, stream):
+        d, w, gamma, lossy, head, head_h, coords, heights = stream
+        outcomes = []
+        for kern in BACKENDS:
+            writer = kern.BitWriter()
+            bits = kern.encode_records(
+                writer, head, head_h, coords, heights, gamma, lossy
+            )
+            data, nbits = writer.getvalue(), writer.bit_length
+            reader = kern.BitReader(data, nbits)
+            decoded = kern.decode_records(
+                reader, head, head_h, d, w, gamma, lossy, nbits
+            )
+            outcomes.append((bits, data, nbits, decoded, reader.tell()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3] == (list(coords), list(heights))

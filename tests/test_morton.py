@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqc import _bits_py
 from pqc.errors import DomainError
 from pqc.morton import (
     Config,
@@ -73,6 +74,40 @@ class TestInterleave:
         cfg = Config(d=3, w=32)
         top = tuple([cfg.coord_max] * 3)
         assert interleave(top, cfg) == (1 << 96) - 1
+
+
+def bit_loop_key(p, w):
+    """Morton key by definition: bit i of every axis, axis 0 first, for i
+    from w-1 down to 0."""
+    key = 0
+    for bit in range(w - 1, -1, -1):
+        for c in p:
+            key = (key << 1) | ((c >> bit) & 1)
+    return key
+
+
+class TestKernelInterleave:
+    """``_bits_py.interleave`` (byte table, spread or bit loop, by the
+    coordinates' width) against the bit-loop definition."""
+
+    EDGES = [0, 0xFF, 0x100, 0xFFFF, 0x10000, 2**32 - 1]
+
+    def test_table_edges(self):
+        for x in self.EDGES:
+            for y in self.EDGES:
+                key = _bits_py.interleave((x, y), 32)
+                assert key == bit_loop_key((x, y), 32)
+                assert _bits_py.deinterleave(key, 2, 32) == (x, y)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_points_every_width(self, d):
+        rng = random.Random(41 + d)
+        for w in range(1, 33):
+            for _ in range(100):
+                p = tuple(rng.randrange(1 << w) for _ in range(d))
+                key = _bits_py.interleave(p, w)
+                assert key == bit_loop_key(p, w)
+                assert _bits_py.deinterleave(key, d, w) == p
 
 
 class TestMortonLess:
