@@ -49,18 +49,17 @@ def round_set(
 ) -> list[HeightedPoint]:
     """Round a duplicate-free set against its own quadtree leaf heights.
 
-    Heights come from :func:`pqc.qtree.square_of` over the original set.
-    The result is in Morton order (rounding cannot reorder: each point
-    stays inside its own leaf and leaves are disjoint).
+    Heights come from one Morton-order sweep over the original set
+    (:meth:`pqc.qtree.ArrayPointSource.leaf_heights`).  The result is in
+    Morton order (rounding cannot reorder: each point stays inside its own
+    leaf and leaves are disjoint).
     """
     gamma = cfg.gamma if gamma is None else gamma
     src = ArrayPointSource(points, cfg)
     out = []
     prev_key = -1
-    for rank in range(src.count()):
-        p = src.point_at(rank)
-        h = square_of(p, src, cfg).height
-        rp = round_point(p, h, gamma)
+    for rank, h in enumerate(src.leaf_heights()):
+        rp = round_point(src.point_at(rank), h, gamma)
         key = interleave(rp, cfg)
         if key == prev_key:
             raise DuplicatePointError(f"rounding collapsed two points at {rp}")

@@ -113,56 +113,10 @@ def deinterleave(key: int, cfg: Config) -> Point:
     return _impl.deinterleave(key, cfg.d, cfg.w)
 
 
-def _less_msb(x: int, y: int) -> bool:
-    return x < y and x < (x ^ y)
-
-
-def morton_less(p: Point, q: Point, cfg: Config = None) -> bool:
-    """True iff p precedes q in Morton order.
-
-    Uses the most-significant-differing-axis trick instead of building the
-    wide keys; ties between axes at the same bit position resolve to the
-    lower axis index, matching the interleave layout.
-    """
-    best = 0
-    axis = 0
-    for a in range(len(p)):
-        x = p[a] ^ q[a]
-        if _less_msb(best, x):
-            best = x
-            axis = a
-    return p[axis] < q[axis]
-
-
-def smallest_common_square(p: Point, q: Point, cfg: Config) -> TrieSquare:
-    """The smallest trie square containing both points (height 0 if p == q)."""
-    h = 0
-    for a in range(cfg.d):
-        b = (p[a] ^ q[a]).bit_length()
-        if b > h:
-            h = b
-    mask = ~((1 << h) - 1)
-    return TrieSquare(tuple(c & mask for c in p), h)
-
-
 def square_of_point(p: Point, height: int) -> TrieSquare:
     """The height-``height`` trie square containing ``p``."""
     mask = ~((1 << height) - 1)
     return TrieSquare(tuple(c & mask for c in p), height)
-
-
-def neighbour(
-    s: TrieSquare, axis: int, sign: int, cfg: Config
-) -> Optional[TrieSquare]:
-    """Equal-size neighbour offset by sign*2**h along ``axis``, or None if it
-    would leave the domain."""
-    side = 1 << s.height
-    c = s.corner[axis] + (side if sign > 0 else -side)
-    if c < 0 or c + side > cfg.coord_limit:
-        return None
-    corner = list(s.corner)
-    corner[axis] = c
-    return TrieSquare(tuple(corner), s.height)
 
 
 def neighbours(s: TrieSquare, cfg: Config) -> Iterator[TrieSquare]:

@@ -11,12 +11,14 @@ recently decoded blocks, so queries pass the source straight through.
 A square is *crowded* when it holds two or more points, or holds exactly
 one while some equal-size neighbour square is nonempty.  Crowdedness is
 monotone along any root-to-leaf chain (an uncrowded square has only
-uncrowded descendants), which is what makes the height search in
-:func:`square_of` sound.
+uncrowded descendants), which is what makes the height searches in
+:func:`square_of` and :meth:`ArrayPointSource.leaf_heights` sound.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, DuplicatePointError, PqcError, UnsortedInputError
@@ -132,8 +134,6 @@ class ArrayPointSource(PointSource):
         return self._points[rank]
 
     def successor_rank(self, key: int) -> int:
-        import bisect
-
         return bisect.bisect_left(self._keys, key)
 
     def height_at(self, rank: int) -> int:
@@ -145,6 +145,75 @@ class ArrayPointSource(PointSource):
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         return iter(self._points[lo:hi])
+
+    def leaf_heights(self) -> list[int]:
+        """Leaf height of every point, in rank order, in one pass over the keys.
+
+        Each height equals ``square_of(point, self).height``.  The point's
+        height-h square holds another point exactly when h >= ceil(b / d),
+        b the bit length of the smaller xor with its Morton predecessor and
+        successor.  Below that bracket the point is alone, so its square is
+        crowded iff an equal-size neighbour is nonempty: one bisect of the
+        key list per neighbour, whose corner key comes from dilated-integer
+        arithmetic on the point's key.  Crowdedness is monotone in h, so a
+        binary search under the bracket finds the first crowded height.
+        """
+        cfg = self.cfg
+        d, w = cfg.d, cfg.w
+        keys = self._keys
+        n = len(keys)
+        # Key bits of each axis; axis 0 is the most significant of a group.
+        masks = [
+            sum(1 << (d * i + d - 1 - a) for i in range(w)) for a in range(d)
+        ]
+        offsets = [o for o in itertools.product((0, 1, 2), repeat=d) if o != (1,) * d]
+
+        def neighbour_nonempty(key: int, p: Point, h: int) -> bool:
+            shift = d * h
+            corner = key >> shift << shift
+            last_cell = (1 << (w - h)) - 1
+            # Per axis: the corner's bits of that axis moved by -1, 0 and +1
+            # squares (None outside the domain).  Setting the other axes'
+            # bits before adding lets the carry run through them.
+            moves = []
+            for a in range(d):
+                m = masks[a]
+                own = corner & m
+                unit = 1 << (shift + d - 1 - a)
+                cell = p[a] >> h
+                moves.append((
+                    (own - unit) & m if cell else None,
+                    own,
+                    ((own | ~m) + unit) & m if cell < last_cell else None,
+                ))
+            span = 1 << shift
+            for o in offsets:
+                nk = 0
+                for a in range(d):
+                    c = moves[a][o[a]]
+                    if c is None:
+                        break
+                    nk |= c
+                else:
+                    i = bisect.bisect_left(keys, nk)
+                    if i < n and keys[i] < nk + span:
+                        return True
+            return False
+
+        out = []
+        for r, (key, p) in enumerate(zip(keys, self._points)):
+            near = [key ^ keys[j] for j in (r - 1, r + 1) if 0 <= j < n]
+            # First height whose square holds a second point; w + 1 when alone.
+            hi = -(-min(near).bit_length() // d) if near else w + 1
+            lo = -1  # uncrowded at lo (a sentinel below 0), crowded at hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if neighbour_nonempty(key, p, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            out.append(max(hi - 1, 0))
+        return out
 
 
 def vertices(s: TrieSquare, src: PointSource) -> VertexRange:

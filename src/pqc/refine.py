@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import DomainError, DimensionError, DuplicatePointError, RefineError
 from .geom import ClippedVoronoiCell, clipped_voronoi, nearest_neighbor, round_point
 from .morton import Config, Point, interleave
-from .qtree import square_of
+from .qtree import ArrayPointSource
 from .store import LOSSY, CompressedStore
 
 
@@ -173,13 +173,12 @@ def refine(
         return store, report
 
     max_rounds = params.max_rounds or 40 * (cfg.w + 1)
-    heights: dict[Point, int] = {}
     if store.has_heights:
-        for hp in store.decode_all():
-            heights[hp.coords] = hp.height
+        heights = {hp.coords: hp.height for hp in store.decode_all()}
     else:
-        for hp in store.decode_all():
-            heights[hp.coords] = square_of(hp.coords, store, cfg).height
+        coords = [hp.coords for hp in store.decode_all()]
+        src = ArrayPointSource(coords, cfg, presorted=True)
+        heights = dict(zip(coords, src.leaf_heights()))
 
     # coords -> (dirty reach radius^2, verified aspect^2); a vertex leaves
     # the map when an insertion lands close enough to reshape its cell.

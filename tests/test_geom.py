@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_points, jittered_net, random_points
-from pqc.errors import DimensionError, PqcError
+from pqc.errors import DimensionError, DuplicatePointError, PqcError
 from pqc.geom import (
     HeightedPoint,
     aspect_ratio,
@@ -146,6 +146,85 @@ class TestRoundSet:
                     violations.append((seed, hp, h2))
         if violations:
             pytest.xfail(f"height invariance counterexamples: {violations[:3]}")
+
+
+@st.composite
+def height_cases(draw):
+    """(cfg, points) for the leaf-height oracle: random, clustered,
+    grid-adjacent, domain-edge, single-point and two-point sets, d in
+    {2, 3}, w in [1, 16]."""
+    d = draw(st.sampled_from((2, 3)))
+    w = draw(st.integers(1, 16))
+    cfg = Config(d=d, w=w, gamma=draw(st.integers(0, w)))
+    lim = cfg.coord_limit
+    coord = st.integers(0, lim - 1)
+    point = st.tuples(*[coord] * d)
+    cap = min(24, lim**d)
+    kind = draw(st.sampled_from(("random", "clustered", "adjacent", "edge", "one", "two")))
+    if kind == "one":
+        return cfg, [draw(point)]
+    if kind == "two":
+        return cfg, list(draw(st.sets(point, min_size=2, max_size=2)))
+    if kind == "random":
+        return cfg, list(draw(st.sets(point, min_size=1, max_size=cap)))
+    if kind == "edge":
+        edge = st.sampled_from(sorted({0, 1, lim // 2 - 1, lim // 2, lim - 2, lim - 1}))
+        on_edge = st.tuples(*[st.one_of(edge, coord)] * d)
+        return cfg, list(draw(st.sets(on_edge, min_size=1, max_size=cap)))
+    centre = draw(point)
+    spread = 1 if kind == "adjacent" else draw(st.sampled_from((2, 5, 17)))
+    offset = st.integers(-spread, spread)
+    pts = {
+        tuple(min(lim - 1, max(0, c + o)) for c, o in zip(centre, offs))
+        for offs in draw(st.lists(st.tuples(*[offset] * d), min_size=1, max_size=cap))
+    }
+    pts |= draw(st.sets(point, max_size=3))
+    return cfg, list(pts)
+
+
+class TestLeafHeightSweep:
+    """round_set's one-pass leaf heights against both search oracles."""
+
+    @given(height_cases())
+    @example((Config(d=2, w=4, gamma=0), [(0, 0), (1, 1)]))
+    @example((Config(d=3, w=5, gamma=1), [(0, 0, 0), (3, 3, 3), (31, 0, 31)]))
+    @settings(deadline=None, max_examples=300)
+    def test_heights_match_oracles(self, case):
+        cfg, pts = case
+        ordered = sorted(pts, key=lambda p: interleave(p, cfg))
+        tree = ExplicitQuadtree(pts, cfg)
+        src = ArrayPointSource(pts, cfg)
+        rounded = round_set(pts, cfg)
+        assert len(rounded) == len(ordered)
+        for hp, p in zip(rounded, ordered):
+            assert hp.height == tree.leaf_height(p) == square_of(p, src, cfg).height
+            assert hp.coords == round_point(p, hp.height, cfg.gamma)
+        if len(pts) == 1:
+            assert rounded[0].height == cfg.w
+        held = set(pts)
+        for hp, p in zip(rounded, ordered):
+            # A point with a grid-adjacent neighbour has a crowded unit square.
+            if any(
+                tuple(c + (a == b) * s for b, c in enumerate(p)) in held
+                for a in range(cfg.d)
+                for s in (-1, 1)
+            ):
+                assert hp.height == 0
+
+    def test_duplicate_input_rejected(self):
+        cfg = Config(d=3, w=6, gamma=2)
+        with pytest.raises(DuplicatePointError):
+            round_set([(1, 2, 3), (40, 5, 6), (1, 2, 3)], cfg)
+
+    def test_rounding_collapse_rejected(self, monkeypatch):
+        # Correct heights never collapse two points; heights that are too
+        # tall at gamma 0 move both points onto one corner.
+        cfg = Config(d=2, w=6, gamma=0)
+        pts = [(0, 0), (3, 3)]
+        assert [hp.height for hp in round_set(pts, cfg)] == [0, 0]
+        monkeypatch.setattr(ArrayPointSource, "leaf_heights", lambda self: [2, 2])
+        with pytest.raises(DuplicatePointError):
+            round_set(pts, cfg)
 
 
 class TestClippedVoronoi:

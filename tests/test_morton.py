@@ -15,10 +15,7 @@ from pqc.morton import (
     clear_low_bits,
     deinterleave,
     interleave,
-    morton_less,
-    neighbour,
     neighbours,
-    smallest_common_square,
     square_contains,
     square_key_range,
     validate_square,
@@ -110,71 +107,56 @@ class TestKernelInterleave:
                 assert _bits_py.deinterleave(key, d, w) == p
 
 
-class TestMortonLess:
-    def test_figure_pair(self):
-        cfg = Config(d=2, w=3)
-        assert morton_less((3, 5), (4, 2), cfg)
-        assert not morton_less((4, 2), (3, 5), cfg)
-
-    def test_irreflexive(self):
-        assert not morton_less((7, 7), (7, 7), Config(d=2, w=3))
-
-    @given(
-        st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1)),
-        st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1)),
-    )
-    @settings(deadline=None, max_examples=300)
-    def test_agrees_with_keys_d2(self, p, q):
-        cfg = Config(d=2, w=16)
-        assert morton_less(p, q, cfg) == (interleave(p, cfg) < interleave(q, cfg))
-
-    @given(
-        st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
-        st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
-    )
-    @settings(deadline=None, max_examples=300)
-    def test_agrees_with_keys_d3(self, p, q):
-        cfg = Config(d=3, w=32)
-        assert morton_less(p, q, cfg) == (interleave(p, cfg) < interleave(q, cfg))
-
-
 class TestCommonSquare:
+    """The smallest trie square holding two points has height
+    ceil(bitlen(key(p) ^ key(q)) / d): the count bracket of
+    ``ArrayPointSource.leaf_heights`` rests on this."""
+
+    @staticmethod
+    def key_height(p, q, cfg):
+        x = interleave(p, cfg) ^ interleave(q, cfg)
+        return -(-x.bit_length() // cfg.d)
+
     def test_identical_points(self):
-        s = smallest_common_square((5, 2), (5, 2), CFG5)
-        assert s == TrieSquare((5, 2), 0)
+        assert self.key_height((5, 2), (5, 2), CFG5) == 0
+        assert trie_walk_common_square((5, 2), (5, 2), CFG5) == TrieSquare((5, 2), 0)
 
     def test_examples(self):
-        assert smallest_common_square((5, 2), (6, 3), CFG5) == TrieSquare((4, 0), 2)
-        assert smallest_common_square((6, 3), (8, 4), CFG5) == TrieSquare((0, 0), 4)
+        assert self.key_height((5, 2), (6, 3), CFG5) == 2
+        assert self.key_height((6, 3), (8, 4), CFG5) == 4
+        assert trie_walk_common_square((5, 2), (6, 3), CFG5) == TrieSquare((4, 0), 2)
+        assert trie_walk_common_square((6, 3), (8, 4), CFG5) == TrieSquare((0, 0), 4)
 
     def test_matches_trie_walk(self):
-        cfg = Config(d=2, w=8)
         rng = random.Random(7)
-        for _ in range(300):
-            p = (rng.randrange(256), rng.randrange(256))
-            q = (rng.randrange(256), rng.randrange(256))
-            got = smallest_common_square(p, q, cfg)
-            assert got == trie_walk_common_square(p, q, cfg)
+        for _ in range(600):
+            d = rng.choice((2, 3))
+            cfg = Config(d=d, w=8)
+            p = tuple(rng.randrange(256) for _ in range(d))
+            q = tuple(rng.randrange(256) for _ in range(d))
+            got = trie_walk_common_square(p, q, cfg)
+            assert got.height == self.key_height(p, q, cfg)
             assert square_contains(got, p) and square_contains(got, q)
             if got.height > 0:
                 # No child of the answer may hold both points.
-                for i in range(4):
+                for i in range(1 << d):
                     c = child(got, i, cfg)
                     assert not (square_contains(c, p) and square_contains(c, q))
 
 
 class TestNeighbour:
     def test_basic_translation(self):
-        cfg = CFG5
         s = TrieSquare((4, 0), 2)
-        assert neighbour(s, 0, +1, cfg) == TrieSquare((8, 0), 2)
+        assert TrieSquare((8, 0), 2) in set(neighbours(s, CFG5))
 
     def test_domain_lower_boundary(self):
-        assert neighbour(TrieSquare((0, 0), 2), 1, -1, CFG5) is None
+        got = set(neighbours(TrieSquare((0, 0), 2), CFG5))
+        assert got == {TrieSquare((4, 0), 2), TrieSquare((0, 4), 2), TrieSquare((4, 4), 2)}
 
     def test_domain_upper_boundary(self):
         cfg = Config(d=2, w=4)
-        assert neighbour(TrieSquare((8, 8), 3), 0, +1, cfg) is None
+        got = set(neighbours(TrieSquare((8, 8), 3), cfg))
+        assert got == {TrieSquare((0, 0), 3), TrieSquare((0, 8), 3), TrieSquare((8, 0), 3)}
 
     def test_full_neighbourhood_count(self):
         cfg = Config(d=2, w=6)
@@ -247,7 +229,7 @@ class TestDfsOrder:
                 key=lambda p: interleave(p, cfg),
             )
             p, q, r = pts
-            assert square_contains(smallest_common_square(p, r, cfg), q)
+            assert square_contains(trie_walk_common_square(p, r, cfg), q)
 
 
 class TestConfig:

@@ -1,5 +1,6 @@
 """Refinement: termination, conservativity, exact quality of the output."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -174,6 +175,24 @@ class TestRefine:
         ok, _, _ = check_well_spaced(out, RHO, cfg)
         assert ok
         assert set(pts) <= set(out)
+
+    @pytest.mark.parametrize("case_index", [2, 3, 7])
+    def test_lossless_refine_is_unchanged(self, case_index):
+        # A lossless store records no heights, so refine seeds them with
+        # the leaf-height sweep; they set deferral order and Steiner
+        # rounding.  The digests pin the output points and the whole report
+        # as refine produced them when it seeded with one square_of search
+        # per stored point.
+        from pqc.geom import HeightedPoint
+        from pqc.morton import interleave
+
+        cfg = Config(d=2, w=12, gamma=GAMMA, rho=RHO)
+        pts = sorted(adversarial_cases(cfg.w)[case_index], key=lambda p: interleave(p, cfg))
+        st = CompressedStore.build([HeightedPoint(p, 0) for p in pts], cfg, LOSSLESS)
+        _, rep = refine(st, RefineParams(rho=RHO, gamma=GAMMA))
+        summary = repr(([tuple(hp) for hp in st.decode_all()], rep))
+        digest = {2: "0eedaa816d40829e", 3: "7b87d1dd2b037f4d", 7: "97df002502064a2d"}
+        assert hashlib.sha256(summary.encode()).hexdigest()[:16] == digest[case_index]
 
     def test_compression_survives_refinement(self):
         cfg = Config(d=2, w=12, gamma=GAMMA, rho=RHO)
