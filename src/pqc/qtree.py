@@ -11,13 +11,16 @@ recently decoded blocks, so queries pass the source straight through.
 A square is *crowded* when it holds two or more points, or holds exactly
 one while some equal-size neighbour square is nonempty.  Crowdedness is
 monotone along any root-to-leaf chain (an uncrowded square has only
-uncrowded descendants), which is what makes the height searches in
-:func:`square_of` and :meth:`ArrayPointSource.leaf_heights` sound.
+uncrowded descendants), which is what makes the height search sound.
+:func:`square_of` and :meth:`ArrayPointSource.leaf_heights` share that
+search: the keys of a point's Morton neighbours bracket its leaf height,
+and only the heights between the brackets need a neighbour probe.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
@@ -35,7 +38,18 @@ from .morton import (
 
 
 class Counters:
-    """Work counters exposed for complexity regression tests."""
+    """Work counters of one source, for complexity regression tests.
+
+    range_queries    key lookups by the queries: one per :func:`vertices`
+                     call (a key range, two successor searches) and one per
+                     successor search of :func:`square_of`'s height search
+                     (for p's own key and for each neighbour probed).
+    blocks_decoded   block payloads decoded by a compressed store, cache
+                     misses included, cache hits not.
+    squares_scanned  equal-size neighbour squares probed by crowding tests
+                     and height searches, plus the squares the Voronoi
+                     gather visits.
+    """
 
     __slots__ = ("range_queries", "blocks_decoded", "squares_scanned")
 
@@ -83,6 +97,10 @@ class PointSource:
     def successor_rank(self, key: int) -> int:
         """Rank of the first point with Morton key >= key."""
         raise NotImplementedError
+
+    def key_at(self, rank: int) -> int:
+        """Morton key of the point at ``rank``."""
+        return interleave(self.point_at(rank), self.cfg)
 
     def height_at(self, rank: int) -> int:
         """Stored leaf height, or 0 when the source does not track heights."""
@@ -146,74 +164,114 @@ class ArrayPointSource(PointSource):
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         return iter(self._points[lo:hi])
 
+    def key_at(self, rank: int) -> int:
+        return self._keys[rank]
+
     def leaf_heights(self) -> list[int]:
         """Leaf height of every point, in rank order, in one pass over the keys.
 
-        Each height equals ``square_of(point, self).height``.  The point's
-        height-h square holds another point exactly when h >= ceil(b / d),
-        b the bit length of the smaller xor with its Morton predecessor and
-        successor.  Below that bracket the point is alone, so its square is
-        crowded iff an equal-size neighbour is nonempty: one bisect of the
-        key list per neighbour, whose corner key comes from dilated-integer
-        arithmetic on the point's key.  Crowdedness is monotone in h, so a
-        binary search under the bracket finds the first crowded height.
+        Each height equals ``square_of(point, self).height`` and comes from
+        the same bracketed search (:func:`_leaf_search`), started at the
+        point's known rank, so the sweep makes no successor search of its
+        own: only the neighbour probes between each point's brackets.
         """
-        cfg = self.cfg
-        d, w = cfg.d, cfg.w
-        keys = self._keys
-        n = len(keys)
-        # Key bits of each axis; axis 0 is the most significant of a group.
-        masks = [
-            sum(1 << (d * i + d - 1 - a) for i in range(w)) for a in range(d)
-        ]
-        offsets = [o for o in itertools.product((0, 1, 2), repeat=d) if o != (1,) * d]
+        height = _leaf_search(self)
+        return [height(key, p, r) for r, (key, p) in enumerate(zip(self._keys, self._points))]
 
-        def neighbour_nonempty(key: int, p: Point, h: int) -> bool:
+
+@functools.lru_cache(maxsize=None)
+def _axis_masks(d: int, w: int) -> tuple:
+    """Key bits of each axis; axis 0 is the most significant of a group."""
+    return tuple(sum(1 << (d * i + d - 1 - a) for i in range(w)) for a in range(d))
+
+
+def _leaf_search(src: PointSource):
+    """The leaf-height search over ``src``, as a function
+    ``height(key, p, r)`` of a point p, its Morton key and r, the rank of
+    the first stored key >= key(p).
+
+    A stored point q lies in p's height-h square exactly when
+    h >= ceil(b / d), b the bit length of key(p) ^ key(q).  That height
+    grows with the rank distance from key(p), so the keys at ranks
+    r-2 .. r+1 give two brackets: b1, the first height whose square holds
+    a stored point (0 when p is stored), and b2, the first that holds two
+    (w + 1 when none does).  Below b1 the square is empty, hence
+    uncrowded; from b2 up it is crowded, and when b1 < b2 it is crowded
+    at b2 - 1 too.  In between it holds one point, so it is crowded iff an
+    equal-size neighbour is nonempty.  Crowdedness is monotone in h, so a
+    search between the brackets finds the first crowded height, and the
+    leaf is one below it, floored at the unit square.
+    """
+    cfg = src.cfg
+    d, w = cfg.d, cfg.w
+    masks = _axis_masks(d, w)
+    n = src.count()
+    successor_rank = src.successor_rank
+    key_at = src.key_at
+    counters = src.counters
+    none = w + 1
+
+    def height(key: int, p: Point, r: int) -> int:
+        # First height whose square holds the predecessor / the successor.
+        below = -(-(key ^ key_at(r - 1)).bit_length() // d) if r else none
+        above = -(-(key ^ key_at(r)).bit_length() // d) if r < n else none
+        if below < above:  # the predecessor comes first, then r-2 or r
+            nxt = -(-(key ^ key_at(r - 2)).bit_length() // d) if r > 1 else none
+            b1, b2 = below, min(above, nxt)
+        elif above < below:  # the successor comes first, then r-1 or r+1
+            nxt = -(-(key ^ key_at(r + 1)).bit_length() // d) if r + 1 < n else none
+            b1, b2 = above, min(below, nxt)
+        else:
+            b1 = b2 = below
+        if b1 < b2 <= w:
+            # One level below b2 the square holds one point, and the second
+            # lies in a sibling square, an equal-size neighbour: crowded.
+            b2 -= 1
+        lo, hi = b1 - 1, b2  # uncrowded at lo (or below 0), crowded at hi
+        probes = 0
+        # The leaf most often sits just below hi: test down from there in
+        # steps of 1, 2, 4, ... and bisect once a test comes out uncrowded.
+        step = 1
+        while hi - lo > 1:
+            h = max(hi - step, lo + 1) if step else (lo + hi) // 2
+            # Is an equal-size neighbour of p's height-h square nonempty?
+            # One successor search per neighbour inside the domain.  Per
+            # axis, the corner's bits of that axis moved by 0, -1 and +1
+            # squares come from dilated-integer arithmetic on p's key:
+            # setting the other axes' bits before adding lets the carry run
+            # through them.  The axes' bits are disjoint, so a neighbour's
+            # key is their sum; the first sum, no axis moved, is p's own.
             shift = d * h
             corner = key >> shift << shift
             last_cell = (1 << (w - h)) - 1
-            # Per axis: the corner's bits of that axis moved by -1, 0 and +1
-            # squares (None outside the domain).  Setting the other axes'
-            # bits before adding lets the carry run through them.
             moves = []
             for a in range(d):
                 m = masks[a]
                 own = corner & m
                 unit = 1 << (shift + d - 1 - a)
                 cell = p[a] >> h
-                moves.append((
-                    (own - unit) & m if cell else None,
-                    own,
-                    ((own | ~m) + unit) & m if cell < last_cell else None,
-                ))
+                axis = [own]
+                if cell:
+                    axis.append((own - unit) & m)
+                if cell < last_cell:
+                    axis.append(((own | ~m) + unit) & m)
+                moves.append(axis)
             span = 1 << shift
-            for o in offsets:
-                nk = 0
-                for a in range(d):
-                    c = moves[a][o[a]]
-                    if c is None:
-                        break
-                    nk |= c
-                else:
-                    i = bisect.bisect_left(keys, nk)
-                    if i < n and keys[i] < nk + span:
-                        return True
-            return False
+            for nk in itertools.islice(map(sum, itertools.product(*moves)), 1, None):
+                probes += 1
+                i = successor_rank(nk)
+                if i < n and key_at(i) < nk + span:
+                    hi = h
+                    step *= 2
+                    break
+            else:
+                lo = h
+                step = 0
+        counters.range_queries += probes
+        counters.squares_scanned += probes
+        return max(hi - 1, 0)
 
-        out = []
-        for r, (key, p) in enumerate(zip(keys, self._points)):
-            near = [key ^ keys[j] for j in (r - 1, r + 1) if 0 <= j < n]
-            # First height whose square holds a second point; w + 1 when alone.
-            hi = -(-min(near).bit_length() // d) if near else w + 1
-            lo = -1  # uncrowded at lo (a sentinel below 0), crowded at hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if neighbour_nonempty(key, p, mid):
-                    hi = mid
-                else:
-                    lo = mid
-            out.append(max(hi - 1, 0))
-        return out
+    return height
 
 
 def vertices(s: TrieSquare, src: PointSource) -> VertexRange:
@@ -246,49 +304,23 @@ def is_crowded(s: TrieSquare, src: PointSource) -> bool:
 def square_of(p: Point, src: PointSource, cfg: Config = None) -> TrieSquare:
     """Largest uncrowded trie square containing ``p``.
 
-    ``p`` need not be stored.  When the source tracks leaf heights and
-    ``p`` is stored, the recorded height is answered directly.  Otherwise
-    the height is found by exponential-then-binary search, which is valid
-    because crowdedness is monotone under descent.  If even the unit square
-    is crowded (a stored point with another at an adjacent grid position),
-    the unit square is returned: that is the floor of the subdivision.
+    ``p`` need not be stored.  One successor search finds the rank of
+    key(p).  When the source tracks leaf heights and ``p`` is stored, the
+    recorded height is answered directly.  Otherwise the Morton neighbours
+    around that rank bracket the height, and a search between the brackets
+    probes only equal-size neighbour squares (:func:`_leaf_search`).
+    If even the unit square is crowded (a stored point with another at an
+    adjacent grid position), the unit square is returned: that is the
+    floor of the subdivision.
     """
     cfg = cfg or src.cfg
     validate_point(p, cfg)
-    if src.has_heights:
-        key = interleave(p, cfg)
-        r = src.successor_rank(key)
-        if r < src.count() and src.point_at(r) == p:
-            return square_of_point(p, src.height_at(r))
-
-    def uncrowded(h: int) -> bool:
-        return not is_crowded(square_of_point(p, h), src)
-
-    if not uncrowded(0):
-        return square_of_point(p, 0)
-    # Exponential climb to bracket the first crowded height, then bisect.
-    lo = 0  # known uncrowded
-    step = 1
-    while True:
-        h = lo + step
-        if h >= cfg.w:
-            if uncrowded(cfg.w):
-                return square_of_point(p, cfg.w)
-            hi = cfg.w  # known crowded
-            break
-        if uncrowded(h):
-            lo = h
-            step <<= 1
-        else:
-            hi = h
-            break
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if uncrowded(mid):
-            lo = mid
-        else:
-            hi = mid
-    return square_of_point(p, lo)
+    key = interleave(p, cfg)
+    src.counters.range_queries += 1
+    r = src.successor_rank(key)
+    if src.has_heights and r < src.count() and src.key_at(r) == key:
+        return square_of_point(p, src.height_at(r))
+    return square_of_point(p, _leaf_search(src)(key, p, r))
 
 
 def restricted_voronoi(v: Point, src: PointSource, cfg: Config = None):

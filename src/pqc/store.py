@@ -249,6 +249,12 @@ class CompressedStore(PointSource):
     def height_at(self, rank: int) -> int:
         return self.heighted_at(rank).height
 
+    def key_at(self, rank: int) -> int:
+        b = self._block_of_rank(rank)
+        i = rank - self._offsets[b]
+        # A head's key is in the index, so reading it decodes nothing.
+        return self._block(b)[1][i] if i else self._head_keys[b]
+
     def successor_rank(self, key: int) -> int:
         b = bisect.bisect_right(self._head_keys, key) - 1
         if b < 0:

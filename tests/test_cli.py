@@ -122,6 +122,10 @@ def test_query_square_of(tmp_path, capsys):
     assert pairs["corner"] == ["5,2"]
     assert pairs["height"] == ["0"]
     assert "blocks_decoded" in pairs
+    # One successor search for the point's key, one per neighbour probed.
+    probes = int(pairs["squares_scanned"][0])
+    assert probes > 0
+    assert int(pairs["range_queries"][0]) == 1 + probes
 
 
 def test_query_vertices_root(tmp_path, capsys):

@@ -1,17 +1,22 @@
 """Quadtree queries over Morton-sorted sources, checked against slow scans
 and the materialised reference tree."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import jittered_net, random_points
 from pqc.errors import DimensionError, DomainError
-from pqc.geom import round_set
+from pqc.geom import HeightedPoint, round_point, round_set
 from pqc.morton import Config, TrieSquare, clear_low_bits, interleave, square_contains
 from pqc.qtree import (
     ArrayPointSource,
+    Counters,
+    PointSource,
     VertexRange,
     is_crowded,
     restricted_voronoi,
@@ -19,7 +24,7 @@ from pqc.qtree import (
     vertices,
 )
 from pqc.reference import ExplicitQuadtree, brute_voronoi, check_well_spaced
-from pqc.store import LOSSY, CompressedStore
+from pqc.store import LOSSLESS, LOSSY, CompressedStore
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
 CFG5 = Config(d=2, w=5, gamma=0)
@@ -185,6 +190,100 @@ class TestSquareOf:
             square_of((40, 2), src, CFG5)
 
 
+class _MinimalSource(PointSource):
+    """Only the three required methods; everything else is inherited."""
+
+    def __init__(self, points, cfg):
+        self.cfg = cfg
+        self.counters = Counters()
+        self._points = sorted(points, key=lambda p: interleave(p, cfg))
+
+    def count(self):
+        return len(self._points)
+
+    def point_at(self, rank):
+        return self._points[rank]
+
+    def successor_rank(self, key):
+        keys = [interleave(p, self.cfg) for p in self._points]
+        return sum(k < key for k in keys)
+
+
+@st.composite
+def square_of_cases(draw):
+    """A small grid, a point set on it (empty, one point, a clump of
+    grid-adjacent points, or scattered) and points to insert later."""
+    d = draw(st.sampled_from((2, 3)))
+    w = draw(st.integers(1, 4 if d == 2 else 3))
+    cfg = Config(d=d, w=w, gamma=draw(st.integers(0, w)))
+    coord = st.tuples(*[st.integers(0, (1 << w) - 1)] * d)
+    kind = draw(st.sampled_from(("empty", "one", "adjacent", "scattered")))
+    if kind == "empty":
+        pts = []
+    elif kind == "one":
+        pts = [draw(coord)]
+    elif kind == "adjacent":
+        base = draw(coord)
+        steps = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), max_size=4))
+        pts = {base}
+        for step in steps:
+            q = tuple(c + o for c, o in zip(base, step))
+            if all(0 <= c < cfg.coord_limit for c in q):
+                pts.add(q)
+        pts = sorted(pts)
+    else:
+        pts = draw(st.lists(coord, unique=True, max_size=12))
+    extra = draw(st.lists(coord, max_size=6))
+    return cfg, pts, extra
+
+
+class TestSquareOfOracle:
+    """square_of against the materialised quadtree of the source's points,
+    for every point of a small grid, stored or not."""
+
+    @staticmethod
+    def check(src, cfg, with_stored):
+        stored = list(src.iter_range(0, src.count()))
+        tree = ExplicitQuadtree(stored, cfg)
+        stored = set(stored)
+        grid = itertools.product(range(cfg.coord_limit), repeat=cfg.d)
+        for q in grid:
+            if with_stored or q not in stored:
+                assert square_of(q, src, cfg).height == tree.leaf_height(q), q
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_of_cases())
+    # Two points in opposite corners: the second bracket is the root.
+    @example((Config(d=2, w=2, gamma=0), [(0, 0), (3, 3)], [(1, 2)]))
+    # A diagonal pair: unstored points beside it sit just below a bracket.
+    @example((Config(d=2, w=2, gamma=1), [(0, 0), (1, 1)], [(2, 0)]))
+    def test_matches_explicit_tree(self, case):
+        cfg, pts, extra = case
+        # Sources without recorded heights: stored points are searched too.
+        self.check(ArrayPointSource(pts, cfg), cfg, with_stored=True)
+        self.check(_MinimalSource(pts, cfg), cfg, with_stored=True)
+        ordered = sorted(pts, key=lambda p: interleave(p, cfg))
+        lossless = CompressedStore.build([HeightedPoint(p, 0) for p in ordered], cfg, LOSSLESS)
+        self.check(lossless, cfg, with_stored=True)
+        # A lossy store answers its stored points from recorded heights,
+        # which inserts leave stale, so only unstored points are checked.
+        lossy = CompressedStore.build(round_set(pts, cfg), cfg, LOSSY)
+        self.check(lossy, cfg, with_stored=False)
+        for p in extra:
+            h = square_of(p, lossy, cfg).height
+            q = round_point(p, h, cfg.gamma)
+            if q not in set(lossy.iter_range(0, lossy.count())):
+                lossy.insert(q, h)
+        self.check(lossy, cfg, with_stored=False)
+
+    def test_minimal_source_key_at(self):
+        cfg = Config(d=3, w=4, gamma=0)
+        pts = random_points(cfg, 3, 30)
+        src = _MinimalSource(pts, cfg)
+        arr = ArrayPointSource(pts, cfg)
+        assert [src.key_at(r) for r in range(30)] == [arr.key_at(r) for r in range(30)]
+
+
 class TestRestrictedVoronoi:
     PLUS = [(8, 8), (0, 8), (16, 8), (8, 0), (8, 16)]
 
@@ -268,3 +367,57 @@ class TestRestrictedVoronoi:
             restricted_voronoi(p, store, cfg)
             decoded.append(store.counters.blocks_decoded)
         assert sum(decoded) / len(decoded) <= 10
+
+
+class TestQueryCost:
+    """The paper's query cost, O(w**2 + log n), as a gate on work counts:
+    range queries and blocks decoded per query, each from a cold block
+    cache, on lossy nets of about 1k and 16k points at w=16 and on the 1k
+    net rescaled to w=24."""
+
+    @staticmethod
+    def mean_work(pts, cfg, seed=1):
+        """Mean (range queries, blocks decoded) of square_of on unstored
+        points and of restricted_voronoi on stored ones.  Both stay in the
+        middle three quarters of the domain, so the smaller net's larger
+        share of boundary cells does not flatter it."""
+        store = CompressedStore.build(round_set(pts, cfg), cfg, LOSSY)
+        lim = cfg.coord_limit
+        margin = lim // 8
+        stored = list(store.iter_range(0, store.count()))
+        rng = random.Random(seed)
+        stored_set = set(stored)
+        misses = []
+        while len(misses) < 1000:
+            p = tuple(rng.randrange(margin, lim - margin) for _ in range(cfg.d))
+            if p not in stored_set:
+                misses.append(p)
+        inner = [p for p in stored if all(margin <= c < lim - margin for c in p)]
+        sites = inner[:: len(inner) // 80][:80]  # spread evenly by rank
+        work = {}
+        for name, op, points in (("square_of", square_of, misses), ("voronoi", restricted_voronoi, sites)):
+            queries = blocks = 0
+            for p in points:
+                store._cache.clear()
+                store.counters.reset()
+                op(p, store, cfg)
+                queries += store.counters.range_queries
+                blocks += store.counters.blocks_decoded
+            work[name] = (queries / len(points), blocks / len(points))
+        return work
+
+    def test_work_is_flat_in_n_and_within_w_squared(self):
+        cfg = Config(d=2, w=16, gamma=5)
+        small_pts = jittered_net(cfg, 3, f0=1792)
+        large_pts = jittered_net(cfg, 3, f0=448)
+        assert (len(small_pts), len(large_pts)) == (1024, 16641)
+        wide_cfg = Config(d=2, w=24, gamma=5)
+        wide_pts = [tuple(c << 8 for c in p) for p in small_pts]
+        small = self.mean_work(small_pts, cfg)
+        large = self.mean_work(large_pts, cfg)
+        wide = self.mean_work(wide_pts, wide_cfg)
+        w_bound = (wide_cfg.w / cfg.w) ** 2
+        for op in small:
+            for i, what in enumerate(("range queries", "blocks decoded")):
+                assert large[op][i] <= 1.2 * small[op][i], (op, what, small[op], large[op])
+                assert wide[op][i] <= w_bound * small[op][i], (op, what, small[op], wide[op])

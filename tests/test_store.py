@@ -387,6 +387,12 @@ class TestBlockCache:
                 assert st.height_at(r) == oracle.height_at(r)
             lo = rng.randrange(st.count() - 60)
             assert list(st.iter_range(lo, lo + 60)) == list(oracle.iter_range(lo, lo + 60))
+            # Each side of every block boundary: a head's key comes from the
+            # index, its predecessor's from the decoded block before it.
+            for start in st._offsets[1:]:
+                for r in (start - 1, start):
+                    assert st.key_at(r) == interleave(st.point_at(r), cfg)
+                    assert st.key_at(r) == oracle.key_at(r)
 
         check()
         blocks = st.block_count
@@ -399,6 +405,24 @@ class TestBlockCache:
             stored = sorted(stored + [p], key=lambda q: interleave(q, cfg))
             check()
         assert st.block_count > blocks
+
+    def test_key_at_every_rank(self):
+        cfg = Config(d=2, w=4, gamma=0)
+        st = lossless_store(random_points(cfg, 5, 100), cfg)
+        assert st.block_count > 3
+        for r in range(st.count()):
+            st._cache.clear()
+            assert st.key_at(r) == interleave(st.point_at(r), cfg)
+        with pytest.raises(IndexError):
+            st.key_at(st.count())
+
+    def test_key_at_of_a_head_decodes_nothing(self):
+        cfg = Config(d=2, w=10, gamma=0)
+        st = lossless_store(random_points(cfg, 17, 300), cfg)
+        st.counters.reset()
+        keys = [st.key_at(r) for r in st._offsets]
+        assert st.counters.blocks_decoded == 0
+        assert keys == [interleave(st.point_at(r), cfg) for r in st._offsets]
 
     def test_cache_reduces_decodes(self):
         cfg = Config(d=2, w=10, gamma=0)
