@@ -44,8 +44,10 @@ class Counters:
                      call (a key range, two successor searches) and one per
                      successor search of :func:`square_of`'s height search
                      (for p's own key and for each neighbour probed).
-    blocks_decoded   block payloads decoded by a compressed store, cache
-                     misses included, cache hits not.
+    blocks_decoded   blocks whose decode a compressed store started: one
+                     per block-cache miss, however far into the block
+                     the read then decodes, and one per decode_block
+                     call; cache hits count nothing.
     squares_scanned  equal-size neighbour squares probed by crowding tests
                      and height searches, plus the squares the Voronoi
                      gather visits.

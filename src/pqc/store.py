@@ -6,8 +6,10 @@ stores its first point longhand - the head - plus one self-delimiting
 record per following point: signed-gamma height delta, then per axis
 gamma((prev ^ cur) >> max(h - gamma, 0)).  Lossless blocks fix every
 height at zero and omit the height delta.  An ordered list of head keys
-serves as the search index; finding a key costs one bisection plus one
-block decode.
+serves as the search index; finding a key costs one bisection plus the
+decode of the block's records up to that key.  Reads keep the decoded
+prefix of the last few blocks they touched - coordinates, heights and
+Morton keys in parallel lists - and extend it only as far as they need.
 
 Persistent format "PQC1" (all integers little-endian):
 
@@ -32,6 +34,7 @@ stored; decoding runs until the payload bit length is exhausted.
 from __future__ import annotations
 
 import bisect
+import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -48,7 +51,7 @@ from .errors import (
     UnsortedInputError,
 )
 from .geom import HeightedPoint
-from .morton import Config, Point, interleave, validate_point
+from .morton import Config, Point, interleave, interleave_all, validate_point
 from .qtree import Counters, PointSource
 
 MAGIC = b"PQC1"
@@ -57,7 +60,13 @@ LOSSLESS = "lossless"
 LOSSY = "lossy"
 _MODE_CODE = {LOSSLESS: 0, LOSSY: 1}
 _MODE_NAME = {0: LOSSLESS, 1: LOSSY}
-_CACHE_BLOCKS = 8  # decoded blocks kept by each store, least recently used out
+_CACHE_BLOCKS = 8  # decoded block prefixes kept by each store, least recently used out
+# A read that stops mid-block extends its prefix by a quarter of the
+# block's payload per kernel call.  A call costs about as much as decoding
+# two records, and a search stops halfway into a block of w..2w records on
+# average, so quarters come near the fewest calls plus records decoded
+# past the target: 2-3 calls and 1/8 of a block.
+_CHUNKS_PER_BLOCK = 4
 
 
 @dataclass
@@ -68,26 +77,39 @@ class Block:
     bit_len: int
 
 
-def _encode_block(points: Sequence[HeightedPoint], cfg: Config, lossy: bool) -> Block:
-    head = points[0]
+def _encode_block(
+    coords: Sequence[Point], heights: Sequence[int], cfg: Config, lossy: bool
+) -> Block:
     writer = codec.BitWriter()
     codec.encode_records(
-        writer,
-        head.coords,
-        head.height,
-        [hp.coords for hp in points[1:]],
-        [hp.height for hp in points[1:]],
-        cfg.gamma,
-        lossy,
+        writer, coords[0], heights[0], coords[1:], heights[1:], cfg.gamma, lossy
     )
-    return Block(head, len(points), writer.getvalue(), writer.bit_length)
+    head = HeightedPoint(coords[0], heights[0])
+    return Block(head, len(coords), writer.getvalue(), writer.bit_length)
+
+
+class _Prefix:
+    """The decoded prefix of one block: parallel lists of coordinates,
+    heights and Morton keys, head first, and the reader of the block's
+    payload, parked at the end of the last decoded record."""
+
+    __slots__ = ("coords", "heights", "keys", "reader")
+
+    def __init__(self, block: Block, head_key: int):
+        self.coords = [block.head.coords]
+        self.heights = [block.head.height]
+        self.keys = [head_key]
+        self.reader = codec.BitReader(block.payload, block.bit_len)
 
 
 class CompressedStore(PointSource):
     """PointSource over gamma-coded blocks; supports dynamic insertion.
 
-    Reads go through a small LRU of decoded blocks with their Morton keys,
-    so a store is not safe to share between threads without a lock.
+    Reads go through a small LRU of decoded block prefixes, each holding
+    the block's points, heights and Morton keys as far as reads have
+    needed them; a read that needs more resumes the decode where the
+    prefix ends.  A store is not safe to share between threads without a
+    lock.
     """
 
     def __init__(self, cfg: Config, mode: str = LOSSY):
@@ -101,8 +123,8 @@ class CompressedStore(PointSource):
         self._offsets: list[int] = []  # starting rank of each block
         self._n = 0
         self._allow_duplicates = False
-        # block index -> (decoded points, their Morton keys); cleared on write
-        self._cache: OrderedDict[int, tuple] = OrderedDict()
+        # block index -> decoded prefix of that block; cleared on write
+        self._cache: OrderedDict[int, _Prefix] = OrderedDict()
 
     # -- construction ---------------------------------------------------
 
@@ -124,25 +146,26 @@ class CompressedStore(PointSource):
         store = cls(cfg, mode)
         lossy = mode == LOSSY
         n = len(points)
-        prev_key = -1
+        coords = []
+        heights = []
         for hp in points:
-            validate_point(hp.coords, cfg)
+            p = validate_point(hp.coords, cfg)
             if not 0 <= hp.height <= cfg.w:
                 raise DomainError(f"height {hp.height} outside [0, {cfg.w}]")
             if lossy:
                 shift = max(hp.height - cfg.gamma, 0)
-                if any(c & ((1 << shift) - 1) for c in hp.coords):
-                    raise DomainError(
-                        f"{hp.coords} is not rounded for height {hp.height}"
-                    )
+                if any(c & ((1 << shift) - 1) for c in p):
+                    raise DomainError(f"{p} is not rounded for height {hp.height}")
             elif hp.height != 0:
                 raise DomainError("lossless mode requires all heights zero")
-            key = interleave(hp.coords, cfg)
-            if key == prev_key:
-                raise DuplicatePointError(f"duplicate point {hp.coords}")
-            if key < prev_key:
+            coords.append(p)
+            heights.append(hp.height)
+        keys = interleave_all(coords, cfg)
+        for i in range(1, n):
+            if keys[i] <= keys[i - 1]:
+                if keys[i] == keys[i - 1]:
+                    raise DuplicatePointError(f"duplicate point {coords[i]}")
                 raise UnsortedInputError("points not in Morton order")
-            prev_key = key
         target = 2 * cfg.w
         bounds = list(range(0, n, target))
         sizes = [min(target, n - b) for b in bounds]
@@ -153,19 +176,37 @@ class CompressedStore(PointSource):
             sizes[-1] = total // 2
         pos = 0
         for size in sizes:
-            chunk = points[pos : pos + size]
-            pos += size
-            store._append_block(_encode_block(chunk, cfg, lossy))
+            end = pos + size
+            block = _encode_block(coords[pos:end], heights[pos:end], cfg, lossy)
+            store._append_block(block, keys[pos])
+            pos = end
         return store
 
-    def _append_block(self, block: Block):
+    def _append_block(self, block: Block, head_key: int):
         self._cache.clear()
         self._offsets.append(self._n)
         self._blocks.append(block)
-        self._head_keys.append(interleave(block.head.coords, self.cfg))
+        self._head_keys.append(head_key)
         self._n += block.count
 
     # -- decoding ---------------------------------------------------------
+
+    def _decode(self, index: int, reader, prev: Point, prev_h: int, end_bit: int):
+        """Records of block ``index`` from ``reader``'s cursor, which sits
+        after the point ``prev`` of height ``prev_h``, through the first
+        record boundary at or after ``end_bit``: (coords, heights).
+        Raises CorruptPayloadError with the block id and bit offset on any
+        malformed payload."""
+        cfg = self.cfg
+        lossy = self.mode == LOSSY
+        try:
+            return codec.decode_records(
+                reader, prev, prev_h, cfg.d, cfg.w, cfg.gamma, lossy, end_bit
+            )
+        except (TruncatedStreamError, CorruptPayloadError) as exc:
+            raise CorruptPayloadError(
+                str(exc), block_index=index, bit_offset=reader.tell()
+            ) from exc
 
     def decode_block(self, index: int) -> list[HeightedPoint]:
         """Exact inverse of the block encoding; heights prefix-sum from the
@@ -173,31 +214,13 @@ class CompressedStore(PointSource):
         on any malformed payload."""
         block = self._blocks[index]
         self.counters.blocks_decoded += 1
-        reader = codec.BitReader(block.payload, block.bit_len)
         head = block.head
-        try:
-            coords, heights = codec.decode_records(
-                reader,
-                head.coords,
-                head.height,
-                self.cfg.d,
-                self.cfg.w,
-                self.cfg.gamma,
-                self.mode == LOSSY,
-                block.bit_len,
-            )
-        except TruncatedStreamError as exc:
-            raise CorruptPayloadError(
-                str(exc), block_index=index, bit_offset=reader.tell()
-            ) from exc
-        except CorruptPayloadError as exc:
-            if exc.block_index is None:
-                raise CorruptPayloadError(
-                    str(exc), block_index=index, bit_offset=reader.tell()
-                ) from exc
-            raise
+        reader = codec.BitReader(block.payload, block.bit_len)
+        coords, heights = self._decode(
+            index, reader, head.coords, head.height, block.bit_len
+        )
         out = [head]
-        out.extend(HeightedPoint(c, h) for c, h in zip(coords, heights))
+        out.extend(map(HeightedPoint, coords, heights))
         return out
 
     def decode_all(self) -> list[HeightedPoint]:
@@ -205,6 +228,51 @@ class CompressedStore(PointSource):
         for i in range(len(self._blocks)):
             out.extend(self.decode_block(i))
         return out
+
+    def _prefix(self, b: int, i: int = 0) -> _Prefix:
+        """Decoded prefix of block ``b``, extended past index ``i``, from
+        the LRU of the last _CACHE_BLOCKS blocks read; a block missing
+        there starts as its head alone, from the index.  Callers must not
+        mutate its lists."""
+        entry = self._cache.get(b)
+        if entry is None:
+            self.counters.blocks_decoded += 1
+            entry = _Prefix(self._blocks[b], self._head_keys[b])
+            self._cache[b] = entry
+            if len(self._cache) > _CACHE_BLOCKS:
+                self._cache.popitem(last=False)
+        else:
+            self._cache.move_to_end(b)
+        if i and i >= len(entry.keys):
+            whole = i + 1 >= self._blocks[b].count
+            while len(entry.keys) <= i:
+                self._extend(b, entry, whole)
+        return entry
+
+    def _extend(self, b: int, entry: _Prefix, whole: bool):
+        """Decode the next chunk of block ``b``'s payload, or with ``whole``
+        all the rest, onto ``entry``, the block's prefix."""
+        reader = entry.reader
+        end_bit = reader.bit_length
+        if not whole:
+            end_bit = min(reader.tell() + end_bit // _CHUNKS_PER_BLOCK + 1, end_bit)
+        try:
+            coords, heights = self._decode(
+                b, reader, entry.coords[-1], entry.heights[-1], end_bit
+            )
+            if not coords:
+                raise CorruptPayloadError(
+                    f"payload ends before the block's {self._blocks[b].count} points",
+                    block_index=b,
+                    bit_offset=reader.tell(),
+                )
+        except CorruptPayloadError:
+            # A later read starts the block over and fails the same way.
+            del self._cache[b]
+            raise
+        entry.coords += coords
+        entry.heights += heights
+        entry.keys += interleave_all(coords, self.cfg)
 
     # -- PointSource ------------------------------------------------------
 
@@ -219,60 +287,53 @@ class CompressedStore(PointSource):
     def has_heights(self) -> bool:
         return self.mode == LOSSY
 
-    def _block_of_rank(self, rank: int) -> int:
+    def _locate(self, rank: int) -> tuple[int, int]:
+        """The block holding ``rank``, and the rank's index in it."""
         if not 0 <= rank < self._n:
             raise IndexError(f"rank {rank} outside [0, {self._n})")
-        return bisect.bisect_right(self._offsets, rank) - 1
-
-    def _block(self, b: int) -> tuple[list[HeightedPoint], list[int]]:
-        """Decoded points and Morton keys of block ``b``, from the LRU of
-        the last _CACHE_BLOCKS blocks read.  Callers must not mutate them."""
-        entry = self._cache.get(b)
-        if entry is not None:
-            self._cache.move_to_end(b)
-            return entry
-        pts = self.decode_block(b)
-        cfg = self.cfg
-        entry = (pts, [interleave(hp.coords, cfg) for hp in pts])
-        self._cache[b] = entry
-        if len(self._cache) > _CACHE_BLOCKS:
-            self._cache.popitem(last=False)
-        return entry
+        b = bisect.bisect_right(self._offsets, rank) - 1
+        return b, rank - self._offsets[b]
 
     def heighted_at(self, rank: int) -> HeightedPoint:
-        b = self._block_of_rank(rank)
-        return self._block(b)[0][rank - self._offsets[b]]
+        b, i = self._locate(rank)
+        entry = self._prefix(b, i)
+        return HeightedPoint(entry.coords[i], entry.heights[i])
 
     def point_at(self, rank: int) -> Point:
-        return self.heighted_at(rank).coords
+        b, i = self._locate(rank)
+        return self._prefix(b, i).coords[i]
 
     def height_at(self, rank: int) -> int:
-        return self.heighted_at(rank).height
+        b, i = self._locate(rank)
+        return self._prefix(b, i).heights[i]
 
     def key_at(self, rank: int) -> int:
-        b = self._block_of_rank(rank)
-        i = rank - self._offsets[b]
+        b, i = self._locate(rank)
         # A head's key is in the index, so reading it decodes nothing.
-        return self._block(b)[1][i] if i else self._head_keys[b]
+        return self._prefix(b, i).keys[i] if i else self._head_keys[b]
 
     def successor_rank(self, key: int) -> int:
         b = bisect.bisect_right(self._head_keys, key) - 1
         if b < 0:
             return 0
-        return self._offsets[b] + bisect.bisect_left(self._block(b)[1], key)
+        entry = self._prefix(b)
+        keys = entry.keys
+        # Keys past the prefix are no smaller than its last one, so once
+        # that reaches ``key`` the answer lies in the prefix.
+        while keys[-1] < key and len(keys) < self._blocks[b].count:
+            self._extend(b, entry, False)
+        return self._offsets[b] + bisect.bisect_left(keys, key)
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         if lo >= hi:
             return
-        b = self._block_of_rank(lo)
+        b = self._locate(lo)[0]
         rank = lo
         while rank < hi:
-            pts = self._block(b)[0]
-            start = rank - self._offsets[b]
-            stop = min(hi - self._offsets[b], len(pts))
-            for hp in pts[start:stop]:
-                yield hp.coords
-            rank = self._offsets[b] + stop
+            start = self._offsets[b]
+            stop = min(hi - start, self._blocks[b].count)
+            yield from self._prefix(b, stop - 1).coords[rank - start : stop]
+            rank = start + stop
             b += 1
 
     # -- insertion ---------------------------------------------------------
@@ -286,7 +347,7 @@ class CompressedStore(PointSource):
         because each record depends only on its predecessor.
         """
         cfg = self.cfg
-        validate_point(p, cfg)
+        p = validate_point(p, cfg)
         lossy = self.mode == LOSSY
         if not 0 <= height <= cfg.w:
             raise DomainError(f"height {height} outside [0, {cfg.w}]")
@@ -297,34 +358,36 @@ class CompressedStore(PointSource):
         else:
             height = 0
         key = interleave(p, cfg)
-        hp = HeightedPoint(tuple(p), height)
         if not self._blocks:
-            self._append_block(_encode_block([hp], cfg, lossy))
+            self._append_block(_encode_block([p], [height], cfg, lossy), key)
             return
         b = max(bisect.bisect_right(self._head_keys, key) - 1, 0)
-        cached, keys = self._block(b)
+        entry = self._prefix(b, self._blocks[b].count - 1)
+        keys = entry.keys
         pos = bisect.bisect_right(keys, key)
         if not self._allow_duplicates and pos > 0 and keys[pos - 1] == key:
             raise DuplicatePointError(f"point {p} already stored")
-        self._rewrite_block(b, cached[:pos] + [hp] + cached[pos:])
+        coords, heights = entry.coords, entry.heights
+        coords = coords[:pos] + [p] + coords[pos:]
+        self._rewrite_block(b, coords, heights[:pos] + [height] + heights[pos:])
 
-    def _rewrite_block(self, b: int, points: list[HeightedPoint]):
+    def _rewrite_block(self, b: int, coords: list, heights: list):
         self._cache.clear()  # a split shifts the indices of later blocks
         cfg = self.cfg
         lossy = self.mode == LOSSY
-        limit = 2 * cfg.w
-        delta = len(points) - self._blocks[b].count
-        if len(points) > limit:
-            left = points[: len(points) // 2]
-            right = points[len(points) // 2 :]
-            self._blocks[b] = _encode_block(left, cfg, lossy)
-            self._head_keys[b] = interleave(left[0].coords, cfg)
-            self._blocks.insert(b + 1, _encode_block(right, cfg, lossy))
-            self._head_keys.insert(b + 1, interleave(right[0].coords, cfg))
+        n = len(coords)
+        delta = n - self._blocks[b].count
+        if n > 2 * cfg.w:
+            half = n // 2
+            self._blocks[b] = _encode_block(coords[:half], heights[:half], cfg, lossy)
+            self._head_keys[b] = interleave(coords[0], cfg)
+            right = _encode_block(coords[half:], heights[half:], cfg, lossy)
+            self._blocks.insert(b + 1, right)
+            self._head_keys.insert(b + 1, interleave(coords[half], cfg))
             self._offsets.insert(b + 1, 0)
         else:
-            self._blocks[b] = _encode_block(points, cfg, lossy)
-            self._head_keys[b] = interleave(points[0].coords, cfg)
+            self._blocks[b] = _encode_block(coords, heights, cfg, lossy)
+            self._head_keys[b] = interleave(coords[0], cfg)
         self._n += delta
         run = self._offsets[b]
         for i in range(b, len(self._blocks)):
@@ -443,29 +506,25 @@ class CompressedStore(PointSource):
                 raise FormatError(f"block {b}: {exc}") from exc
             if not 0 <= height <= w:
                 raise FormatError(f"block {b}: head height {height}")
-            store._offsets.append(store._n)
             store._blocks.append(Block(head, 0, payload, bit_len))
-            store._head_keys.append(interleave(head.coords, cfg))
-            store._n += 1  # provisional; fixed below from the decode
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         # Counts are not in the file; one validating decode derives them.
-        store._n = 0
-        store._offsets = []
         prev_key = -1
-        for b in range(nblocks):
-            pts = store.decode_block(b)
+        for b, blk in enumerate(store._blocks):
+            head = blk.head
+            reader = codec.BitReader(blk.payload, blk.bit_len)
+            coords, _ = store._decode(b, reader, head.coords, head.height, blk.bit_len)
+            keys = interleave_all([head.coords] + coords, cfg)
+            if keys[0] <= prev_key or any(map(operator.ge, keys, keys[1:])):
+                raise FormatError(f"block {b}: points out of Morton order")
+            prev_key = keys[-1]
+            store._head_keys.append(keys[0])
             store._offsets.append(store._n)
-            store._blocks[b].count = len(pts)
-            store._n += len(pts)
-            for hp in pts:
-                key = interleave(hp.coords, cfg)
-                if key <= prev_key:
-                    raise FormatError(f"block {b}: points out of Morton order")
-                prev_key = key
+            blk.count = len(keys)
+            store._n += blk.count
         if store._n != n:
             raise FormatError(f"header says n={n}, blocks decode to {store._n}")
-        store.counters.reset()
         return store
 
     @classmethod

@@ -1,11 +1,61 @@
-"""Shared generators for the test suite."""
+"""Shared generators for the test suite, and the compiled kernel that the
+backend parity tests compare with the pure-Python one."""
 
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 
 from pqc.morton import Config
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net
+
+KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "pqc" / "_bits_c.c"
+_kernel = {"module": None, "dir": None}
+
+
+def pytest_sessionstart(session):
+    """Compile the committed Cython output of the kernel into a temporary
+    directory and load it as ``pqc._bits_c``, when gcc and the Python
+    headers are present.  It is not put in ``sys.modules`` and nothing is
+    written under ``src/``, so the backend that ``pqc`` selected at import
+    stays the one every other test runs on; only :func:`compiled_kernel`
+    hands it out."""
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not (Path(include) / "Python.h").is_file():
+        return
+    out = Path(tempfile.mkdtemp(prefix="pqc-kernel-"))
+    _kernel["dir"] = out
+    target = out / ("_bits_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [gcc, "-O0", "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE)]
+        + ["-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    if build.returncode:
+        warnings.warn(f"compiled kernel not built: {build.stderr[-500:]}")
+        return
+    spec = importlib.util.spec_from_file_location("pqc._bits_c", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    _kernel["module"] = module
+
+
+def pytest_sessionfinish(session):
+    if _kernel["dir"] is not None:
+        shutil.rmtree(_kernel["dir"], ignore_errors=True)
+
+
+def compiled_kernel():
+    """The kernel compiled at session start, or None without a compiler."""
+    return _kernel["module"]
 
 
 def jittered_net(cfg, seed, f0=32, epsilon=0.9, cols=None, rows=None, origin=(0, 0)):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compiled_kernel
 from pqc import _bits_py, codec
 from pqc.errors import CorruptPayloadError, TruncatedStreamError
 from pqc.morton import Config
@@ -18,11 +19,15 @@ from pqc.reference import bitwise_decode_records
 
 
 def _backends():
+    """The pure-Python kernel, plus the compiled one: built in place, or
+    else compiled for this session by the conftest."""
     mods = [importlib.import_module("pqc._bits_py")]
     try:
         mods.append(importlib.import_module("pqc._bits_c"))
     except ImportError:
-        pass
+        kernel = compiled_kernel()
+        if kernel is not None:
+            mods.append(kernel)
     return mods
 
 
@@ -292,6 +297,50 @@ class TestRecordDecodeOracle:
                     for decode in (_bits_py.decode_records, bitwise_decode_records)
                 ]
                 assert outcomes[0] == outcomes[1], (cut, end_bit)
+
+
+class TestChunkedDecode:
+    """A compressed store decodes a block in chunks, resuming each call
+    from the last decoded point and height where the previous one left
+    the cursor."""
+
+    @given(record_streams(), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_chunks_concatenate_to_one_call(self, stream, data):
+        d, w, gamma, lossy, head, head_h, coords, heights = stream
+        for kern in BACKENDS:
+            # One record at a time, to know where each record ends.
+            writer = kern.BitWriter()
+            bounds = [0]
+            prev, prev_h = head, head_h
+            for c, h in zip(coords, heights):
+                kern.encode_records(writer, prev, prev_h, [c], [h], gamma, lossy)
+                bounds.append(writer.bit_length)
+                prev, prev_h = c, h
+            buf, nbits = writer.getvalue(), writer.bit_length
+            reader = kern.BitReader(buf, nbits)
+            whole = kern.decode_records(reader, head, head_h, d, w, gamma, lossy, nbits)
+            assert reader.tell() == nbits
+            cuts = sorted(data.draw(st.lists(st.integers(0, nbits), max_size=8)))
+            reader = kern.BitReader(buf, nbits)
+            got_coords, got_heights = [], []
+            prev, prev_h = head, head_h
+            for end_bit in cuts + [nbits]:
+                start = reader.tell()
+                c, h = kern.decode_records(
+                    reader, prev, prev_h, d, w, gamma, lossy, end_bit
+                )
+                # The call stops at the first record boundary at or after
+                # end_bit, and at once when the cursor is already there.
+                stop = min(b for b in bounds if b >= max(start, end_bit))
+                assert reader.tell() == stop
+                assert len(c) == len(h) == bounds.index(stop) - bounds.index(start)
+                got_coords += c
+                got_heights += h
+                if c:
+                    prev, prev_h = c[-1], h[-1]
+            assert (got_coords, got_heights) == whole == (list(coords), list(heights))
+            assert reader.tell() == nbits
 
 
 class TestBackendParity:

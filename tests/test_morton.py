@@ -15,6 +15,7 @@ from pqc.morton import (
     clear_low_bits,
     deinterleave,
     interleave,
+    interleave_all,
     neighbours,
     square_contains,
     square_key_range,
@@ -105,6 +106,24 @@ class TestKernelInterleave:
                 key = _bits_py.interleave(p, w)
                 assert key == bit_loop_key(p, w)
                 assert _bits_py.deinterleave(key, d, w) == p
+
+
+class TestInterleaveAll:
+    """The batch keying of decoded blocks against one ``interleave`` per
+    point, on both sides of the inline d=2, w <= 16 table path."""
+
+    EDGES = [0, 1, 0xFF, 0x100, 0xFFFF, 0x10000, 2**32 - 1]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_width(self, d):
+        rng = random.Random(7 + d)
+        for w in range(1, 33):
+            cfg = Config(d=d, w=w)
+            edges = [c for c in self.EDGES if c < 1 << w] + [(1 << w) - 1]
+            pts = [tuple(rng.choice(edges) for _ in range(d)) for _ in range(60)]
+            pts += [tuple(rng.randrange(1 << w) for _ in range(d)) for _ in range(60)]
+            assert interleave_all(pts, cfg) == [interleave(p, cfg) for p in pts]
+        assert interleave_all([], Config(d=d, w=16)) == []
 
 
 class TestCommonSquare:

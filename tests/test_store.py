@@ -274,6 +274,43 @@ class TestPersistence:
         assert exc.value.block_index == 0
         assert exc.value.bit_offset is not None
 
+    def _store_and_late_rank(self):
+        cfg = Config(d=2, w=8, gamma=2)
+        pts = round_set(random_points(cfg, 5, 60), cfg)
+        st = CompressedStore.build(pts, cfg, LOSSY)
+        assert st.block_count >= 3
+        return st, 1, st._offsets[2] - 1  # the last point of block 1
+
+    def test_overwritten_payload_fails_a_plain_read(self):
+        st, b, late = self._store_and_late_rank()
+        blk = st._blocks[b]
+        # An all-zero payload is one gamma zero run that never ends.
+        blk.payload = bytes(len(blk.payload))
+        for _ in range(2):  # the failed prefix is dropped, not resumed
+            with pytest.raises(CorruptPayloadError) as exc:
+                st.point_at(late)
+            assert exc.value.block_index == b
+            assert exc.value.bit_offset is not None
+        with pytest.raises(CorruptPayloadError) as exc:
+            st.successor_rank(st.key_at(late + 1) - 1)
+        assert exc.value.block_index == b
+
+    def test_payload_short_of_the_count_fails_a_plain_read(self):
+        st, b, late = self._store_and_late_rank()
+        first = st._offsets[b]
+        # Block b's first three points alone: the payload ends at a record
+        # boundary, well before the block's count.
+        kept = [st.heighted_at(r) for r in range(first, first + 3)]
+        short = CompressedStore.build(kept, st.cfg, LOSSY)._blocks[0]
+        blk = st._blocks[b]
+        blk.payload, blk.bit_len = short.payload, short.bit_len
+        st._cache.clear()
+        assert st.heighted_at(first + 2) == kept[2]
+        with pytest.raises(CorruptPayloadError) as exc:
+            st.point_at(late)
+        assert exc.value.block_index == b
+        assert exc.value.bit_offset == short.bit_len
+
 
 def _fuzz_store_bytes():
     """A small lossy store's file, with the byte spans of its header, its
@@ -360,6 +397,60 @@ class TestAccounting:
 
         ratio = payload(large) / payload(small)
         assert 1.6 <= ratio <= 2.4
+
+
+class TestPrefixReads:
+    """Reads that stop part-way into blocks, over more blocks than the
+    block cache holds, mixed with inserts that split blocks, against an
+    uncompressed oracle."""
+
+    KINDS = ["successor", "key", "point", "height", "heighted", "range", "insert"]
+
+    @given(strategies.data())
+    @settings(deadline=None, max_examples=40)
+    def test_random_reads_match_oracle(self, data):
+        # gamma == w leaves every point rounded at every height, so the
+        # heights can be arbitrary.
+        cfg = Config(d=2, w=10, gamma=10)
+        seed = data.draw(strategies.integers(0, 10_000), label="seed")
+        rng = random.Random(seed)
+        pts = random_points(cfg, seed, 360)
+        height = {p: rng.randrange(cfg.w + 1) for p in pts}
+        stored = sorted(pts[:300], key=lambda p: interleave(p, cfg))
+        withheld = pts[300:]
+        st = CompressedStore.build(
+            [HeightedPoint(p, height[p]) for p in stored], cfg, LOSSY
+        )
+        oracle = ArrayPointSource(stored, cfg, [height[p] for p in stored])
+        assert st.block_count > 8
+        for _ in range(data.draw(strategies.integers(1, 80), label="ops")):
+            kind = data.draw(strategies.sampled_from(self.KINDS))
+            b = data.draw(strategies.integers(0, st.block_count - 1))
+            i = data.draw(strategies.integers(0, st._blocks[b].count - 1))
+            r = st._offsets[b] + i
+            if kind == "successor":
+                if data.draw(strategies.booleans()):
+                    k = oracle.key_at(r) + data.draw(strategies.integers(-1, 1))
+                else:
+                    k = data.draw(strategies.integers(0, (1 << (2 * cfg.w)) - 1))
+                assert st.successor_rank(k) == oracle.successor_rank(k)
+            elif kind == "key":
+                assert st.key_at(r) == oracle.key_at(r)
+            elif kind == "point":
+                assert st.point_at(r) == oracle.point_at(r)
+            elif kind == "height":
+                assert st.height_at(r) == oracle.height_at(r)
+            elif kind == "heighted":
+                assert st.heighted_at(r) == (oracle.point_at(r), oracle.height_at(r))
+            elif kind == "range":
+                hi = min(r + data.draw(strategies.integers(1, 3 * cfg.w)), st.count())
+                assert list(st.iter_range(r, hi)) == list(oracle.iter_range(r, hi))
+            elif withheld:
+                p = withheld.pop()
+                st.insert(p, height[p])
+                stored = sorted(stored + [p], key=lambda q: interleave(q, cfg))
+                oracle = ArrayPointSource(stored, cfg, [height[q] for q in stored])
+        assert st.decode_all() == [HeightedPoint(p, height[p]) for p in stored]
 
 
 class TestBlockCache:
