@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python bit kernels against the compiled extension.
+"""Benchmark the bit kernels: lossy record codes and Morton keys.
 
 Times the hot paths behind store construction and queries: block record
-encoding, block record decoding, and Morton key computation.  Before
-timing, each backend must decode its own streams back to exactly the
-encoded points and heights, and its Morton keys must match the bit-by-bit
-definition; a backend that fails either check stops the script.
+encoding and decoding, for version-1 (gamma) records on each built backend
+and version-2 (Exp-Golomb) records on the pure-Python kernel, and Morton
+key computation.  Before timing, each record code must decode its own
+streams back to exactly the encoded points and heights, and each
+backend's Morton keys must match the bit-by-bit definition; a code or
+backend that fails either check stops the script.
 
     python benchmarks/bench_codec.py --n 200000 --w 16 --gamma 5
 """
@@ -30,6 +32,16 @@ def load_backends():
     except ImportError:
         print("note: compiled kernels not built; benchmarking pure Python only")
     return mods
+
+
+def record_codes(mods):
+    """(name, kernel, encode, decode) of every lossy record code: version 1
+    (gamma) on each backend, and version 2 (Exp-Golomb of order gamma),
+    which only the pure-Python kernel codes."""
+    codes = [(f"v1-{m.BACKEND}", m, m.encode_records, m.decode_records) for m in mods]
+    py = mods[0]
+    codes.append(("v2-python", py, py.encode_records_v2, py.decode_records_v2))
+    return codes
 
 
 def make_blocks(cfg, n, block_size):
@@ -58,14 +70,17 @@ def make_blocks(cfg, n, block_size):
     return pts, blocks
 
 
-def check_backend(mod, cfg, blocks, payloads, pts):
-    """Exit unless ``mod`` decodes every block to its encoded records and
-    keys every point as the bit loop does."""
+def check_code(name, kern, decode, cfg, blocks, payloads):
+    """Exit unless ``decode`` returns every block's encoded records."""
     for (data, bits), (head, head_h, coords, heights) in zip(payloads, blocks):
-        r = mod.BitReader(data, bits)
-        got = mod.decode_records(r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits)
+        r = kern.BitReader(data, bits)
+        got = decode(r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits)
         if got != (coords, heights) or r.tell() != bits:
-            raise SystemExit(f"{mod.BACKEND}: decode does not return the encoded block")
+            raise SystemExit(f"{name}: decode does not return the encoded block")
+
+
+def check_morton(mod, cfg, pts):
+    """Exit unless ``mod`` keys every point as the bit loop does."""
     for p in pts:
         key = 0
         for bit in range(cfg.w - 1, -1, -1):
@@ -96,35 +111,43 @@ def main():
     print(f"building {args.n} rounded points (d=2, w={args.w}, gamma={args.gamma})...")
     pts, blocks = make_blocks(cfg, args.n, 2 * cfg.w)
     n = sum(1 + len(b[2]) for b in blocks)
-    results = {}
+    mods = load_backends()
+    codes = {}
 
-    for mod in load_backends():
-        name = mod.BACKEND
+    for name, kern, encode, decode in record_codes(mods):
 
         def encode_all():
             total = 0
             for head, head_h, coords, heights in blocks:
-                w = mod.BitWriter()
-                total += mod.encode_records(w, head, head_h, coords, heights, cfg.gamma, True)
+                w = kern.BitWriter()
+                total += encode(w, head, head_h, coords, heights, cfg.gamma, True)
             return total
 
         payloads = []
         for head, head_h, coords, heights in blocks:
-            w = mod.BitWriter()
-            mod.encode_records(w, head, head_h, coords, heights, cfg.gamma, True)
+            w = kern.BitWriter()
+            encode(w, head, head_h, coords, heights, cfg.gamma, True)
             payloads.append((w.getvalue(), w.bit_length))
 
-        check_backend(mod, cfg, blocks, payloads, pts)
+        check_code(name, kern, decode, cfg, blocks, payloads)
 
         def decode_all():
             out = 0
             for (data, bits), (head, head_h, _c, _h) in zip(payloads, blocks):
-                r = mod.BitReader(data, bits)
-                cs, hs = mod.decode_records(
-                    r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits
-                )
+                r = kern.BitReader(data, bits)
+                cs, hs = decode(r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits)
                 out += len(cs)
             return out
+
+        codes[name] = {
+            "bits_per_record": sum(bits for _, bits in payloads) / (n - len(blocks)),
+            "encode": bench(encode_all, args.repeat),
+            "decode": bench(decode_all, args.repeat),
+        }
+
+    morton = {}
+    for mod in mods:
+        check_morton(mod, cfg, pts)
 
         def interleave_all():
             acc = 0
@@ -132,26 +155,16 @@ def main():
                 acc ^= mod.interleave(p, cfg.w)
             return acc
 
-        results[name] = {
-            "encode": bench(encode_all, args.repeat),
-            "decode": bench(decode_all, args.repeat),
-            "morton": bench(interleave_all, args.repeat),
-        }
+        morton[mod.BACKEND] = bench(interleave_all, args.repeat)
 
     print(f"\n{n} points, best of {args.repeat} runs (seconds; Mpts/s in parens)")
-    header = f"{'kernel':<10}" + "".join(f"{k:>22}" for k in ("encode", "decode", "morton"))
-    print(header)
-    for name, row in results.items():
-        cells = "".join(
-            f"{row[k]:>14.4f} ({n / row[k] / 1e6:>5.2f})" for k in ("encode", "decode", "morton")
-        )
-        print(f"{name:<10}{cells}")
-    if len(results) == 2:
-        py, cy = results["python"], results["cython"]
-        print(
-            "speedup: "
-            + ", ".join(f"{k} {py[k] / cy[k]:.1f}x" for k in ("encode", "decode", "morton"))
-        )
+    sides = ("encode", "decode")
+    print(f"{'records':<16}{'bits/record':>12}" + "".join(f"{k:>22}" for k in sides))
+    for name, row in codes.items():
+        cells = "".join(f"{row[k]:>14.4f} ({n / row[k] / 1e6:>5.2f})" for k in sides)
+        print(f"{name:<16}{row['bits_per_record']:>12.2f}{cells}")
+    for name, t in morton.items():
+        print(f"{'morton-' + name:<28}{t:>14.4f} ({n / t / 1e6:>5.2f})")
 
 
 if __name__ == "__main__":

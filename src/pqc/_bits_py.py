@@ -1,15 +1,19 @@
 """Pure-Python bit-twiddling kernels.
 
 This module and the compiled twin ``_bits_c`` implement exactly the same
-interface and must produce bit-identical streams.  ``pqc._backend`` picks
-one of the two at import time; everything else in the package goes through
-that selection.
+version-1 interface and must produce bit-identical streams.  ``pqc._backend``
+picks one of the two at import time; everything else in the package goes
+through that selection.  The version-2 record functions and the
+Exp-Golomb methods exist only here (``pqc.codec`` routes version-2 lossy
+records to them under every backend).
 
 Stream layout: bits are packed MSB-first within bytes.  A gamma code for a
 value v is the single bit ``1`` when v == 0, and otherwise b zero bits
 followed by the b bits of v (b = bit length of v, so the leading ``1`` of v
 terminates the zero run).  A signed gamma code appends one sign bit
-(0 nonnegative, 1 negative) when v != 0.
+(0 nonnegative, 1 negative) when v != 0.  The Exp-Golomb code of order k
+of v writes u = v + 2**k as bit_length(u) - 1 - k zero bits followed by the
+bits of u, for 2 * bit_length(u) - 1 - k bits in all.
 """
 
 from .errors import CorruptPayloadError, TruncatedStreamError
@@ -72,6 +76,17 @@ class BitWriter:
         n = self.write_gamma(-value if value < 0 else value)
         self.write_bits(1 if value < 0 else 0, 1)
         return n + 1
+
+    def write_exp_golomb(self, value, order):
+        """Append the Exp-Golomb code of order ``order`` of a nonnegative
+        value; return bits written."""
+        if value < 0:
+            raise ValueError("Exp-Golomb code is defined for nonnegative values")
+        u = value + (1 << order)
+        # The zeros and the bits of u, in one field.
+        n = 2 * u.bit_length() - 1 - order
+        self.write_bits(u, n)
+        return n
 
     def getvalue(self):
         """Return the stream as bytes, zero-padded to a byte boundary."""
@@ -139,6 +154,13 @@ class BitReader:
             return 0
         return -magnitude if self.read_bits(1) else magnitude
 
+    def read_exp_golomb(self, order):
+        zeros = 0
+        while self.read_bits(1) == 0:
+            zeros += 1
+        n = zeros + order
+        return ((1 << n) | self.read_bits(n)) - (1 << order)
+
 
 def interleave(coords, w):
     """Morton key of a coordinate tuple: bit i of axis 0 lands above bit i of
@@ -198,7 +220,8 @@ _SPREAD8 = tuple(_spread1(b) for b in range(256))
 
 
 def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
-    """Append one record per point to ``writer``; returns bits written.
+    """Append one version-1 record per point to ``writer``; returns bits
+    written.
 
     A record is signed-gamma(h_i - h_{i-1}) when ``lossy``, then per axis
     gamma((prev ^ cur) >> shift) with shift = max(h_i - gamma, 0).  Lossless
@@ -220,8 +243,51 @@ def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
     return bits
 
 
+def encode_records_v2(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
+    """Append one version-2 record per point to ``writer``; returns bits
+    written.
+
+    A lossy record is signed-gamma(h_i - h_{i-1}), then per axis the
+    Exp-Golomb code of order ``gamma`` of (prev ^ cur) >> shift, with
+    shift = max(h_i - gamma, 0): at most 2w + 1 - gamma bits per axis.
+    Lossless records are the version-1 gamma records.
+    """
+    if not lossy:
+        return encode_records(
+            writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
+        )
+    d = len(prev)
+    prev = list(prev)
+    bits = 0
+    one = 1 << gamma
+    write_bits = writer.write_bits
+    for cur, h in zip(coords_seq, heights_seq):
+        bits += writer.write_signed_gamma(h - prev_h)
+        shift = h - gamma if h > gamma else 0
+        prev_h = h
+        for a in range(d):
+            # BitWriter.write_exp_golomb, inline.
+            u = ((prev[a] ^ cur[a]) >> shift) + one
+            n = 2 * u.bit_length() - 1 - gamma
+            write_bits(u, n)
+            bits += n
+            prev[a] = cur[a]
+    return bits
+
+
+def _bit_string(reader, top):
+    """(bits, base): bits[i] is stream bit base + i, for every bit from the
+    byte of the cursor up to bit ``top``."""
+    first = reader._pos >> 3
+    nbytes = (top + 7) >> 3
+    base = first << 3
+    value = int.from_bytes(reader._buf[first:nbytes], "big") >> (8 * nbytes - top)
+    # The sentinel 1 above the top bit keeps leading zeros in bin()'s output.
+    return bin(value | (1 << (top - base)))[3:], base
+
+
 def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
-    """Decode records until the cursor reaches ``end_bit``.
+    """Decode version-1 records until the cursor reaches ``end_bit``.
 
     Returns (coords_list, heights_list).  Heights are all zero in lossless
     mode.  Raises CorruptPayloadError / TruncatedStreamError on bad input,
@@ -229,26 +295,57 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
     each record through :meth:`BitReader.read_signed_gamma` and
     :meth:`BitReader.read_gamma` (``reference.bitwise_decode_records``).
 
-    The readable bits from the cursor on become one '0'/'1' string; each
+    The bits from the cursor to ``top``, the end of the longest record
+    that can start before ``end_bit``, become one '0'/'1' string; each
     gamma code is one ``str.find`` for the end of its zero run and one
-    ``int(..., 2)`` for its value.  The cursor is written back on return
-    and on every raise.
+    ``int(..., 2)`` for its value.  A record that runs past ``top`` is
+    truncated or corrupt, and its exact error needs every bit: then the
+    decode runs again over the whole stream.  The cursor is written back
+    on return and on every raise.
     """
+    pos = reader._pos
+    # A height delta of at most w, and per axis a delta below 2**w.
+    top = (end_bit if end_bit > pos else pos) + 2 * w * d
+    if lossy:
+        top += 2 * w.bit_length() + 1
+    if top < reader._nbits:
+        try:
+            return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit)
+        except TruncatedStreamError:
+            reader._pos = pos
+    top = reader._nbits
+    return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit)
+
+
+def decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
+    """Decode version-2 records until the cursor reaches ``end_bit``; the
+    contract of :func:`decode_records`, with each lossy coordinate delta
+    read as :meth:`BitReader.read_exp_golomb` of order ``gamma`` reads it.
+    Lossless records are the version-1 gamma records."""
+    if not lossy:
+        return decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
+    pos = reader._pos
+    top = (end_bit if end_bit > pos else pos) + 2 * w.bit_length() + 1
+    top += d * (2 * w + 1 - gamma)
+    loop = _exp_golomb_loop_2d if d == 2 else _exp_golomb_loop
+    if top < reader._nbits:
+        try:
+            return loop(reader, top, prev, prev_h, d, w, gamma, end_bit)
+        except TruncatedStreamError:
+            reader._pos = pos
+    return loop(reader, reader._nbits, prev, prev_h, d, w, gamma, end_bit)
+
+
+def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit):
+    # The decode of decode_records over the stream's bits below ``top``.
     prev = list(prev)
     coords_out = []
     heights_out = []
-    pos = reader._pos
     nbits = reader._nbits
-    # bits[i] is stream bit base + i, for every readable bit; the sentinel
-    # 1 above the top bit keeps leading zeros in bin()'s output.
-    first = pos >> 3
-    nbytes = (nbits + 7) >> 3
-    base = first << 3
-    limit = nbits - base
-    value = int.from_bytes(reader._buf[first:nbytes], "big") >> (8 * nbytes - nbits)
-    bits = bin(value | (1 << limit))[3:]
+    bits, base = _bit_string(reader, top)
     find = bits.find
-    p = pos - base
+    limit = top - base
+    p = reader._pos - base
     stop = end_bit - base
     shift = 0
     h = 0
@@ -307,3 +404,145 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
         reader._pos = base + p
     return coords_out, heights_out
 
+
+def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
+    # The decode of decode_records_v2 over the stream's bits below ``top``,
+    # lossy records of any d.
+    prev = list(prev)
+    coords_out = []
+    heights_out = []
+    nbits = reader._nbits
+    bits, base = _bit_string(reader, top)
+    find = bits.find
+    limit = top - base
+    p = reader._pos - base
+    stop = end_bit - base
+    one = 1 << gamma
+    tail = gamma + 1
+    try:
+        while p < stop:
+            # Signed gamma of the height delta; "1" is a zero delta.
+            j = find("1", p)
+            if j < 0:
+                p = limit
+                raise TruncatedStreamError(_need(1, nbits, nbits))
+            z = j - p
+            if z:
+                p = j + z
+                if p > limit:
+                    p = j + 1
+                    raise TruncatedStreamError(_need(z - 1, base + p, nbits))
+                if p == limit:
+                    raise TruncatedStreamError(_need(1, nbits, nbits))
+                if bits[p] == "1":
+                    h = prev_h - int(bits[j:p], 2)
+                else:
+                    h = prev_h + int(bits[j:p], 2)
+                p += 1
+            else:
+                p = j + 1
+                h = prev_h
+            if h < 0 or h > w:
+                raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
+            shift = h - gamma if h > gamma else 0
+            room = w - shift
+            prev_h = h
+            for a in range(d):
+                # z zeros, then the z + gamma + 1 bits of delta + 2**gamma.
+                j = find("1", p)
+                if j < 0:
+                    p = limit
+                    raise TruncatedStreamError(_need(1, nbits, nbits))
+                q = 2 * j - p + tail
+                if q > limit:
+                    p = j + 1
+                    raise TruncatedStreamError(_need(q - p, base + p, nbits))
+                p = q
+                delta = int(bits[j:q], 2) - one
+                if delta >> room:
+                    raise CorruptPayloadError(
+                        f"decoded coordinate delta {delta} overflows width {w}"
+                    )
+                prev[a] = ((prev[a] >> shift) ^ delta) << shift
+            coords_out.append(tuple(prev))
+            heights_out.append(h)
+    finally:
+        reader._pos = base + p
+    return coords_out, heights_out
+
+
+def _exp_golomb_loop_2d(reader, top, prev, prev_h, d, w, gamma, end_bit):
+    # _exp_golomb_loop for d = 2, with the two axes written out.
+    x, y = prev
+    coords_out = []
+    heights_out = []
+    nbits = reader._nbits
+    bits, base = _bit_string(reader, top)
+    find = bits.find
+    limit = top - base
+    p = reader._pos - base
+    stop = end_bit - base
+    one = 1 << gamma
+    tail = gamma + 1
+    try:
+        while p < stop:
+            j = find("1", p)
+            if j < 0:
+                p = limit
+                raise TruncatedStreamError(_need(1, nbits, nbits))
+            z = j - p
+            if z:
+                p = j + z
+                if p > limit:
+                    p = j + 1
+                    raise TruncatedStreamError(_need(z - 1, base + p, nbits))
+                if p == limit:
+                    raise TruncatedStreamError(_need(1, nbits, nbits))
+                if bits[p] == "1":
+                    h = prev_h - int(bits[j:p], 2)
+                else:
+                    h = prev_h + int(bits[j:p], 2)
+                p += 1
+            else:
+                p = j + 1
+                h = prev_h
+            if h < 0 or h > w:
+                raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
+            shift = h - gamma if h > gamma else 0
+            room = w - shift
+            prev_h = h
+            j = find("1", p)
+            if j < 0:
+                p = limit
+                raise TruncatedStreamError(_need(1, nbits, nbits))
+            q = 2 * j - p + tail
+            if q > limit:
+                p = j + 1
+                raise TruncatedStreamError(_need(q - p, base + p, nbits))
+            p = q
+            delta = int(bits[j:q], 2) - one
+            if delta >> room:
+                raise CorruptPayloadError(
+                    f"decoded coordinate delta {delta} overflows width {w}"
+                )
+            x = ((x >> shift) ^ delta) << shift
+            j = find("1", p)
+            if j < 0:
+                p = limit
+                raise TruncatedStreamError(_need(1, nbits, nbits))
+            q = 2 * j - p + tail
+            if q > limit:
+                p = j + 1
+                raise TruncatedStreamError(_need(q - p, base + p, nbits))
+            p = q
+            delta = int(bits[j:q], 2) - one
+            if delta >> room:
+                raise CorruptPayloadError(
+                    f"decoded coordinate delta {delta} overflows width {w}"
+                )
+            y = ((y >> shift) ^ delta) << shift
+            coords_out.append((x, y))
+            heights_out.append(h)
+    finally:
+        reader._pos = base + p
+    return coords_out, heights_out

@@ -53,6 +53,7 @@ def _store_stat_lines(store, out):
         w=s["w"],
         gamma=s["gamma"],
         mode=s["mode"],
+        version=s["version"],
         blocks=s["blocks"],
         payload_bits=s["payload_bits"],
         file_bits=s["file_bits"],
@@ -130,6 +131,8 @@ def cmd_decompress(args) -> int:
 def cmd_stats(args) -> int:
     store = CompressedStore.load(args.input)
     _store_stat_lines(store, sys.stdout)
+    # payload_bits by component
+    _emit(sys.stdout, **store.bit_budget())
     return 0
 
 

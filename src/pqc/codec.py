@@ -8,28 +8,67 @@ This is the persistent payload format:
   prefix-free.
 * signed gamma: gamma(|v|) followed by one sign bit (0 nonnegative,
   1 negative) when v != 0; zero stays a single bit.
+* Exp-Golomb of order k, EG_k(v): u = v + 2**k written as
+  bit_length(u) - 1 - k zero bits followed by the bits of u.  A value
+  below 2**w costs at most 2w + 1 - k bits.
 * xor code of a point against its predecessor: per axis, in axis order,
-  gamma((prev ^ cur) >> shift).  Lossless streams use shift 0; lossy
-  streams derive the shift from the point's quadtree leaf height.
+  the code of (prev ^ cur) >> shift.  Lossless streams use shift 0; lossy
+  streams derive the shift from the point's quadtree leaf height.  Format
+  version 1 codes every delta with gamma; version 2 codes lossy deltas with
+  EG_gamma, where gamma is the store's rounding precision, and keeps gamma
+  for lossless deltas and for every height delta.
 
 Streams pack MSB-first within bytes and are zero-padded to a byte boundary
 only at block ends.  The heavy encode/decode loops live in a compiled
 kernel when available (see ``pqc._backend``); this module is the stable
-surface over whichever kernel got selected.
+surface over whichever kernel got selected.  The compiled kernel codes
+version-1 and lossless records only; version-2 lossy records always go
+through ``_bits_py``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from . import _bits_py
 from ._backend import BACKEND as KERNEL_BACKEND
 from ._backend import impl as _impl
 from .morton import Config, Point
 
 BitWriter = _impl.BitWriter
 BitReader = _impl.BitReader
-encode_records = _impl.encode_records
-decode_records = _impl.decode_records
+
+
+def kernel(version: int, lossy: bool):
+    """The kernel module whose BitWriter and BitReader carry records of a
+    format version and mode: the selected kernel, except that version-2
+    lossy records have no compiled twin and always use ``_bits_py``."""
+    return _bits_py if lossy and version == 2 else _impl
+
+
+def encode_records(
+    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, version=1
+) -> int:
+    """Append one record of format ``version`` per point to ``writer``, a
+    BitWriter of :func:`kernel`; returns bits written."""
+    if lossy and version == 2:
+        return _bits_py.encode_records_v2(
+            writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
+        )
+    return _impl.encode_records(
+        writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
+    )
+
+
+def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, version=1):
+    """Decode records of format ``version`` from ``reader``, a BitReader of
+    :func:`kernel`, through the first record boundary at or after
+    ``end_bit``: (coords, heights)."""
+    if lossy and version == 2:
+        return _bits_py.decode_records_v2(
+            reader, prev, prev_h, d, w, gamma, lossy, end_bit
+        )
+    return _impl.decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
 
 
 def gamma_encode(value: int, out, width: int = None) -> int:

@@ -426,19 +426,27 @@ def quadtree_superset(points: Sequence[Point], cfg: Config) -> list[Point]:
 # --- bit-serial record decoder ------------------------------------------
 
 
-def bitwise_decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
-    """Decode records one gamma code at a time until the cursor reaches
-    ``end_bit``; same contract as the kernels' ``decode_records``.
+def bitwise_decode_records(
+    reader, prev, prev_h, d, w, gamma, lossy, end_bit, version=1
+):
+    """Decode records one code at a time until the cursor reaches
+    ``end_bit``; same contract as the kernels' ``decode_records`` (version
+    1) and ``decode_records_v2`` (version 2).
 
     Every bit goes through ``reader.read_signed_gamma`` / ``read_gamma``,
-    so a truncated stream raises the reader's own TruncatedStreamError and
-    leaves the cursor where that read stopped.
+    or ``read_exp_golomb`` of order ``gamma`` for the coordinate deltas of
+    version-2 lossy records, so a truncated stream raises the reader's own
+    TruncatedStreamError and leaves the cursor where that read stopped.
     """
     prev = list(prev)
     coords_out = []
     heights_out = []
     shift = 0
     h = 0
+    if lossy and version >= 2:
+        read_delta = lambda: reader.read_exp_golomb(gamma)  # noqa: E731
+    else:
+        read_delta = reader.read_gamma
     while reader.tell() < end_bit:
         if lossy:
             h = prev_h + reader.read_signed_gamma()
@@ -447,7 +455,7 @@ def bitwise_decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
             shift = h - gamma if h > gamma else 0
             prev_h = h
         for a in range(d):
-            delta = reader.read_gamma()
+            delta = read_delta()
             if delta >> (w - shift):
                 raise CorruptPayloadError(
                     f"decoded coordinate delta {delta} overflows width {w}"

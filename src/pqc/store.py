@@ -4,17 +4,19 @@ Layout: the sorted sequence is split into blocks of between w and 2w
 points (a lone undersized block is allowed for tiny stores).  Each block
 stores its first point longhand - the head - plus one self-delimiting
 record per following point: signed-gamma height delta, then per axis
-gamma((prev ^ cur) >> max(h - gamma, 0)).  Lossless blocks fix every
-height at zero and omit the height delta.  An ordered list of head keys
-serves as the search index; finding a key costs one bisection plus the
-decode of the block's records up to that key.  Reads keep the decoded
+the code of (prev ^ cur) >> max(h - gamma, 0), Exp-Golomb of order gamma
+in format version 2 and gamma in version 1.  Lossless blocks fix every
+height at zero, omit the height delta and gamma-code the deltas in both
+versions.  An ordered list of head keys serves as the search index;
+finding a key costs one bisection plus the decode of the block's records
+up to that key.  Reads keep the decoded
 prefix of the last few blocks they touched - coordinates, heights and
 Morton keys in parallel lists - and extend it only as far as they need.
 
-Persistent format "PQC1" (all integers little-endian):
+Persistent format (all integers little-endian):
 
     magic   4 bytes  b"PQC1"
-    version u8       1
+    version u8       2 for every new store; 1 still loads
     d       u8
     w       u8
     gamma   u8
@@ -28,7 +30,8 @@ Persistent format "PQC1" (all integers little-endian):
       payload      ceil(bits / 8) bytes, MSB-first, zero padded
 
 Payload records are self-delimiting, so per-block point counts are not
-stored; decoding runs until the payload bit length is exhausted.
+stored; decoding runs until the payload bit length is exhausted.  A store
+keeps the version it was loaded with through inserts and saves.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from .morton import Config, Point, interleave, interleave_all, validate_point
 from .qtree import Counters, PointSource
 
 MAGIC = b"PQC1"
-VERSION = 1
+VERSION = 2  # written for every new store
+VERSIONS = (1, 2)  # loadable
 LOSSLESS = "lossless"
 LOSSY = "lossy"
 _MODE_CODE = {LOSSLESS: 0, LOSSY: 1}
@@ -77,17 +81,6 @@ class Block:
     bit_len: int
 
 
-def _encode_block(
-    coords: Sequence[Point], heights: Sequence[int], cfg: Config, lossy: bool
-) -> Block:
-    writer = codec.BitWriter()
-    codec.encode_records(
-        writer, coords[0], heights[0], coords[1:], heights[1:], cfg.gamma, lossy
-    )
-    head = HeightedPoint(coords[0], heights[0])
-    return Block(head, len(coords), writer.getvalue(), writer.bit_length)
-
-
 class _Prefix:
     """The decoded prefix of one block: parallel lists of coordinates,
     heights and Morton keys, head first, and the reader of the block's
@@ -95,15 +88,15 @@ class _Prefix:
 
     __slots__ = ("coords", "heights", "keys", "reader")
 
-    def __init__(self, block: Block, head_key: int):
+    def __init__(self, block: Block, head_key: int, bit_reader):
         self.coords = [block.head.coords]
         self.heights = [block.head.height]
         self.keys = [head_key]
-        self.reader = codec.BitReader(block.payload, block.bit_len)
+        self.reader = bit_reader(block.payload, block.bit_len)
 
 
 class CompressedStore(PointSource):
-    """PointSource over gamma-coded blocks; supports dynamic insertion.
+    """PointSource over xor-coded blocks; supports dynamic insertion.
 
     Reads go through a small LRU of decoded block prefixes, each holding
     the block's points, heights and Morton keys as far as reads have
@@ -117,6 +110,7 @@ class CompressedStore(PointSource):
             raise PqcError(f"mode must be {LOSSLESS!r} or {LOSSY!r}")
         self.cfg = cfg
         self.mode = mode
+        self._set_version(VERSION)  # from_bytes sets the version of the file
         self.counters = Counters()
         self._blocks: list[Block] = []
         self._head_keys: list[int] = []
@@ -177,10 +171,30 @@ class CompressedStore(PointSource):
         pos = 0
         for size in sizes:
             end = pos + size
-            block = _encode_block(coords[pos:end], heights[pos:end], cfg, lossy)
+            block = store._encode_block(coords[pos:end], heights[pos:end])
             store._append_block(block, keys[pos])
             pos = end
         return store
+
+    def _set_version(self, version: int):
+        self.version = version
+        # The kernel module whose BitWriter and BitReader carry the records.
+        self._kernel = codec.kernel(version, self.mode == LOSSY)
+
+    def _encode_block(self, coords: Sequence[Point], heights: Sequence[int]) -> Block:
+        writer = self._kernel.BitWriter()
+        codec.encode_records(
+            writer,
+            coords[0],
+            heights[0],
+            coords[1:],
+            heights[1:],
+            self.cfg.gamma,
+            self.mode == LOSSY,
+            self.version,
+        )
+        head = HeightedPoint(coords[0], heights[0])
+        return Block(head, len(coords), writer.getvalue(), writer.bit_length)
 
     def _append_block(self, block: Block, head_key: int):
         self._cache.clear()
@@ -201,7 +215,15 @@ class CompressedStore(PointSource):
         lossy = self.mode == LOSSY
         try:
             return codec.decode_records(
-                reader, prev, prev_h, cfg.d, cfg.w, cfg.gamma, lossy, end_bit
+                reader,
+                prev,
+                prev_h,
+                cfg.d,
+                cfg.w,
+                cfg.gamma,
+                lossy,
+                end_bit,
+                self.version,
             )
         except (TruncatedStreamError, CorruptPayloadError) as exc:
             raise CorruptPayloadError(
@@ -215,7 +237,7 @@ class CompressedStore(PointSource):
         block = self._blocks[index]
         self.counters.blocks_decoded += 1
         head = block.head
-        reader = codec.BitReader(block.payload, block.bit_len)
+        reader = self._kernel.BitReader(block.payload, block.bit_len)
         coords, heights = self._decode(
             index, reader, head.coords, head.height, block.bit_len
         )
@@ -237,7 +259,7 @@ class CompressedStore(PointSource):
         entry = self._cache.get(b)
         if entry is None:
             self.counters.blocks_decoded += 1
-            entry = _Prefix(self._blocks[b], self._head_keys[b])
+            entry = _Prefix(self._blocks[b], self._head_keys[b], self._kernel.BitReader)
             self._cache[b] = entry
             if len(self._cache) > _CACHE_BLOCKS:
                 self._cache.popitem(last=False)
@@ -359,7 +381,7 @@ class CompressedStore(PointSource):
             height = 0
         key = interleave(p, cfg)
         if not self._blocks:
-            self._append_block(_encode_block([p], [height], cfg, lossy), key)
+            self._append_block(self._encode_block([p], [height]), key)
             return
         b = max(bisect.bisect_right(self._head_keys, key) - 1, 0)
         entry = self._prefix(b, self._blocks[b].count - 1)
@@ -374,19 +396,18 @@ class CompressedStore(PointSource):
     def _rewrite_block(self, b: int, coords: list, heights: list):
         self._cache.clear()  # a split shifts the indices of later blocks
         cfg = self.cfg
-        lossy = self.mode == LOSSY
         n = len(coords)
         delta = n - self._blocks[b].count
         if n > 2 * cfg.w:
             half = n // 2
-            self._blocks[b] = _encode_block(coords[:half], heights[:half], cfg, lossy)
+            self._blocks[b] = self._encode_block(coords[:half], heights[:half])
             self._head_keys[b] = interleave(coords[0], cfg)
-            right = _encode_block(coords[half:], heights[half:], cfg, lossy)
+            right = self._encode_block(coords[half:], heights[half:])
             self._blocks.insert(b + 1, right)
             self._head_keys.insert(b + 1, interleave(coords[half], cfg))
             self._offsets.insert(b + 1, 0)
         else:
-            self._blocks[b] = _encode_block(coords, heights, cfg, lossy)
+            self._blocks[b] = self._encode_block(coords, heights)
             self._head_keys[b] = interleave(coords[0], cfg)
         self._n += delta
         run = self._offsets[b]
@@ -396,18 +417,41 @@ class CompressedStore(PointSource):
 
     # -- accounting ---------------------------------------------------------
 
+    def _head_bits(self) -> int:
+        # The longhand head: d*w bits, plus ceil(log2(w + 1)) height bits
+        # in lossy mode.
+        cfg = self.cfg
+        head_bits = cfg.d * cfg.w
+        if self.mode == LOSSY:
+            head_bits += cfg.w.bit_length()
+        return head_bits
+
     def payload_bits(self) -> int:
         """Structural cost in bits: per block, the longhand head (d*w bits,
         plus ceil(log2(w + 1)) height bits in lossy mode) and the record
         stream.  File framing is excluded; see file_bits()."""
-        cfg = self.cfg
-        head_bits = cfg.d * cfg.w
+        return sum(self._head_bits() + blk.bit_len for blk in self._blocks)
+
+    def bit_budget(self) -> dict:
+        """payload_bits() by component: ``head_bits`` of the longhand
+        heads, ``height_bits`` of the records' signed-gamma height deltas
+        (none in lossless mode) and ``coord_bits`` of their coordinate
+        codes.  Lossy stores decode every block to count the height codes."""
+        height_bits = 0
         if self.mode == LOSSY:
-            head_bits += (cfg.w + 1 - 1).bit_length()
-        return sum(head_bits + blk.bit_len for blk in self._blocks)
+            for b in range(len(self._blocks)):
+                hs = [hp.height for hp in self.decode_block(b)]
+                for dh in map(operator.sub, hs[1:], hs):
+                    height_bits += 2 * abs(dh).bit_length() + 1 if dh else 1
+        record_bits = sum(blk.bit_len for blk in self._blocks)
+        return {
+            "head_bits": len(self._blocks) * self._head_bits(),
+            "height_bits": height_bits,
+            "coord_bits": record_bits - height_bits,
+        }
 
     def file_bits(self) -> int:
-        """Exact size of the PQC1 serialization, in bits."""
+        """Exact size of the serialization, in bits."""
         per_block = 4 * self.cfg.d + 1 + 4
         total = 21 + sum(
             per_block + (blk.bit_len + 7) // 8 for blk in self._blocks
@@ -427,6 +471,7 @@ class CompressedStore(PointSource):
             "w": self.cfg.w,
             "gamma": self.cfg.gamma,
             "mode": self.mode,
+            "version": self.version,
             "blocks": len(self._blocks),
             "payload_bits": payload,
             "file_bits": fbits,
@@ -443,7 +488,7 @@ class CompressedStore(PointSource):
         out += MAGIC
         out += struct.pack(
             "<BBBBBQL",
-            VERSION,
+            self.version,
             cfg.d,
             cfg.w,
             cfg.gamma,
@@ -472,7 +517,7 @@ class CompressedStore(PointSource):
             )
         except struct.error as exc:
             raise FormatError(f"truncated header: {exc}") from exc
-        if version != VERSION:
+        if version not in VERSIONS:
             raise FormatError(f"unsupported version {version}")
         if mode_code not in _MODE_NAME:
             raise FormatError(f"unknown mode byte {mode_code}")
@@ -482,6 +527,7 @@ class CompressedStore(PointSource):
         except DomainError as exc:
             raise FormatError(f"invalid header fields: {exc}") from exc
         store = cls(cfg, _MODE_NAME[mode_code])
+        store._set_version(version)
         pos = 21  # 4 magic bytes + 17 header bytes
         for b in range(nblocks):
             need = 4 * d + 5
@@ -511,9 +557,10 @@ class CompressedStore(PointSource):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         # Counts are not in the file; one validating decode derives them.
         prev_key = -1
+        bit_reader = store._kernel.BitReader
         for b, blk in enumerate(store._blocks):
             head = blk.head
-            reader = codec.BitReader(blk.payload, blk.bit_len)
+            reader = bit_reader(blk.payload, blk.bit_len)
             coords, _ = store._decode(b, reader, head.coords, head.height, blk.bit_len)
             keys = interleave_all([head.coords] + coords, cfg)
             if keys[0] <= prev_key or any(map(operator.ge, keys, keys[1:])):

@@ -48,6 +48,32 @@ def test_stats_on_figure_store(tmp_path, capsys):
     assert pairs["blocks"] == ["1"]
     assert pairs["block_hist_5"] == ["1"]
     assert pairs["mode"] == ["lossless"]
+    assert pairs["version"] == ["2"]
+    # The bit budget: a 10-bit head and 31 bits of coordinate codes.
+    assert pairs["payload_bits"] == ["41"]
+    assert (pairs["head_bits"], pairs["height_bits"], pairs["coord_bits"]) == (
+        ["10"],
+        ["0"],
+        ["31"],
+    )
+
+
+def test_stats_bit_budget_of_a_lossy_store(tmp_path, capsys):
+    src = tmp_path / "net.txt"
+    out = tmp_path / "net.pqc"
+    run(["gen", "-o", str(src), "--width", "12", "--f0", "256", "--seed", "3"], capsys)
+    run(["compress", str(src), "-o", str(out)], capsys)
+    code, pairs, _ = run(["stats", str(out)], capsys)
+    assert code == 0
+    assert pairs["mode"] == ["lossy"] and pairs["version"] == ["2"]
+    n, blocks = int(pairs["n"][0]), int(pairs["blocks"][0])
+    head, height, coord = (
+        int(pairs[k][0]) for k in ("head_bits", "height_bits", "coord_bits")
+    )
+    assert head + height + coord == int(pairs["payload_bits"][0])
+    assert head == blocks * (2 * 12 + 4)
+    assert height >= n - blocks  # at least one bit per record
+    assert coord > height
 
 
 def test_decompress_round_trip(tmp_path, capsys):

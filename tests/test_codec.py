@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compiled_kernel
+from conftest import compiled_kernel, random_points
 from pqc import _bits_py, codec
 from pqc.errors import CorruptPayloadError, TruncatedStreamError
+from pqc.geom import HeightedPoint, round_set
 from pqc.morton import Config
 from pqc.reference import bitwise_decode_records
+from pqc.store import LOSSLESS, LOSSY, CompressedStore
 
 
 def _backends():
@@ -120,6 +122,74 @@ class TestSignedGamma:
         r = kern.BitReader(w.getvalue(), w.bit_length)
         for v in values:
             assert r.read_signed_gamma() == v
+
+
+class TestExpGolomb:
+    """Exp-Golomb codes of order k: u = v + 2**k as bit_length(u) - 1 - k
+    zeros, then the bits of u.  Only the pure-Python kernel has them."""
+
+    # (order, value, bits) at v = 0, 1, 2**k - 1, 2**k and 2**(k+1).
+    GOLDEN = [
+        (0, 0, "1"),
+        (0, 1, "010"),
+        (0, 2, "011"),
+        (1, 0, "10"),
+        (1, 1, "11"),
+        (1, 2, "0100"),
+        (1, 4, "0110"),
+        (2, 0, "100"),
+        (2, 1, "101"),
+        (2, 3, "111"),
+        (2, 4, "01000"),
+        (2, 8, "01100"),
+        (3, 0, "1000"),
+        (3, 1, "1001"),
+        (3, 7, "1111"),
+        (3, 8, "010000"),
+        (3, 16, "011000"),
+    ]
+
+    @pytest.mark.parametrize("order,value,bits", GOLDEN)
+    def test_golden_encodings(self, order, value, bits):
+        s, n = bitstring(_bits_py, lambda w: w.write_exp_golomb(value, order))
+        assert s == bits
+        assert n == len(bits)
+        r = _bits_py.BitReader(*_written(bits))
+        assert r.read_exp_golomb(order) == value
+        assert r.tell() == len(bits)
+
+    @given(st.integers(1, 32), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_round_trip_and_worst_case_length(self, w, data):
+        order = data.draw(st.integers(0, w), label="order")
+        values = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=40))
+        values.append((1 << w) - 1)
+        writer = _bits_py.BitWriter()
+        for v in values:
+            n = writer.write_exp_golomb(v, order)
+            assert n <= 2 * w + 1 - order
+            assert n == 2 * (v + (1 << order)).bit_length() - 1 - order
+        reader = _bits_py.BitReader(writer.getvalue(), writer.bit_length)
+        assert [reader.read_exp_golomb(order) for _ in values] == values
+        assert reader.tell() == writer.bit_length
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            _bits_py.BitWriter().write_exp_golomb(-1, 2)
+
+    def test_truncated_stream(self):
+        data, _ = _written("0110")
+        r = _bits_py.BitReader(data, 3)  # cut inside the code word
+        with pytest.raises(TruncatedStreamError):
+            r.read_exp_golomb(1)
+
+
+def _written(bits):
+    """A '0'/'1' string as (bytes, bit length)."""
+    w = _bits_py.BitWriter()
+    for c in bits:
+        w.write_bits(int(c), 1)
+    return w.getvalue(), w.bit_length
 
 
 class TestXorCode:
@@ -231,6 +301,17 @@ def record_streams(draw):
     return d, w, gamma, lossy, pts[0], hs[0], pts[1:], hs[1:]
 
 
+# (encode, decode) of the pure-Python kernel's records, by format version.
+PY_RECORDS = {
+    1: (_bits_py.encode_records, _bits_py.decode_records),
+    2: (_bits_py.encode_records_v2, _bits_py.decode_records_v2),
+}
+
+
+def _oracle(version):
+    return lambda reader, *args: bitwise_decode_records(reader, *args, version=version)
+
+
 def _decode_outcome(decode, data, nbits, start, args, end_bit):
     """decode's result, or its exception class and message, plus the
     final cursor."""
@@ -245,17 +326,20 @@ def _decode_outcome(decode, data, nbits, start, args, end_bit):
 
 
 class TestRecordDecodeOracle:
-    """The string-scan ``decode_records`` against the bit-serial oracle."""
+    """The string-scan ``decode_records`` and ``decode_records_v2`` against
+    the bit-serial oracle."""
 
     @given(record_streams(), st.data())
     @settings(deadline=None, max_examples=400)
     def test_matches_bitwise_decoder(self, stream, data):
         d, w, gamma, lossy, head, head_h, coords, heights = stream
+        version = data.draw(st.sampled_from(sorted(PY_RECORDS)), label="version")
+        encode, decode = PY_RECORDS[version]
         writer = _bits_py.BitWriter()
         start = data.draw(st.integers(0, 19), label="start")
         if start:
             writer.write_bits(data.draw(st.integers(0, (1 << start) - 1)), start)
-        _bits_py.encode_records(writer, head, head_h, coords, heights, gamma, lossy)
+        encode(writer, head, head_h, coords, heights, gamma, lossy)
         buf, nbits = bytearray(writer.getvalue()), writer.bit_length
         damage = data.draw(
             st.sampled_from(["none", "truncate", "mutate", "overlong"]), label="damage"
@@ -274,11 +358,9 @@ class TestRecordDecodeOracle:
             st.one_of(st.just(nbits), st.integers(start, nbits)), label="end_bit"
         )
         args = (head, head_h, d, w, gamma, lossy)
-        fast = _decode_outcome(
-            _bits_py.decode_records, bytes(buf), nbits, start, args, end_bit
-        )
+        fast = _decode_outcome(decode, bytes(buf), nbits, start, args, end_bit)
         slow = _decode_outcome(
-            bitwise_decode_records, bytes(buf), nbits, start, args, end_bit
+            _oracle(version), bytes(buf), nbits, start, args, end_bit
         )
         assert fast == slow
         if damage == "none" and end_bit == nbits:
@@ -299,27 +381,68 @@ class TestRecordDecodeOracle:
                 assert outcomes[0] == outcomes[1], (cut, end_bit)
 
 
+    @pytest.mark.parametrize("version", sorted(PY_RECORDS))
+    @pytest.mark.parametrize("tail", ["truncated", "overflow"])
+    def test_errors_past_the_cut(self, version, tail, monkeypatch):
+        """A read converts the bits up to one longest record past its
+        end_bit; a record that runs past that cut is decoded again over the
+        whole stream, for the oracle's exact error."""
+        cfg = Config(d=2, w=16, gamma=5)
+        encode, decode = PY_RECORDS[version]
+        head, rest = (40000, 12000), [(40064, 12032), (40000, 12096)]
+        writer = _bits_py.BitWriter()
+        encode(writer, head, 6, rest, [6, 7], cfg.gamma, True)
+        end_bit = writer.bit_length + 1
+        writer.write_bits(1, 1)  # a zero height delta, then
+        writer.write_bits(0, 300)  # a zero run past the cut
+        if tail == "overflow":
+            # ... that ends, in a delta of some 300 bits
+            writer.write_bits((1 << 311) - 1, 311)
+        data, nbits = writer.getvalue(), writer.bit_length
+        tops = []
+        bit_string = _bits_py._bit_string
+
+        def recording(reader, top):
+            tops.append(top)
+            return bit_string(reader, top)
+
+        monkeypatch.setattr(_bits_py, "_bit_string", recording)
+        args = (head, 6, cfg.d, cfg.w, cfg.gamma, True)
+        fast = _decode_outcome(decode, data, nbits, 0, args, end_bit)
+        assert tops[0] < nbits and tops[-1] == nbits
+        assert fast == _decode_outcome(_oracle(version), data, nbits, 0, args, end_bit)
+        assert fast[0][0] is (
+            TruncatedStreamError if tail == "truncated" else CorruptPayloadError
+        )
+
+
 class TestChunkedDecode:
     """A compressed store decodes a block in chunks, resuming each call
     from the last decoded point and height where the previous one left
     the cursor."""
 
+    # (kernel, encode, decode): version-1 records on every kernel, and
+    # version-2 records, which only the pure-Python kernel codes.
+    CODES = [(k, k.encode_records, k.decode_records) for k in BACKENDS] + [
+        (_bits_py,) + PY_RECORDS[2]
+    ]
+
     @given(record_streams(), st.data())
     @settings(deadline=None, max_examples=200)
     def test_chunks_concatenate_to_one_call(self, stream, data):
         d, w, gamma, lossy, head, head_h, coords, heights = stream
-        for kern in BACKENDS:
+        for kern, encode, decode in self.CODES:
             # One record at a time, to know where each record ends.
             writer = kern.BitWriter()
             bounds = [0]
             prev, prev_h = head, head_h
             for c, h in zip(coords, heights):
-                kern.encode_records(writer, prev, prev_h, [c], [h], gamma, lossy)
+                encode(writer, prev, prev_h, [c], [h], gamma, lossy)
                 bounds.append(writer.bit_length)
                 prev, prev_h = c, h
             buf, nbits = writer.getvalue(), writer.bit_length
             reader = kern.BitReader(buf, nbits)
-            whole = kern.decode_records(reader, head, head_h, d, w, gamma, lossy, nbits)
+            whole = decode(reader, head, head_h, d, w, gamma, lossy, nbits)
             assert reader.tell() == nbits
             cuts = sorted(data.draw(st.lists(st.integers(0, nbits), max_size=8)))
             reader = kern.BitReader(buf, nbits)
@@ -327,9 +450,7 @@ class TestChunkedDecode:
             prev, prev_h = head, head_h
             for end_bit in cuts + [nbits]:
                 start = reader.tell()
-                c, h = kern.decode_records(
-                    reader, prev, prev_h, d, w, gamma, lossy, end_bit
-                )
+                c, h = decode(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
                 # The call stops at the first record boundary at or after
                 # end_bit, and at once when the cursor is already there.
                 stop = min(b for b in bounds if b >= max(start, end_bit))
@@ -341,6 +462,59 @@ class TestChunkedDecode:
                     prev, prev_h = c[-1], h[-1]
             assert (got_coords, got_heights) == whole == (list(coords), list(heights))
             assert reader.tell() == nbits
+
+
+    @pytest.mark.parametrize("version", sorted(PY_RECORDS))
+    def test_a_mid_block_read_converts_only_its_cut(self, version, monkeypatch):
+        """A read that stops early turns only the bits up to one longest
+        record past its end_bit into a string, not the rest of the block."""
+        cfg = Config(d=2, w=16, gamma=5)
+        encode, decode = PY_RECORDS[version]
+        pts = [((i * 40503) & 0xFFC0, (i * 9973) & 0xFFC0) for i in range(64)]
+        writer = _bits_py.BitWriter()
+        encode(writer, pts[0], 11, pts[1:], [11] * 63, cfg.gamma, True)
+        data, nbits = writer.getvalue(), writer.bit_length
+        tops = []
+        bit_string = _bits_py._bit_string
+
+        def recording(reader, top):
+            tops.append(top)
+            return bit_string(reader, top)
+
+        monkeypatch.setattr(_bits_py, "_bit_string", recording)
+        reader = _bits_py.BitReader(data, nbits)
+        args = (cfg.d, cfg.w, cfg.gamma, True)
+        coords, _ = decode(reader, pts[0], 11, *args, nbits // 8)
+        rest, _ = decode(reader, coords[-1], 11, *args, nbits)
+        assert coords + rest == pts[1:]
+        assert tops[0] < nbits // 4 and tops[1] == nbits
+
+
+    @pytest.mark.parametrize("version", sorted(PY_RECORDS))
+    def test_a_longest_record_fits_the_cut(self, version, monkeypatch):
+        """The cut holds a record of the greatest length a valid stream
+        can have, so a valid stream never needs the whole-stream pass."""
+        cfg = Config(d=2, w=16, gamma=5)
+        encode, decode = PY_RECORDS[version]
+        # From height 16 down to 0 is the longest height delta, and at
+        # height 0 nothing is shifted away from a delta of w one bits.
+        pts = [(0xFFFF, 0xFFFF), (0, 0)] * 4
+        writer = _bits_py.BitWriter()
+        encode(writer, (0, 0), 16, pts, [0, 16] * 4, cfg.gamma, True)
+        data, nbits = writer.getvalue(), writer.bit_length
+        tops = []
+        bit_string = _bits_py._bit_string
+
+        def recording(reader, top):
+            tops.append(top)
+            return bit_string(reader, top)
+
+        monkeypatch.setattr(_bits_py, "_bit_string", recording)
+        reader = _bits_py.BitReader(data, nbits)
+        coords, heights = decode(reader, (0, 0), 16, cfg.d, cfg.w, cfg.gamma, True, 1)
+        assert (coords, heights) == ([pts[0]], [0])
+        longest = 2 * 5 + 1 + 2 * (32 if version == 1 else 33 - cfg.gamma)
+        assert reader.tell() == longest and len(tops) == 1
 
 
 class TestBackendParity:
@@ -393,3 +567,38 @@ class TestBackendParity:
             outcomes.append((bits, data, nbits, decoded, reader.tell()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][3] == (list(coords), list(heights))
+
+
+class TestVersion2UnderEveryKernel:
+    """Version-2 lossy records have no compiled twin: they go through
+    ``_bits_py`` whichever kernel ``codec`` selected, while lossless and
+    version-1 records keep the selected kernel."""
+
+    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
+    def test_compiled_kernel_round_trips_a_version_2_store(self, monkeypatch):
+        compiled = BACKENDS[1]
+        cfg = Config(d=2, w=12, gamma=4)
+        lossy_pts = round_set(random_points(cfg, 9, 150), cfg)
+        plain_pts = [HeightedPoint(hp.coords, 0) for hp in lossy_pts]
+        extra = random_points(cfg, 10, 20)
+        files = {}
+        for kern in (_bits_py, compiled):
+            monkeypatch.setattr(codec, "_impl", kern)
+            assert codec.kernel(2, True) is _bits_py
+            assert codec.kernel(2, False) is codec.kernel(1, True) is kern
+            for mode, pts in ((LOSSY, lossy_pts), (LOSSLESS, plain_pts)):
+                st = CompressedStore.build(pts, cfg, mode)
+                data = st.to_bytes()
+                assert data[4] == 2
+                back = CompressedStore.from_bytes(data)
+                reader = back._prefix(0, 1).reader
+                assert type(reader) is codec.kernel(2, mode == LOSSY).BitReader
+                assert back.decode_all() == pts
+                for p in extra:
+                    if p not in {hp.coords for hp in pts}:
+                        back.insert(p, 0)
+                again = CompressedStore.from_bytes(back.to_bytes())
+                assert again.decode_all() == back.decode_all()
+                files[kern, mode] = (data, back.to_bytes())
+        for mode in (LOSSY, LOSSLESS):
+            assert files[_bits_py, mode] == files[compiled, mode]

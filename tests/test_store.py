@@ -1,6 +1,8 @@
 """Block store round trips, search, insertion, and the PQC1 file format."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -17,8 +19,9 @@ from pqc.errors import (
 from pqc.geom import HeightedPoint, round_set
 from pqc.morton import Config, interleave
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
-from pqc.qtree import ArrayPointSource, square_of, vertices
+from pqc.qtree import ArrayPointSource, restricted_voronoi, square_of, vertices
 from pqc.morton import TrieSquare
+from pqc.refine import RefineParams, refine
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
 CFG5 = Config(d=2, w=5, gamma=0)
@@ -313,13 +316,14 @@ class TestPersistence:
 
 
 def _fuzz_store_bytes():
-    """A small lossy store's file, with the byte spans of its header, its
-    block headers and its block payloads."""
+    """A small lossy store's file, in format version 2, with the byte spans
+    of its header, its block headers and its block payloads."""
     cfg = Config(d=2, w=8, gamma=2)
     store = CompressedStore.build(
         round_set(random_points(cfg, 5, 60), cfg), cfg, LOSSY
     )
     data = store.to_bytes()
+    assert data[4] == 2
     header, tables, payloads = [(0, 21)], [], []
     pos = 21
     for blk in store._blocks:
@@ -381,6 +385,29 @@ class TestAccounting:
         assert s["payload_bits"] == 41
         assert s["block_histogram"] == {5: 1}
         assert s["file_bits"] == st.file_bits()
+        assert s["version"] == 2
+
+    def test_bit_budget_of_the_figure(self):
+        # A 10-bit head and the figure's 31 bits of coordinate gamma codes.
+        st = lossless_store(FIGURE_POINTS, CFG5)
+        assert st.bit_budget() == {"head_bits": 10, "height_bits": 0, "coord_bits": 31}
+
+    def test_bit_budget_sums_to_the_payload(self):
+        cfg = Config(d=2, w=12, gamma=3)
+        pts = round_set(jittered_net(cfg, 8, f0=64), cfg)
+        st = CompressedStore.build(pts, cfg, LOSSY)
+        budget = st.bit_budget()
+        assert sum(budget.values()) == st.payload_bits()
+        assert budget["head_bits"] == st.block_count * (2 * 12 + 4)
+        # Every record holds one height code of at least one bit.
+        assert budget["height_bits"] >= st.count() - st.block_count
+        heights = [hp.height for hp in st.decode_all()]
+        firsts = set(st._offsets)
+        assert budget["height_bits"] == sum(
+            2 * abs(h - g).bit_length() + 1 if h != g else 1
+            for r, (g, h) in enumerate(zip(heights, heights[1:]), 1)
+            if r not in firsts
+        )
 
     def test_doubling_points_roughly_doubles_bits(self):
         # Constant density, doubled area: total payload should scale
@@ -523,3 +550,131 @@ class TestBlockCache:
         for _ in range(50):
             st.point_at(7)
         assert st.counters.blocks_decoded == 1
+
+
+class TestFormatVersions:
+    def test_new_stores_write_version_2(self):
+        cfg = Config(d=2, w=8, gamma=2)
+        for mode in (LOSSY, LOSSLESS):
+            pts = round_set(random_points(cfg, 3, 40), cfg)
+            if mode == LOSSLESS:
+                pts = [HeightedPoint(hp.coords, 0) for hp in pts]
+            st = CompressedStore.build(pts, cfg, mode)
+            assert st.version == 2 and st.to_bytes()[4] == 2
+            back = CompressedStore.from_bytes(st.to_bytes())
+            assert back.version == 2 and back.decode_all() == pts
+
+    @pytest.mark.parametrize("version", [0, 3, 255])
+    def test_unknown_version_rejected(self, version):
+        data = bytearray(lossless_store(FIGURE_POINTS, CFG5).to_bytes())
+        data[4] = version
+        with pytest.raises(FormatError, match="unsupported version"):
+            CompressedStore.from_bytes(bytes(data))
+
+    def test_lossless_records_are_the_same_in_both_versions(self):
+        # Only the version byte differs: lossless deltas stay gamma codes.
+        data = lossless_store(FIGURE_POINTS, CFG5).to_bytes()
+        old = data[:4] + b"\x01" + data[5:]
+        st = CompressedStore.from_bytes(old)
+        assert st.version == 1 and st.payload_bits() == 41
+        assert st.to_bytes() == old
+
+
+# A lossy store (d=2, w=8, gamma=2; 64 points of a jittered net in 4
+# blocks) saved in format version 1, whose coordinate deltas are gamma
+# codes, by the code that wrote version 1 before version 2 existed.
+GOLDEN_V1_HEX = (
+    "505143310102080201400000000000000004000000140000001800000004ec000000c2e1"
+    "0118442c196382082023088300d6170908682082019682104011c110160000008e000000"
+    "03f700000050860803d41e4100ce110808c21819819a84304011a0820906708609023822"
+    "900000001600000003f4000000878210401750b608819e0820809c260c83342212118442"
+    "018682482025c1308e0000008e00000003ef000000c108220fe0f411033c114101384b03"
+    "3033508608022a1109067088484e12"
+)
+# sha256 of its bytes after inserting (1, 1) at height 0, by the same code.
+GOLDEN_V1_AFTER_INSERT = (
+    "a2c80b225e43094d5e35c02dfad6f6cef6b53e32e5378df23f80720315b89153"
+)
+
+
+class TestVersion1File:
+    def load(self):
+        st = CompressedStore.from_bytes(bytes.fromhex(GOLDEN_V1_HEX))
+        assert st.version == 1 and st.mode == LOSSY
+        assert st.cfg == Config(d=2, w=8, gamma=2)
+        assert (st.count(), st.block_count) == (64, 4)
+        return st
+
+    def test_answers_as_when_written(self):
+        st = self.load()
+        cfg = st.cfg
+        hp = st.decode_all()
+        queries = [hp[0].coords, hp[17].coords, hp[-1].coords, (100, 37), (3, 250)]
+        queries.append((200, 128))
+        got = [(s.corner, s.height) for s in (square_of(q, st, cfg) for q in queries)]
+        assert got == [
+            ((16, 16), 4),
+            ((16, 160), 4),
+            ((224, 224), 4),
+            ((96, 32), 4),
+            ((0, 240), 4),
+            ((200, 128), 3),
+        ]
+        squares = [((0, 0), 8), ((64, 64), 6), ((128, 0), 7), ((96, 160), 5)]
+        squares.append(((48, 48), 4))
+        ranges = [vertices(TrieSquare(c, h), st) for c, h in squares]
+        assert [(v.lo, v.hi) for v in ranges] == [
+            (0, 64),
+            (12, 16),
+            (32, 48),
+            (27, 28),
+            (3, 4),
+        ]
+        F = Fraction
+        cell = restricted_voronoi((128, 128), st, cfg)
+        assert cell.nn_sq == 392 and not cell.clip_bounded
+        assert cell.neighbors == [(114, 112), (112, 142), (142, 114), (142, 142)]
+        assert cell.polygon == [
+            (113, 127),
+            (F(1919, 15), F(1709, 15)),
+            (142, 128),
+            (127, 143),
+        ]
+        cell = restricted_voronoi(hp[10].coords, st, cfg)
+        assert cell.nn_sq == 800 and not cell.clip_bounded
+        assert cell.neighbors == [(84, 24), (114, 52), (144, 22)]
+        assert cell.polygon == [
+            (F(2161, 17), F(597, 17)),
+            (F(11313, 113), F(4159, 113)),
+            (F(664, 7), 0),
+            (F(2069, 16), 0),
+        ]
+
+    def test_saves_back_as_version_1_after_an_insert(self):
+        st = self.load()
+        assert st.to_bytes() == bytes.fromhex(GOLDEN_V1_HEX)
+        st.insert((1, 1), 0)
+        data = st.to_bytes()
+        assert data[4] == 1
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_V1_AFTER_INSERT
+        assert CompressedStore.from_bytes(data).decode_all() == st.decode_all()
+
+    def test_refine_keeps_version_1(self):
+        st = self.load()
+        st.insert((115, 21), 0)  # a defect next to (112, 20)
+        before = {hp.coords for hp in st.decode_all()}
+        out, report = refine(st, RefineParams(rho=Fraction(2), gamma=2))
+        assert report.steiner_count > 0
+        assert out.version == 1 and out.to_bytes()[4] == 1
+        back = CompressedStore.from_bytes(out.to_bytes())
+        assert back.decode_all() == out.decode_all()
+        assert before <= {hp.coords for hp in back.decode_all()}
+
+    def test_version_2_store_of_the_same_points(self):
+        st = self.load()
+        points = st.decode_all()
+        v2 = CompressedStore.build(points, st.cfg, LOSSY)
+        assert v2.version == 2 and v2.decode_all() == points
+        assert v2.bit_budget()["head_bits"] == st.bit_budget()["head_bits"]
+        assert v2.bit_budget()["height_bits"] == st.bit_budget()["height_bits"]
+        assert v2.bit_budget()["coord_bits"] < st.bit_budget()["coord_bits"]
