@@ -3,8 +3,8 @@
 
 Times the hot paths behind store construction and queries: block record
 encoding and decoding, for version-1 (gamma) records on each built backend
-and version-2 (Exp-Golomb) records on the pure-Python kernel, and Morton
-key computation.  Before timing, each record code must decode its own
+and version-2 (Exp-Golomb) records on the pure-Python kernel and its
+compiled twin, when built, and Morton key computation.  Before timing, each record code must decode its own
 streams back to exactly the encoded points and heights, and each
 backend's Morton keys must match the bit-by-bit definition; a code or
 backend that fails either check stops the script.
@@ -25,22 +25,25 @@ from pqc.morton import Config  # noqa: E402
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net  # noqa: E402
 
 
-def load_backends():
+def load_backends(*compiled):
+    """``pqc._bits_py`` and each of the ``compiled`` kernels that is built."""
     mods = [importlib.import_module("pqc._bits_py")]
-    try:
-        mods.append(importlib.import_module("pqc._bits_c"))
-    except ImportError:
-        print("note: compiled kernels not built; benchmarking pure Python only")
+    for name in compiled:
+        try:
+            mods.append(importlib.import_module(f"pqc.{name}"))
+        except ImportError:
+            print(f"note: compiled kernel {name} not built")
     return mods
 
 
-def record_codes(mods):
+def record_codes(mods, v2_mods):
     """(name, kernel, encode, decode) of every lossy record code: version 1
-    (gamma) on each backend, and version 2 (Exp-Golomb of order gamma),
-    which only the pure-Python kernel codes."""
+    (gamma) on each backend, and version 2 (Exp-Golomb of order gamma) on
+    each version-2 kernel, over ``_bits_py`` streams."""
     codes = [(f"v1-{m.BACKEND}", m, m.encode_records, m.decode_records) for m in mods]
     py = mods[0]
-    codes.append(("v2-python", py, py.encode_records_v2, py.decode_records_v2))
+    for m in v2_mods:
+        codes.append((f"v2-{m.BACKEND}", py, m.encode_records_v2, m.decode_records_v2))
     return codes
 
 
@@ -111,10 +114,10 @@ def main():
     print(f"building {args.n} rounded points (d=2, w={args.w}, gamma={args.gamma})...")
     pts, blocks = make_blocks(cfg, args.n, 2 * cfg.w)
     n = sum(1 + len(b[2]) for b in blocks)
-    mods = load_backends()
+    mods = load_backends("_bits_c")
     codes = {}
 
-    for name, kern, encode, decode in record_codes(mods):
+    for name, kern, encode, decode in record_codes(mods, load_backends("_bits_eg")):
 
         def encode_all():
             total = 0

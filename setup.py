@@ -1,7 +1,7 @@
-"""Build script: compiles the optional bit-kernel extension.
+"""Build script: compiles the optional bit-kernel extensions.
 
-The package is fully functional without the extension (a pure-Python twin
-of the kernels is selected at import when the compiled module is absent),
+The package is fully functional without the extensions (a pure-Python twin
+of each kernel is selected at import when its compiled module is absent),
 so any failure here downgrades to a warning instead of breaking the
 install.
 """
@@ -26,11 +26,14 @@ class optional_build_ext(build_ext):
             warnings.warn(f"skipping {ext.name} ({exc}); using pure Python")
 
 
-ext_modules = []
+# The version-2 record kernel is plain C and builds without Cython.
+ext_modules = [
+    Extension("pqc._bits_eg", ["src/pqc/_bits_eg.c"], extra_compile_args=["-O3"])
+]
 try:
     from Cython.Build import cythonize
 
-    ext_modules = cythonize(
+    ext_modules += cythonize(
         [
             Extension(
                 "pqc._bits_c",
@@ -41,6 +44,6 @@ try:
         compiler_directives={"language_level": "3"},
     )
 except ImportError:
-    warnings.warn("Cython not available; building without compiled kernels")
+    warnings.warn("Cython not available; building without the compiled _bits_c")
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

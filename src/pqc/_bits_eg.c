@@ -1,0 +1,473 @@
+/* Compiled twin of the version-2 lossy record functions of pqc._bits_py.
+ *
+ * encode_records_v2 and decode_records_v2 take the arguments of their
+ * _bits_py namesakes and work on _bits_py.BitWriter and BitReader objects
+ * through their _buf, _nbits and _pos slots; they write the same streams
+ * and decode the same points.  A lossy record is signed-gamma(h_i -
+ * h_{i-1}) and then, per axis, the Exp-Golomb code of order gamma of
+ * (prev ^ cur) >> max(h_i - gamma, 0).
+ *
+ * The fast paths here cover coordinates below 2**32, heights below 64 and
+ * well-formed streams.  Anything else - a lossless call, an argument out
+ * of that range, a truncated or corrupt record - goes to the _bits_py
+ * function with the caller's arguments untouched, so errors keep their
+ * exact class, message and final reader.tell().
+ *
+ * Build: a plain CPython extension (setup.py builds it as pqc._bits_eg),
+ * for example
+ *   gcc -O3 -shared -fPIC -I<python include dir> _bits_eg.c \
+ *       -o _bits_eg$(python3-config --extension-suffix)
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef unsigned long long u64;
+
+static PyObject *py_encode; /* _bits_py.encode_records_v2 */
+static PyObject *py_decode; /* _bits_py.decode_records_v2 */
+static PyObject *s_buf, *s_nbits, *s_pos;
+
+static int
+bitlen(u64 v)
+{
+#if defined(__GNUC__)
+    return v ? 64 - __builtin_clzll(v) : 0;
+#else
+    int n = 0;
+    while (v) {
+        v >>= 1;
+        n++;
+    }
+    return n;
+#endif
+}
+
+/* OR the low n bits of v (n <= 64) into buf at bit pos, MSB first. */
+static void
+put_bits(unsigned char *buf, Py_ssize_t pos, u64 v, int n)
+{
+    while (n > 0) {
+        int used = (int)(pos & 7);
+        int take = 8 - used;
+        if (take > n)
+            take = n;
+        unsigned chunk = (unsigned)((v >> (n - take)) & ((1u << take) - 1));
+        buf[pos >> 3] |= (unsigned char)(chunk << (8 - used - take));
+        pos += take;
+        n -= take;
+    }
+}
+
+/* The n bits (n <= 64) of buf at bit pos, MSB first. */
+static u64
+get_bits(const unsigned char *buf, Py_ssize_t pos, int n)
+{
+    u64 v = 0;
+    while (n > 0) {
+        int used = (int)(pos & 7);
+        int take = 8 - used;
+        if (take > n)
+            take = n;
+        v = (v << take) | ((buf[pos >> 3] >> (8 - used - take)) & ((1u << take) - 1));
+        pos += take;
+        n -= take;
+    }
+    return v;
+}
+
+/* The first 1 bit of buf at or after pos and below nbits, or -1. */
+static Py_ssize_t
+next_one(const unsigned char *buf, Py_ssize_t pos, Py_ssize_t nbits)
+{
+    while (pos < nbits) {
+        unsigned byte = buf[pos >> 3] & (0xFFu >> (pos & 7));
+        if (byte) {
+            Py_ssize_t j = pos & ~(Py_ssize_t)7;
+            while (!(byte & 0x80u)) {
+                byte <<= 1;
+                j++;
+            }
+            return j < nbits ? j : -1;
+        }
+        pos = (pos | 7) + 1;
+    }
+    return -1;
+}
+
+/* A Python int in [0, limit] as u64; -1 (and no exception) otherwise. */
+static int
+as_u64(PyObject *obj, u64 limit, u64 *out)
+{
+    if (!PyLong_Check(obj))
+        return -1;
+    u64 v = PyLong_AsUnsignedLongLong(obj);
+    if (v == (u64)-1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return -1;
+    }
+    if (v > limit)
+        return -1;
+    *out = v;
+    return 0;
+}
+
+/* Integer slot ``name`` of obj as Py_ssize_t; -1 (and no exception) when
+ * it is missing or negative. */
+static Py_ssize_t
+get_size(PyObject *obj, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL) {
+        PyErr_Clear();
+        return -1;
+    }
+    Py_ssize_t n = PyLong_Check(v) ? PyLong_AsSsize_t(v) : -1;
+    Py_DECREF(v);
+    if (n == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    return n < 0 ? -1 : n;
+}
+
+static int
+set_size(PyObject *obj, PyObject *name, Py_ssize_t n)
+{
+    PyObject *v = PyLong_FromSsize_t(n);
+    if (v == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(obj, name, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+#define MAX_COORD 0xFFFFFFFFull
+#define MAX_HEIGHT 63
+
+PyDoc_STRVAR(encode_doc,
+"encode_records_v2(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy)\n"
+"\n"
+"_bits_py.encode_records_v2, compiled: append one version-2 record per\n"
+"point to writer, a _bits_py.BitWriter; returns bits written.");
+
+static PyObject *
+encode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                  PyObject *kwnames)
+{
+    PyObject *coords_fast = NULL, *heights_fast = NULL, *buf = NULL;
+    u64 *vals = NULL; /* per point: d coordinates, then its height */
+    PyObject *result = NULL;
+    Py_ssize_t d, n, i, a, total = 0, start;
+    u64 gamma, prev_h;
+    int lossy;
+
+    if (kwnames != NULL || nargs != 7)
+        goto slow;
+    lossy = PyObject_IsTrue(args[6]);
+    if (lossy != 1) {
+        if (lossy < 0)
+            PyErr_Clear();
+        goto slow;
+    }
+    if (as_u64(args[5], 32, &gamma) || as_u64(args[2], MAX_HEIGHT, &prev_h))
+        goto slow;
+    if (!PyTuple_Check(args[1]) && !PyList_Check(args[1]))
+        goto slow;
+    d = PySequence_Fast_GET_SIZE(args[1]);
+    coords_fast = PySequence_Fast(args[3], "");
+    heights_fast = PySequence_Fast(args[4], "");
+    if (coords_fast == NULL || heights_fast == NULL) {
+        PyErr_Clear();
+        goto slow;
+    }
+    n = PySequence_Fast_GET_SIZE(coords_fast);
+    if (PySequence_Fast_GET_SIZE(heights_fast) != n)
+        goto slow;
+    vals = PyMem_Malloc(sizeof(u64) * (size_t)(n + 1) * (size_t)(d + 1));
+    if (vals == NULL)
+        goto slow;
+    /* Row 0 is prev; rows 1..n the points. */
+    for (a = 0; a < d; a++)
+        if (as_u64(PySequence_Fast_GET_ITEM(args[1], a), MAX_COORD, &vals[a]))
+            goto slow;
+    vals[d] = prev_h;
+    for (i = 0; i < n; i++) {
+        PyObject *cur = PySequence_Fast_GET_ITEM(coords_fast, i);
+        u64 *row = vals + (i + 1) * (d + 1);
+        if (!PyTuple_Check(cur) && !PyList_Check(cur))
+            goto slow;
+        if (PySequence_Fast_GET_SIZE(cur) < d)
+            goto slow;
+        for (a = 0; a < d; a++)
+            if (as_u64(PySequence_Fast_GET_ITEM(cur, a), MAX_COORD, &row[a]))
+                goto slow;
+        if (as_u64(PySequence_Fast_GET_ITEM(heights_fast, i), MAX_HEIGHT, &row[d]))
+            goto slow;
+    }
+    buf = PyObject_GetAttr(args[0], s_buf);
+    if (buf == NULL) {
+        PyErr_Clear();
+        goto slow;
+    }
+    start = get_size(args[0], s_nbits);
+    if (!PyByteArray_CheckExact(buf) || start < 0
+        || PyByteArray_GET_SIZE(buf) < (start + 7) >> 3)
+        goto slow;
+
+    /* Pass 1: the length of every code. */
+    for (i = 1; i <= n; i++) {
+        u64 *prev = vals + (i - 1) * (d + 1), *cur = vals + i * (d + 1);
+        long long dh = (long long)cur[d] - (long long)prev[d];
+        u64 shift = cur[d] > gamma ? cur[d] - gamma : 0;
+        total += dh ? 2 * bitlen((u64)(dh < 0 ? -dh : dh)) + 1 : 1;
+        for (a = 0; a < d; a++) {
+            u64 u = ((prev[a] ^ cur[a]) >> shift) + (1ull << gamma);
+            total += 2 * bitlen(u) - 1 - (Py_ssize_t)gamma;
+        }
+    }
+    {
+        Py_ssize_t old = PyByteArray_GET_SIZE(buf);
+        Py_ssize_t need = (start + total + 7) >> 3;
+        if (need > old) {
+            if (PyByteArray_Resize(buf, need) < 0)
+                goto error;
+            memset(PyByteArray_AS_STRING(buf) + old, 0, (size_t)(need - old));
+        }
+    }
+
+    /* Pass 2: the codes; the buffer is zero past start. */
+    {
+        unsigned char *out = (unsigned char *)PyByteArray_AS_STRING(buf);
+        Py_ssize_t pos = start;
+        for (i = 1; i <= n; i++) {
+            u64 *prev = vals + (i - 1) * (d + 1), *cur = vals + i * (d + 1);
+            long long dh = (long long)cur[d] - (long long)prev[d];
+            u64 shift = cur[d] > gamma ? cur[d] - gamma : 0;
+            if (dh) {
+                u64 mag = (u64)(dh < 0 ? -dh : dh);
+                int b = bitlen(mag);
+                put_bits(out, pos + b, mag, b);
+                put_bits(out, pos + 2 * b, dh < 0, 1);
+                pos += 2 * b + 1;
+            } else {
+                put_bits(out, pos, 1, 1);
+                pos += 1;
+            }
+            for (a = 0; a < d; a++) {
+                u64 u = ((prev[a] ^ cur[a]) >> shift) + (1ull << gamma);
+                int b = bitlen(u);
+                pos += b - 1 - (Py_ssize_t)gamma; /* the zeros */
+                put_bits(out, pos, u, b);
+                pos += b;
+            }
+        }
+    }
+    if (set_size(args[0], s_nbits, start + total) < 0)
+        goto error;
+    result = PyLong_FromSsize_t(total);
+    goto done;
+
+slow:
+    result = PyObject_Vectorcall(py_encode, args, nargs, kwnames);
+    goto done;
+error:
+    result = NULL;
+done:
+    PyMem_Free(vals);
+    Py_XDECREF(buf);
+    Py_XDECREF(coords_fast);
+    Py_XDECREF(heights_fast);
+    return result;
+}
+
+PyDoc_STRVAR(decode_doc,
+"decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit)\n"
+"\n"
+"_bits_py.decode_records_v2, compiled: decode version-2 records from\n"
+"reader, a _bits_py.BitReader, through the first record boundary at or\n"
+"after end_bit; returns (coords, heights).");
+
+static PyObject *
+decode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                  PyObject *kwnames)
+{
+    PyObject *data = NULL, *coords = NULL, *heights = NULL, *result = NULL;
+    Py_buffer view = {0};
+    u64 d, w, gamma, prev_h, p[64];
+    Py_ssize_t nbits, pos, end_bit, a;
+    int lossy;
+
+    if (kwnames != NULL || nargs != 8)
+        goto slow;
+    lossy = PyObject_IsTrue(args[6]);
+    if (lossy != 1) {
+        if (lossy < 0)
+            PyErr_Clear();
+        goto slow;
+    }
+    if (as_u64(args[3], 64, &d) || d == 0 || as_u64(args[4], 32, &w)
+        || as_u64(args[5], w, &gamma) || as_u64(args[2], w, &prev_h))
+        goto slow;
+    if (!PyTuple_Check(args[1]) && !PyList_Check(args[1]))
+        goto slow;
+    if (PySequence_Fast_GET_SIZE(args[1]) != (Py_ssize_t)d)
+        goto slow;
+    for (a = 0; a < (Py_ssize_t)d; a++)
+        if (as_u64(PySequence_Fast_GET_ITEM(args[1], a), MAX_COORD, &p[a]))
+            goto slow;
+    if (!PyLong_Check(args[7]))
+        goto slow;
+    end_bit = PyLong_AsSsize_t(args[7]);
+    if (end_bit == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        goto slow;
+    }
+    data = PyObject_GetAttr(args[0], s_buf);
+    if (data == NULL) {
+        PyErr_Clear();
+        goto slow;
+    }
+    if (PyObject_GetBuffer(data, &view, PyBUF_SIMPLE) < 0) {
+        PyErr_Clear();
+        goto slow;
+    }
+    nbits = get_size(args[0], s_nbits);
+    pos = get_size(args[0], s_pos);
+    if (nbits < 0 || pos < 0 || nbits > 8 * view.len)
+        goto slow;
+    coords = PyList_New(0);
+    heights = PyList_New(0);
+    if (coords == NULL || heights == NULL)
+        goto error;
+
+    {
+        const unsigned char *buf = (const unsigned char *)view.buf;
+        u64 one = 1ull << gamma;
+        while (pos < end_bit) {
+            /* Signed gamma of the height delta; "1" is a zero delta. */
+            Py_ssize_t j = next_one(buf, pos, nbits);
+            Py_ssize_t z;
+            long long h;
+            u64 shift, room;
+            if (j < 0)
+                goto slow;
+            z = j - pos;
+            if (z) {
+                /* A magnitude of 2**7 or more leaves [0, w]. */
+                if (z > 7 || j + z + 1 > nbits)
+                    goto slow;
+                long long mag = (long long)get_bits(buf, j, (int)z);
+                h = get_bits(buf, j + z, 1) ? (long long)prev_h - mag
+                                            : (long long)prev_h + mag;
+                pos = j + z + 1;
+            } else {
+                h = (long long)prev_h;
+                pos = j + 1;
+            }
+            if (h < 0 || h > (long long)w)
+                goto slow;
+            prev_h = (u64)h;
+            shift = prev_h > gamma ? prev_h - gamma : 0;
+            room = w - shift;
+            for (a = 0; a < (Py_ssize_t)d; a++) {
+                /* z zeros, then the z + gamma + 1 bits of delta + 2**gamma. */
+                Py_ssize_t bits;
+                u64 delta;
+                j = next_one(buf, pos, nbits);
+                if (j < 0)
+                    goto slow;
+                bits = (j - pos) + (Py_ssize_t)gamma + 1;
+                if (bits > 64 || j + bits > nbits)
+                    goto slow;
+                delta = get_bits(buf, j, (int)bits) - one;
+                if (delta >> room)
+                    goto slow;
+                p[a] = ((p[a] >> shift) ^ delta) << shift;
+                pos = j + bits;
+            }
+            PyObject *pt = PyTuple_New((Py_ssize_t)d);
+            if (pt == NULL)
+                goto error;
+            for (a = 0; a < (Py_ssize_t)d; a++) {
+                PyObject *c = PyLong_FromUnsignedLongLong(p[a]);
+                if (c == NULL) {
+                    Py_DECREF(pt);
+                    goto error;
+                }
+                PyTuple_SET_ITEM(pt, a, c);
+            }
+            int rc = PyList_Append(coords, pt);
+            Py_DECREF(pt);
+            if (rc < 0)
+                goto error;
+            PyObject *hv = PyLong_FromUnsignedLongLong(prev_h);
+            if (hv == NULL)
+                goto error;
+            rc = PyList_Append(heights, hv);
+            Py_DECREF(hv);
+            if (rc < 0)
+                goto error;
+        }
+    }
+    if (set_size(args[0], s_pos, pos) < 0)
+        goto error;
+    result = PyTuple_Pack(2, coords, heights);
+    goto done;
+
+slow:
+    /* The reader's cursor has not moved. */
+    result = PyObject_Vectorcall(py_decode, args, nargs, kwnames);
+    goto done;
+error:
+    result = NULL;
+done:
+    if (view.obj != NULL)
+        PyBuffer_Release(&view);
+    Py_XDECREF(data);
+    Py_XDECREF(coords);
+    Py_XDECREF(heights);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"encode_records_v2", (PyCFunction)(void (*)(void))encode_records_v2,
+     METH_FASTCALL | METH_KEYWORDS, encode_doc},
+    {"decode_records_v2", (PyCFunction)(void (*)(void))decode_records_v2,
+     METH_FASTCALL | METH_KEYWORDS, decode_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    "_bits_eg",
+    "Compiled twin of the version-2 lossy record functions of pqc._bits_py.",
+    -1,
+    methods,
+    NULL,
+    NULL,
+    NULL,
+    NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__bits_eg(void)
+{
+    PyObject *py = PyImport_ImportModule("pqc._bits_py");
+    if (py == NULL)
+        return NULL;
+    py_encode = PyObject_GetAttrString(py, "encode_records_v2");
+    py_decode = PyObject_GetAttrString(py, "decode_records_v2");
+    Py_DECREF(py);
+    s_buf = PyUnicode_InternFromString("_buf");
+    s_nbits = PyUnicode_InternFromString("_nbits");
+    s_pos = PyUnicode_InternFromString("_pos");
+    if (!py_encode || !py_decode || !s_buf || !s_nbits || !s_pos)
+        return NULL;
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -3,9 +3,10 @@
 This module and the compiled twin ``_bits_c`` implement exactly the same
 version-1 interface and must produce bit-identical streams.  ``pqc._backend``
 picks one of the two at import time; everything else in the package goes
-through that selection.  The version-2 record functions and the
-Exp-Golomb methods exist only here (``pqc.codec`` routes version-2 lossy
-records to them under every backend).
+through that selection.  The version-2 record functions
+``encode_records_v2`` and ``decode_records_v2`` have their compiled twin
+in ``_bits_eg``, which works on this module's BitWriter and BitReader and
+hands every malformed stream back to ``decode_records_v2``.
 
 Stream layout: bits are packed MSB-first within bytes.  A gamma code for a
 value v is the single bit ``1`` when v == 0, and otherwise b zero bits
@@ -76,17 +77,6 @@ class BitWriter:
         n = self.write_gamma(-value if value < 0 else value)
         self.write_bits(1 if value < 0 else 0, 1)
         return n + 1
-
-    def write_exp_golomb(self, value, order):
-        """Append the Exp-Golomb code of order ``order`` of a nonnegative
-        value; return bits written."""
-        if value < 0:
-            raise ValueError("Exp-Golomb code is defined for nonnegative values")
-        u = value + (1 << order)
-        # The zeros and the bits of u, in one field.
-        n = 2 * u.bit_length() - 1 - order
-        self.write_bits(u, n)
-        return n
 
     def getvalue(self):
         """Return the stream as bytes, zero-padded to a byte boundary."""
@@ -266,7 +256,8 @@ def encode_records_v2(writer, prev, prev_h, coords_seq, heights_seq, gamma, loss
         shift = h - gamma if h > gamma else 0
         prev_h = h
         for a in range(d):
-            # BitWriter.write_exp_golomb, inline.
+            # Exp-Golomb of order gamma: the zeros and the bits of u, in
+            # one field.
             u = ((prev[a] ^ cur[a]) >> shift) + one
             n = 2 * u.bit_length() - 1 - gamma
             write_bits(u, n)
@@ -327,13 +318,13 @@ def decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
     pos = reader._pos
     top = (end_bit if end_bit > pos else pos) + 2 * w.bit_length() + 1
     top += d * (2 * w + 1 - gamma)
-    loop = _exp_golomb_loop_2d if d == 2 else _exp_golomb_loop
     if top < reader._nbits:
         try:
-            return loop(reader, top, prev, prev_h, d, w, gamma, end_bit)
+            return _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit)
         except TruncatedStreamError:
             reader._pos = pos
-    return loop(reader, reader._nbits, prev, prev_h, d, w, gamma, end_bit)
+    top = reader._nbits
+    return _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit)
 
 
 def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit):
@@ -406,8 +397,7 @@ def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit):
 
 
 def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
-    # The decode of decode_records_v2 over the stream's bits below ``top``,
-    # lossy records of any d.
+    # The decode of decode_records_v2 over the stream's bits below ``top``.
     prev = list(prev)
     coords_out = []
     heights_out = []
@@ -419,6 +409,7 @@ def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
     stop = end_bit - base
     one = 1 << gamma
     tail = gamma + 1
+    axes = range(d)
     try:
         while p < stop:
             # Signed gamma of the height delta; "1" is a zero delta.
@@ -447,7 +438,7 @@ def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
             shift = h - gamma if h > gamma else 0
             room = w - shift
             prev_h = h
-            for a in range(d):
+            for a in axes:
                 # z zeros, then the z + gamma + 1 bits of delta + 2**gamma.
                 j = find("1", p)
                 if j < 0:
@@ -465,83 +456,6 @@ def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
                     )
                 prev[a] = ((prev[a] >> shift) ^ delta) << shift
             coords_out.append(tuple(prev))
-            heights_out.append(h)
-    finally:
-        reader._pos = base + p
-    return coords_out, heights_out
-
-
-def _exp_golomb_loop_2d(reader, top, prev, prev_h, d, w, gamma, end_bit):
-    # _exp_golomb_loop for d = 2, with the two axes written out.
-    x, y = prev
-    coords_out = []
-    heights_out = []
-    nbits = reader._nbits
-    bits, base = _bit_string(reader, top)
-    find = bits.find
-    limit = top - base
-    p = reader._pos - base
-    stop = end_bit - base
-    one = 1 << gamma
-    tail = gamma + 1
-    try:
-        while p < stop:
-            j = find("1", p)
-            if j < 0:
-                p = limit
-                raise TruncatedStreamError(_need(1, nbits, nbits))
-            z = j - p
-            if z:
-                p = j + z
-                if p > limit:
-                    p = j + 1
-                    raise TruncatedStreamError(_need(z - 1, base + p, nbits))
-                if p == limit:
-                    raise TruncatedStreamError(_need(1, nbits, nbits))
-                if bits[p] == "1":
-                    h = prev_h - int(bits[j:p], 2)
-                else:
-                    h = prev_h + int(bits[j:p], 2)
-                p += 1
-            else:
-                p = j + 1
-                h = prev_h
-            if h < 0 or h > w:
-                raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
-            shift = h - gamma if h > gamma else 0
-            room = w - shift
-            prev_h = h
-            j = find("1", p)
-            if j < 0:
-                p = limit
-                raise TruncatedStreamError(_need(1, nbits, nbits))
-            q = 2 * j - p + tail
-            if q > limit:
-                p = j + 1
-                raise TruncatedStreamError(_need(q - p, base + p, nbits))
-            p = q
-            delta = int(bits[j:q], 2) - one
-            if delta >> room:
-                raise CorruptPayloadError(
-                    f"decoded coordinate delta {delta} overflows width {w}"
-                )
-            x = ((x >> shift) ^ delta) << shift
-            j = find("1", p)
-            if j < 0:
-                p = limit
-                raise TruncatedStreamError(_need(1, nbits, nbits))
-            q = 2 * j - p + tail
-            if q > limit:
-                p = j + 1
-                raise TruncatedStreamError(_need(q - p, base + p, nbits))
-            p = q
-            delta = int(bits[j:q], 2) - one
-            if delta >> room:
-                raise CorruptPayloadError(
-                    f"decoded coordinate delta {delta} overflows width {w}"
-                )
-            y = ((y >> shift) ^ delta) << shift
-            coords_out.append((x, y))
             heights_out.append(h)
     finally:
         reader._pos = base + p

@@ -19,56 +19,74 @@ This is the persistent payload format:
   for lossless deltas and for every height delta.
 
 Streams pack MSB-first within bytes and are zero-padded to a byte boundary
-only at block ends.  The heavy encode/decode loops live in a compiled
-kernel when available (see ``pqc._backend``); this module is the stable
-surface over whichever kernel got selected.  The compiled kernel codes
-version-1 and lossless records only; version-2 lossy records always go
-through ``_bits_py``.
+only at block ends.  The heavy encode/decode loops live in compiled
+kernels when available (see ``pqc._backend``): ``_bits_c`` for version-1
+and lossless records, ``_bits_eg`` for version-2 lossy records.  This
+module is the stable surface over whichever kernels got selected;
+:func:`records` picks the record codec of a format version and mode.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import _bits_py
 from ._backend import BACKEND as KERNEL_BACKEND
 from ._backend import impl as _impl
+from ._backend import impl_v2 as _impl_v2
 from .morton import Config, Point
 
 BitWriter = _impl.BitWriter
 BitReader = _impl.BitReader
 
 
-def kernel(version: int, lossy: bool):
-    """The kernel module whose BitWriter and BitReader carry records of a
-    format version and mode: the selected kernel, except that version-2
-    lossy records have no compiled twin and always use ``_bits_py``."""
-    return _bits_py if lossy and version == 2 else _impl
+class Records(NamedTuple):
+    """A record codec: the BitWriter and BitReader classes of its streams
+    and its record functions, with the signatures of the kernels'
+    ``encode_records`` and ``decode_records``."""
+
+    BitWriter: type
+    BitReader: type
+    encode_records: Callable
+    decode_records: Callable
 
 
-def encode_records(
-    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, version=1
-) -> int:
-    """Append one record of format ``version`` per point to ``writer``, a
-    BitWriter of :func:`kernel`; returns bits written."""
+def records(version: int, lossy: bool):
+    """The record codec of format ``version`` in lossy or lossless mode.
+    Version-2 lossy records are the Exp-Golomb records of ``_impl_v2`` over
+    ``_bits_py`` streams; every other pair is the selected kernel's."""
     if lossy and version == 2:
-        return _bits_py.encode_records_v2(
-            writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
+        return Records(
+            _bits_py.BitWriter,
+            _bits_py.BitReader,
+            _impl_v2.encode_records_v2,
+            _impl_v2.decode_records_v2,
         )
-    return _impl.encode_records(
+    return _impl
+
+
+# The store calls every record codec through these two functions, so
+# wrapping them (as pqcbench's kernel counters do) sees every call.
+def encode_records(
+    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, kernel
+) -> int:
+    """Append one record per point to ``writer``, a BitWriter of
+    ``kernel``, a :func:`records` codec; returns bits written."""
+    return kernel.encode_records(
         writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
     )
 
 
-def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, version=1):
-    """Decode records of format ``version`` from ``reader``, a BitReader of
-    :func:`kernel`, through the first record boundary at or after
+def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, kernel):
+    """Decode records from ``reader``, a BitReader of ``kernel``, a
+    :func:`records` codec, through the first record boundary at or after
     ``end_bit``: (coords, heights)."""
-    if lossy and version == 2:
-        return _bits_py.decode_records_v2(
-            reader, prev, prev_h, d, w, gamma, lossy, end_bit
-        )
-    return _impl.decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
+    return kernel.decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
+
+
+def signed_gamma_bits(value: int) -> int:
+    """The length of the signed gamma code of ``value``."""
+    return 2 * abs(value).bit_length() + 1 if value else 1
 
 
 def gamma_encode(value: int, out, width: int = None) -> int:

@@ -178,11 +178,11 @@ class CompressedStore(PointSource):
 
     def _set_version(self, version: int):
         self.version = version
-        # The kernel module whose BitWriter and BitReader carry the records.
-        self._kernel = codec.kernel(version, self.mode == LOSSY)
+        # The record codec of the version and mode, with its stream classes.
+        self._records = codec.records(version, self.mode == LOSSY)
 
     def _encode_block(self, coords: Sequence[Point], heights: Sequence[int]) -> Block:
-        writer = self._kernel.BitWriter()
+        writer = self._records.BitWriter()
         codec.encode_records(
             writer,
             coords[0],
@@ -191,7 +191,7 @@ class CompressedStore(PointSource):
             heights[1:],
             self.cfg.gamma,
             self.mode == LOSSY,
-            self.version,
+            self._records,
         )
         head = HeightedPoint(coords[0], heights[0])
         return Block(head, len(coords), writer.getvalue(), writer.bit_length)
@@ -223,7 +223,7 @@ class CompressedStore(PointSource):
                 cfg.gamma,
                 lossy,
                 end_bit,
-                self.version,
+                self._records,
             )
         except (TruncatedStreamError, CorruptPayloadError) as exc:
             raise CorruptPayloadError(
@@ -237,7 +237,7 @@ class CompressedStore(PointSource):
         block = self._blocks[index]
         self.counters.blocks_decoded += 1
         head = block.head
-        reader = self._kernel.BitReader(block.payload, block.bit_len)
+        reader = self._records.BitReader(block.payload, block.bit_len)
         coords, heights = self._decode(
             index, reader, head.coords, head.height, block.bit_len
         )
@@ -259,7 +259,7 @@ class CompressedStore(PointSource):
         entry = self._cache.get(b)
         if entry is None:
             self.counters.blocks_decoded += 1
-            entry = _Prefix(self._blocks[b], self._head_keys[b], self._kernel.BitReader)
+            entry = _Prefix(self._blocks[b], self._head_keys[b], self._records.BitReader)
             self._cache[b] = entry
             if len(self._cache) > _CACHE_BLOCKS:
                 self._cache.popitem(last=False)
@@ -439,10 +439,12 @@ class CompressedStore(PointSource):
         codes.  Lossy stores decode every block to count the height codes."""
         height_bits = 0
         if self.mode == LOSSY:
-            for b in range(len(self._blocks)):
-                hs = [hp.height for hp in self.decode_block(b)]
-                for dh in map(operator.sub, hs[1:], hs):
-                    height_bits += 2 * abs(dh).bit_length() + 1 if dh else 1
+            for b, blk in enumerate(self._blocks):
+                head = blk.head
+                reader = self._records.BitReader(blk.payload, blk.bit_len)
+                _, hs = self._decode(b, reader, head.coords, head.height, blk.bit_len)
+                for dh in map(operator.sub, hs, [head.height] + hs):
+                    height_bits += codec.signed_gamma_bits(dh)
         record_bits = sum(blk.bit_len for blk in self._blocks)
         return {
             "head_bits": len(self._blocks) * self._head_bits(),
@@ -557,7 +559,7 @@ class CompressedStore(PointSource):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         # Counts are not in the file; one validating decode derives them.
         prev_key = -1
-        bit_reader = store._kernel.BitReader
+        bit_reader = store._records.BitReader
         for b, blk in enumerate(store._blocks):
             head = blk.head
             reader = bit_reader(blk.payload, blk.bit_len)

@@ -1,4 +1,4 @@
-"""Shared generators for the test suite, and the compiled kernel that the
+"""Shared generators for the test suite, and the compiled kernels that the
 backend parity tests compare with the pure-Python one."""
 
 import importlib.util
@@ -15,37 +15,41 @@ import pytest
 from pqc.morton import Config
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net
 
-KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "pqc" / "_bits_c.c"
-_kernel = {"module": None, "dir": None}
+KERNEL_SOURCES = Path(__file__).resolve().parent.parent / "src" / "pqc"
+# The compiled kernels: the committed Cython output of the version-1
+# kernel and the hand-written version-2 record kernel.
+KERNELS = ("_bits_c", "_bits_eg")
+_kernel = {"modules": {}, "dir": None}
 
 
 def pytest_sessionstart(session):
-    """Compile the committed Cython output of the kernel into a temporary
-    directory and load it as ``pqc._bits_c``, when gcc and the Python
-    headers are present.  It is not put in ``sys.modules`` and nothing is
-    written under ``src/``, so the backend that ``pqc`` selected at import
-    stays the one every other test runs on; only :func:`compiled_kernel`
-    hands it out."""
+    """Compile the C source of each kernel in KERNELS into a temporary
+    directory and load it as ``pqc.<name>``, when gcc and the Python
+    headers are present.  They are not put in ``sys.modules`` and nothing
+    is written under ``src/``, so the backend that ``pqc`` selected at
+    import stays the one every other test runs on; only
+    :func:`compiled_kernel` hands them out."""
     gcc = shutil.which("gcc")
     include = sysconfig.get_paths()["include"]
     if gcc is None or not (Path(include) / "Python.h").is_file():
         return
     out = Path(tempfile.mkdtemp(prefix="pqc-kernel-"))
     _kernel["dir"] = out
-    target = out / ("_bits_c" + sysconfig.get_config_var("EXT_SUFFIX"))
-    build = subprocess.run(
-        [gcc, "-O0", "-shared", "-fPIC", f"-I{include}", str(KERNEL_SOURCE)]
-        + ["-o", str(target)],
-        capture_output=True,
-        text=True,
-    )
-    if build.returncode:
-        warnings.warn(f"compiled kernel not built: {build.stderr[-500:]}")
-        return
-    spec = importlib.util.spec_from_file_location("pqc._bits_c", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    _kernel["module"] = module
+    for name in KERNELS:
+        target = out / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+        build = subprocess.run(
+            [gcc, "-O0", "-shared", "-fPIC", f"-I{include}"]
+            + [str(KERNEL_SOURCES / f"{name}.c"), "-o", str(target)],
+            capture_output=True,
+            text=True,
+        )
+        if build.returncode:
+            warnings.warn(f"compiled kernel {name} not built: {build.stderr[-500:]}")
+            continue
+        spec = importlib.util.spec_from_file_location(f"pqc.{name}", target)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _kernel["modules"][name] = module
 
 
 def pytest_sessionfinish(session):
@@ -53,9 +57,10 @@ def pytest_sessionfinish(session):
         shutil.rmtree(_kernel["dir"], ignore_errors=True)
 
 
-def compiled_kernel():
-    """The kernel compiled at session start, or None without a compiler."""
-    return _kernel["module"]
+def compiled_kernel(name="_bits_c"):
+    """The kernel ``pqc.<name>`` compiled at session start, or None
+    without a compiler."""
+    return _kernel["modules"].get(name)
 
 
 def jittered_net(cfg, seed, f0=32, epsilon=0.9, cols=None, rows=None, origin=(0, 0)):

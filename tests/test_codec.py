@@ -6,6 +6,7 @@ streams.
 """
 
 import importlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,23 @@ def _backends():
 
 
 BACKENDS = _backends()
+
+
+def _v2_kernels():
+    """The modules with the version-2 record functions: ``_bits_py``, plus
+    its compiled twin ``_bits_eg``, built in place or else compiled for
+    this session by the conftest."""
+    mods = [_bits_py]
+    try:
+        mods.append(importlib.import_module("pqc._bits_eg"))
+    except ImportError:
+        kernel = compiled_kernel("_bits_eg")
+        if kernel is not None:
+            mods.append(kernel)
+    return mods
+
+
+V2_KERNELS = _v2_kernels()
 
 
 def bitstring(writer_mod, encode):
@@ -126,7 +144,9 @@ class TestSignedGamma:
 
 class TestExpGolomb:
     """Exp-Golomb codes of order k: u = v + 2**k as bit_length(u) - 1 - k
-    zeros, then the bits of u.  Only the pure-Python kernel has them."""
+    zeros, then the bits of u.  Written by each version-2 kernel's
+    ``encode_records_v2`` and read back by ``BitReader.read_exp_golomb``,
+    the reader of the bit-serial oracle."""
 
     # (order, value, bits) at v = 0, 1, 2**k - 1, 2**k and 2**(k+1).
     GOLDEN = [
@@ -149,33 +169,44 @@ class TestExpGolomb:
         (3, 16, "011000"),
     ]
 
+    @pytest.mark.parametrize("v2", V2_KERNELS, ids=lambda m: m.BACKEND)
     @pytest.mark.parametrize("order,value,bits", GOLDEN)
-    def test_golden_encodings(self, order, value, bits):
-        s, n = bitstring(_bits_py, lambda w: w.write_exp_golomb(value, order))
-        assert s == bits
-        assert n == len(bits)
+    def test_golden_encodings(self, v2, order, value, bits):
+        # A one-axis record at height 0: a zero height delta, "1", then
+        # the code of the unshifted coordinate delta.
+        s, n = bitstring(
+            _bits_py,
+            lambda w: v2.encode_records_v2(w, (0,), 0, [(value,)], [0], order, True),
+        )
+        assert s == "1" + bits
+        assert n == 1 + len(bits)
         r = _bits_py.BitReader(*_written(bits))
         assert r.read_exp_golomb(order) == value
         assert r.tell() == len(bits)
 
+    @pytest.mark.parametrize("v2", V2_KERNELS, ids=lambda m: m.BACKEND)
     @given(st.integers(1, 32), st.data())
     @settings(deadline=None, max_examples=200)
-    def test_round_trip_and_worst_case_length(self, w, data):
+    def test_round_trip_and_worst_case_length(self, v2, w, data):
         order = data.draw(st.integers(0, w), label="order")
         values = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=40))
         values.append((1 << w) - 1)
         writer = _bits_py.BitWriter()
+        prev = 0
         for v in values:
-            n = writer.write_exp_golomb(v, order)
-            assert n <= 2 * w + 1 - order
-            assert n == 2 * (v + (1 << order)).bit_length() - 1 - order
+            # One one-axis record at height 0: "1", then the code of v.
+            cur = prev ^ v
+            n = v2.encode_records_v2(writer, (prev,), 0, [(cur,)], [0], order, True)
+            assert n - 1 <= 2 * w + 1 - order
+            assert n - 1 == 2 * (v + (1 << order)).bit_length() - 1 - order
+            prev = cur
         reader = _bits_py.BitReader(writer.getvalue(), writer.bit_length)
-        assert [reader.read_exp_golomb(order) for _ in values] == values
+        got = []
+        for _ in values:
+            assert reader.read_signed_gamma() == 0
+            got.append(reader.read_exp_golomb(order))
+        assert got == values
         assert reader.tell() == writer.bit_length
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            _bits_py.BitWriter().write_exp_golomb(-1, 2)
 
     def test_truncated_stream(self):
         data, _ = _written("0110")
@@ -308,6 +339,13 @@ PY_RECORDS = {
 }
 
 
+# (version, encode, decode) of every record code: the pure-Python
+# kernel's, and the compiled twin of its version-2 records when built.
+RECORD_CODES = [(1,) + PY_RECORDS[1]] + [
+    (2, k.encode_records_v2, k.decode_records_v2) for k in V2_KERNELS
+]
+
+
 def _oracle(version):
     return lambda reader, *args: bitwise_decode_records(reader, *args, version=version)
 
@@ -326,15 +364,14 @@ def _decode_outcome(decode, data, nbits, start, args, end_bit):
 
 
 class TestRecordDecodeOracle:
-    """The string-scan ``decode_records`` and ``decode_records_v2`` against
-    the bit-serial oracle."""
+    """The string-scan ``decode_records`` and ``decode_records_v2``, and the
+    compiled ``decode_records_v2``, against the bit-serial oracle."""
 
     @given(record_streams(), st.data())
     @settings(deadline=None, max_examples=400)
     def test_matches_bitwise_decoder(self, stream, data):
         d, w, gamma, lossy, head, head_h, coords, heights = stream
-        version = data.draw(st.sampled_from(sorted(PY_RECORDS)), label="version")
-        encode, decode = PY_RECORDS[version]
+        version, encode, decode = data.draw(st.sampled_from(RECORD_CODES), label="code")
         writer = _bits_py.BitWriter()
         start = data.draw(st.integers(0, 19), label="start")
         if start:
@@ -365,6 +402,45 @@ class TestRecordDecodeOracle:
         assert fast == slow
         if damage == "none" and end_bit == nbits:
             assert fast == ((list(coords), list(heights)), nbits)
+
+    @pytest.mark.parametrize("v2", V2_KERNELS, ids=lambda m: m.BACKEND)
+    @pytest.mark.parametrize("tail", ["height", "overflow", "truncated", "cut sign"])
+    def test_malformed_version_2_records(self, v2, tail):
+        """A record after a valid one that is malformed in each way the
+        decoder checks fails as in the oracle; the compiled kernel hands it
+        back to ``_bits_py``."""
+        cfg = Config(d=2, w=16, gamma=5)
+        head, rest = (40000, 12000), [(40064, 12032)]
+        writer = _bits_py.BitWriter()
+        v2.encode_records_v2(writer, head, 6, rest, [6], cfg.gamma, True)
+        cut = 0
+        if tail == "height":
+            writer.write_signed_gamma(20)  # height 26 > w
+            writer.write_bits(1 << 5, 6)  # two zero deltas
+            writer.write_bits(1 << 5, 6)
+        elif tail == "overflow":
+            # Height 6 shifts by 1, so a delta of 2**15 overflows: u =
+            # 2**15 + 2**5 takes 10 zeros and 16 bits.  A zero delta
+            # completes the record.
+            writer.write_bits(1, 1)
+            writer.write_bits(0, 10)
+            writer.write_bits((1 << 15) + (1 << 5), 16)
+            writer.write_bits(1 << 5, 6)
+        elif tail == "truncated":
+            writer.write_bits(1, 1)
+            writer.write_bits(0, 3)
+        else:
+            writer.write_signed_gamma(-3)
+            writer.write_bits(1, 1)
+            writer.write_bits(1 << 5, 6)
+            cut = 1 + 6 + 1  # the stream ends before the height's sign bit
+        data, nbits = writer.getvalue(), writer.bit_length - cut
+        args = (head, 6, cfg.d, cfg.w, cfg.gamma, True)
+        got = _decode_outcome(v2.decode_records_v2, data, nbits, 0, args, nbits)
+        assert got == _decode_outcome(_oracle(2), data, nbits, 0, args, nbits)
+        assert got[0][0] is (
+            CorruptPayloadError if tail in ("height", "overflow") else TruncatedStreamError
+        )
 
     def test_every_cut_of_the_figure_stream(self):
         head, rest = FIGURE_POINTS[0], FIGURE_POINTS[1:]
@@ -422,9 +498,9 @@ class TestChunkedDecode:
     the cursor."""
 
     # (kernel, encode, decode): version-1 records on every kernel, and
-    # version-2 records, which only the pure-Python kernel codes.
+    # version-2 records on every version-2 kernel, over _bits_py streams.
     CODES = [(k, k.encode_records, k.decode_records) for k in BACKENDS] + [
-        (_bits_py,) + PY_RECORDS[2]
+        (_bits_py, k.encode_records_v2, k.decode_records_v2) for k in V2_KERNELS
     ]
 
     @given(record_streams(), st.data())
@@ -570,35 +646,62 @@ class TestBackendParity:
 
 
 class TestVersion2UnderEveryKernel:
-    """Version-2 lossy records have no compiled twin: they go through
-    ``_bits_py`` whichever kernel ``codec`` selected, while lossless and
-    version-1 records keep the selected kernel."""
+    """``codec.records`` gives version-2 lossy records to the selected
+    version-2 kernel, over ``_bits_py`` streams, and lossless and version-1
+    records to the selected kernel.  Every pair of kernels writes the same
+    files."""
 
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
-    def test_compiled_kernel_round_trips_a_version_2_store(self, monkeypatch):
-        compiled = BACKENDS[1]
+    @pytest.mark.skipif(
+        len(BACKENDS) < 2 or len(V2_KERNELS) < 2, reason="compiled kernels not built"
+    )
+    def test_every_kernel_pair_round_trips_a_version_2_store(self, monkeypatch):
         cfg = Config(d=2, w=12, gamma=4)
         lossy_pts = round_set(random_points(cfg, 9, 150), cfg)
         plain_pts = [HeightedPoint(hp.coords, 0) for hp in lossy_pts]
         extra = random_points(cfg, 10, 20)
         files = {}
-        for kern in (_bits_py, compiled):
+        for kern, v2 in itertools.product(BACKENDS, V2_KERNELS):
             monkeypatch.setattr(codec, "_impl", kern)
-            assert codec.kernel(2, True) is _bits_py
-            assert codec.kernel(2, False) is codec.kernel(1, True) is kern
+            monkeypatch.setattr(codec, "_impl_v2", v2)
+            assert codec.records(2, True) == (
+                _bits_py.BitWriter,
+                _bits_py.BitReader,
+                v2.encode_records_v2,
+                v2.decode_records_v2,
+            )
+            assert codec.records(2, False) is codec.records(1, True) is kern
             for mode, pts in ((LOSSY, lossy_pts), (LOSSLESS, plain_pts)):
                 st = CompressedStore.build(pts, cfg, mode)
                 data = st.to_bytes()
                 assert data[4] == 2
                 back = CompressedStore.from_bytes(data)
                 reader = back._prefix(0, 1).reader
-                assert type(reader) is codec.kernel(2, mode == LOSSY).BitReader
+                assert type(reader) is codec.records(2, mode == LOSSY).BitReader
                 assert back.decode_all() == pts
                 for p in extra:
                     if p not in {hp.coords for hp in pts}:
                         back.insert(p, 0)
                 again = CompressedStore.from_bytes(back.to_bytes())
                 assert again.decode_all() == back.decode_all()
-                files[kern, mode] = (data, back.to_bytes())
-        for mode in (LOSSY, LOSSLESS):
-            assert files[_bits_py, mode] == files[compiled, mode]
+                files.setdefault(mode, set()).add((data, back.to_bytes()))
+        assert all(len(pairs) == 1 for pairs in files.values())
+
+    @pytest.mark.skipif(len(V2_KERNELS) < 2, reason="compiled kernels not built")
+    @given(record_streams())
+    @settings(deadline=None, max_examples=200)
+    def test_version_2_record_parity(self, stream):
+        d, w, gamma, lossy, head, head_h, coords, heights = stream
+        outcomes = []
+        for v2 in V2_KERNELS:
+            writer = _bits_py.BitWriter()
+            bits = v2.encode_records_v2(
+                writer, head, head_h, coords, heights, gamma, lossy
+            )
+            data, nbits = writer.getvalue(), writer.bit_length
+            reader = _bits_py.BitReader(data, nbits)
+            decoded = v2.decode_records_v2(
+                reader, head, head_h, d, w, gamma, lossy, nbits
+            )
+            outcomes.append((bits, data, nbits, decoded, reader.tell()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3] == (list(coords), list(heights))
