@@ -2,12 +2,12 @@
 """Benchmark the bit kernels: lossy record codes and Morton keys.
 
 Times the hot paths behind store construction and queries: block record
-encoding and decoding, for version-1 (gamma) records on each built backend
-and version-2 (Exp-Golomb) records on the pure-Python kernel and its
-compiled twin, when built, and Morton key computation.  Before timing, each record code must decode its own
-streams back to exactly the encoded points and heights, and each
-backend's Morton keys must match the bit-by-bit definition; a code or
-backend that fails either check stops the script.
+encoding and decoding, for version-1 (gamma) and version-2 (Exp-Golomb)
+records on the pure-Python kernel and on the compiled kernel ``_bits_ext``
+when it is built, and Morton key computation.  Before timing, each record
+code must decode its own streams back to exactly the encoded points and
+heights, and the Morton keys must match the bit-by-bit definition; a code
+that fails either check stops the script.
 
     python benchmarks/bench_codec.py --n 200000 --w 16 --gamma 5
 """
@@ -20,30 +20,28 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from pqc import _bits_py  # noqa: E402
 from pqc.geom import round_set  # noqa: E402
-from pqc.morton import Config  # noqa: E402
+from pqc.morton import Config, interleave  # noqa: E402
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net  # noqa: E402
 
 
-def load_backends(*compiled):
-    """``pqc._bits_py`` and each of the ``compiled`` kernels that is built."""
-    mods = [importlib.import_module("pqc._bits_py")]
-    for name in compiled:
-        try:
-            mods.append(importlib.import_module(f"pqc.{name}"))
-        except ImportError:
-            print(f"note: compiled kernel {name} not built")
+def load_kernels():
+    """``pqc._bits_py``, and ``pqc._bits_ext`` when it is built."""
+    mods = [_bits_py]
+    try:
+        mods.append(importlib.import_module("pqc._bits_ext"))
+    except ImportError:
+        print("note: compiled kernel _bits_ext not built")
     return mods
 
 
-def record_codes(mods, v2_mods):
-    """(name, kernel, encode, decode) of every lossy record code: version 1
-    (gamma) on each backend, and version 2 (Exp-Golomb of order gamma) on
-    each version-2 kernel, over ``_bits_py`` streams."""
-    codes = [(f"v1-{m.BACKEND}", m, m.encode_records, m.decode_records) for m in mods]
-    py = mods[0]
-    for m in v2_mods:
-        codes.append((f"v2-{m.BACKEND}", py, m.encode_records_v2, m.decode_records_v2))
+def record_codes(mods):
+    """(name, encode, decode) of every lossy record code: version 1 (gamma)
+    and version 2 (Exp-Golomb of order gamma) on each kernel."""
+    codes = [(f"v1-{m.BACKEND}", m.encode_records, m.decode_records) for m in mods]
+    for m in mods:
+        codes.append((f"v2-{m.BACKEND}", m.encode_records_v2, m.decode_records_v2))
     return codes
 
 
@@ -73,24 +71,24 @@ def make_blocks(cfg, n, block_size):
     return pts, blocks
 
 
-def check_code(name, kern, decode, cfg, blocks, payloads):
+def check_code(name, decode, cfg, blocks, payloads):
     """Exit unless ``decode`` returns every block's encoded records."""
     for (data, bits), (head, head_h, coords, heights) in zip(payloads, blocks):
-        r = kern.BitReader(data, bits)
+        r = _bits_py.BitReader(data, bits)
         got = decode(r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits)
         if got != (coords, heights) or r.tell() != bits:
             raise SystemExit(f"{name}: decode does not return the encoded block")
 
 
-def check_morton(mod, cfg, pts):
-    """Exit unless ``mod`` keys every point as the bit loop does."""
+def check_morton(cfg, pts):
+    """Exit unless ``interleave`` keys every point as the bit loop does."""
     for p in pts:
         key = 0
         for bit in range(cfg.w - 1, -1, -1):
             for c in p:
                 key = (key << 1) | ((c >> bit) & 1)
-        if mod.interleave(p, cfg.w) != key:
-            raise SystemExit(f"{mod.BACKEND}: wrong Morton key for {p}")
+        if interleave(p, cfg) != key:
+            raise SystemExit(f"wrong Morton key for {p}")
 
 
 def bench(fn, repeat):
@@ -114,30 +112,29 @@ def main():
     print(f"building {args.n} rounded points (d=2, w={args.w}, gamma={args.gamma})...")
     pts, blocks = make_blocks(cfg, args.n, 2 * cfg.w)
     n = sum(1 + len(b[2]) for b in blocks)
-    mods = load_backends("_bits_c")
     codes = {}
 
-    for name, kern, encode, decode in record_codes(mods, load_backends("_bits_eg")):
+    for name, encode, decode in record_codes(load_kernels()):
 
         def encode_all():
             total = 0
             for head, head_h, coords, heights in blocks:
-                w = kern.BitWriter()
+                w = _bits_py.BitWriter()
                 total += encode(w, head, head_h, coords, heights, cfg.gamma, True)
             return total
 
         payloads = []
         for head, head_h, coords, heights in blocks:
-            w = kern.BitWriter()
+            w = _bits_py.BitWriter()
             encode(w, head, head_h, coords, heights, cfg.gamma, True)
             payloads.append((w.getvalue(), w.bit_length))
 
-        check_code(name, kern, decode, cfg, blocks, payloads)
+        check_code(name, decode, cfg, blocks, payloads)
 
         def decode_all():
             out = 0
             for (data, bits), (head, head_h, _c, _h) in zip(payloads, blocks):
-                r = kern.BitReader(data, bits)
+                r = _bits_py.BitReader(data, bits)
                 cs, hs = decode(r, head, head_h, cfg.d, cfg.w, cfg.gamma, True, bits)
                 out += len(cs)
             return out
@@ -148,17 +145,15 @@ def main():
             "decode": bench(decode_all, args.repeat),
         }
 
-    morton = {}
-    for mod in mods:
-        check_morton(mod, cfg, pts)
+    check_morton(cfg, pts)
 
-        def interleave_all():
-            acc = 0
-            for p in pts:
-                acc ^= mod.interleave(p, cfg.w)
-            return acc
+    def interleave_all():
+        acc = 0
+        for p in pts:
+            acc ^= interleave(p, cfg)
+        return acc
 
-        morton[mod.BACKEND] = bench(interleave_all, args.repeat)
+    morton = bench(interleave_all, args.repeat)
 
     print(f"\n{n} points, best of {args.repeat} runs (seconds; Mpts/s in parens)")
     sides = ("encode", "decode")
@@ -166,8 +161,7 @@ def main():
     for name, row in codes.items():
         cells = "".join(f"{row[k]:>14.4f} ({n / row[k] / 1e6:>5.2f})" for k in sides)
         print(f"{name:<16}{row['bits_per_record']:>12.2f}{cells}")
-    for name, t in morton.items():
-        print(f"{'morton-' + name:<28}{t:>14.4f} ({n / t / 1e6:>5.2f})")
+    print(f"{'morton':<28}{morton:>14.4f} ({n / morton / 1e6:>5.2f})")
 
 
 if __name__ == "__main__":

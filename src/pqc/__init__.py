@@ -6,7 +6,7 @@ Voronoi queries directly on the compressed form, and refines point sets to
 a target aspect ratio without decompressing them.
 """
 
-from ._backend import BACKEND as KERNEL_BACKEND
+from .codec import KERNEL_BACKEND
 from .errors import (
     CorruptPayloadError,
     DimensionError,

@@ -1,22 +1,26 @@
-/* Compiled twin of the version-2 lossy record functions of pqc._bits_py.
+/* Compiled twin of the record functions of pqc._bits_py.
  *
- * encode_records_v2 and decode_records_v2 take the arguments of their
- * _bits_py namesakes and work on _bits_py.BitWriter and BitReader objects
- * through their _buf, _nbits and _pos slots; they write the same streams
- * and decode the same points.  A lossy record is signed-gamma(h_i -
- * h_{i-1}) and then, per axis, the Exp-Golomb code of order gamma of
- * (prev ^ cur) >> max(h_i - gamma, 0).
+ * encode_records, decode_records, encode_records_v2 and decode_records_v2
+ * take the arguments of their _bits_py namesakes and work on
+ * _bits_py.BitWriter and BitReader objects through their _buf, _nbits and
+ * _pos slots; they write the same streams and decode the same points.
+ *
+ * A record is signed-gamma(h_i - h_{i-1}) in lossy mode, then per axis the
+ * code of (prev ^ cur) >> shift, with shift = max(h_i - gamma, 0) in lossy
+ * mode and 0 in lossless mode.  The record codes differ only in that
+ * per-axis code: version-2 lossy records use the Exp-Golomb code of order
+ * gamma, every other record the gamma code.
  *
  * The fast paths here cover coordinates below 2**32, heights below 64 and
- * well-formed streams.  Anything else - a lossless call, an argument out
- * of that range, a truncated or corrupt record - goes to the _bits_py
- * function with the caller's arguments untouched, so errors keep their
- * exact class, message and final reader.tell().
+ * well-formed streams.  Anything else - an argument out of that range, a
+ * truncated or corrupt record - goes to the _bits_py function with the
+ * caller's arguments untouched, so errors keep their exact class, message
+ * and final reader.tell().
  *
- * Build: a plain CPython extension (setup.py builds it as pqc._bits_eg),
+ * Build: a plain CPython extension (setup.py builds it as pqc._bits_ext),
  * for example
- *   gcc -O3 -shared -fPIC -I<python include dir> _bits_eg.c \
- *       -o _bits_eg$(python3-config --extension-suffix)
+ *   gcc -O3 -shared -fPIC -I<python include dir> _bits_ext.c \
+ *       -o _bits_ext$(python3-config --extension-suffix)
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -26,8 +30,8 @@
 
 typedef unsigned long long u64;
 
-static PyObject *py_encode; /* _bits_py.encode_records_v2 */
-static PyObject *py_decode; /* _bits_py.decode_records_v2 */
+/* The _bits_py namesakes: the slow path of each function here. */
+static PyObject *py_encode, *py_decode, *py_encode_v2, *py_decode_v2;
 static PyObject *s_buf, *s_nbits, *s_pos;
 
 static int
@@ -97,6 +101,22 @@ next_one(const unsigned char *buf, Py_ssize_t pos, Py_ssize_t nbits)
     return -1;
 }
 
+/* The code of coordinate delta v: the returned number of zeros, then the
+ * *b bits of *u.  Exp-Golomb of order gamma writes u = v + 2**gamma after
+ * b - 1 - gamma zeros; gamma writes v after b zeros, and 0 as a lone 1. */
+static int
+axis_code(u64 v, int eg, u64 gamma, u64 *u, int *b)
+{
+    if (eg) {
+        *u = v + (1ull << gamma);
+        *b = bitlen(*u);
+        return *b - 1 - (int)gamma;
+    }
+    *u = v ? v : 1;
+    *b = bitlen(*u);
+    return v ? *b : 0;
+}
+
 /* A Python int in [0, limit] as u64; -1 (and no exception) otherwise. */
 static int
 as_u64(PyObject *obj, u64 limit, u64 *out)
@@ -142,52 +162,63 @@ set_size(PyObject *obj, PyObject *name, Py_ssize_t n)
     return rc;
 }
 
+/* The lossy argument as 0 or 1; -1 (and no exception) when it has no
+ * truth value. */
+static int
+as_flag(PyObject *obj)
+{
+    int flag = PyObject_IsTrue(obj);
+    if (flag < 0)
+        PyErr_Clear();
+    return flag;
+}
+
 #define MAX_COORD 0xFFFFFFFFull
 #define MAX_HEIGHT 63
 
-PyDoc_STRVAR(encode_doc,
-"encode_records_v2(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy)\n"
-"\n"
-"_bits_py.encode_records_v2, compiled: append one version-2 record per\n"
-"point to writer, a _bits_py.BitWriter; returns bits written.");
-
+/* encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma,
+ * lossy) of format ``version``; ``fallback`` is its _bits_py namesake. */
 static PyObject *
-encode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                  PyObject *kwnames)
+encode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
+       PyObject *kwnames)
 {
     PyObject *coords_fast = NULL, *heights_fast = NULL, *buf = NULL;
     u64 *vals = NULL; /* per point: d coordinates, then its height */
     PyObject *result = NULL;
     Py_ssize_t d, n, i, a, total = 0, start;
-    u64 gamma, prev_h;
-    int lossy;
+    u64 gamma = 0, prev_h = 0;
+    int lossy, eg;
 
     if (kwnames != NULL || nargs != 7)
         goto slow;
-    lossy = PyObject_IsTrue(args[6]);
-    if (lossy != 1) {
-        if (lossy < 0)
-            PyErr_Clear();
+    lossy = as_flag(args[6]);
+    if (lossy < 0)
         goto slow;
-    }
-    if (as_u64(args[5], 32, &gamma) || as_u64(args[2], MAX_HEIGHT, &prev_h))
+    eg = lossy && version == 2;
+    if (lossy && (as_u64(args[5], 32, &gamma) || as_u64(args[2], MAX_HEIGHT, &prev_h)))
         goto slow;
     if (!PyTuple_Check(args[1]) && !PyList_Check(args[1]))
         goto slow;
     d = PySequence_Fast_GET_SIZE(args[1]);
     coords_fast = PySequence_Fast(args[3], "");
-    heights_fast = PySequence_Fast(args[4], "");
-    if (coords_fast == NULL || heights_fast == NULL) {
+    if (coords_fast == NULL) {
         PyErr_Clear();
         goto slow;
     }
     n = PySequence_Fast_GET_SIZE(coords_fast);
-    if (PySequence_Fast_GET_SIZE(heights_fast) != n)
-        goto slow;
+    if (lossy) {
+        heights_fast = PySequence_Fast(args[4], "");
+        if (heights_fast == NULL) {
+            PyErr_Clear();
+            goto slow;
+        }
+        if (PySequence_Fast_GET_SIZE(heights_fast) != n)
+            goto slow;
+    }
     vals = PyMem_Malloc(sizeof(u64) * (size_t)(n + 1) * (size_t)(d + 1));
     if (vals == NULL)
         goto slow;
-    /* Row 0 is prev; rows 1..n the points. */
+    /* Row 0 is prev; rows 1..n the points.  Lossless heights stay 0. */
     for (a = 0; a < d; a++)
         if (as_u64(PySequence_Fast_GET_ITEM(args[1], a), MAX_COORD, &vals[a]))
             goto slow;
@@ -202,7 +233,9 @@ encode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         for (a = 0; a < d; a++)
             if (as_u64(PySequence_Fast_GET_ITEM(cur, a), MAX_COORD, &row[a]))
                 goto slow;
-        if (as_u64(PySequence_Fast_GET_ITEM(heights_fast, i), MAX_HEIGHT, &row[d]))
+        row[d] = 0;
+        if (lossy
+            && as_u64(PySequence_Fast_GET_ITEM(heights_fast, i), MAX_HEIGHT, &row[d]))
             goto slow;
     }
     buf = PyObject_GetAttr(args[0], s_buf);
@@ -218,12 +251,15 @@ encode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     /* Pass 1: the length of every code. */
     for (i = 1; i <= n; i++) {
         u64 *prev = vals + (i - 1) * (d + 1), *cur = vals + i * (d + 1);
-        long long dh = (long long)cur[d] - (long long)prev[d];
         u64 shift = cur[d] > gamma ? cur[d] - gamma : 0;
-        total += dh ? 2 * bitlen((u64)(dh < 0 ? -dh : dh)) + 1 : 1;
+        if (lossy) {
+            long long dh = (long long)cur[d] - (long long)prev[d];
+            total += dh ? 2 * bitlen((u64)(dh < 0 ? -dh : dh)) + 1 : 1;
+        }
         for (a = 0; a < d; a++) {
-            u64 u = ((prev[a] ^ cur[a]) >> shift) + (1ull << gamma);
-            total += 2 * bitlen(u) - 1 - (Py_ssize_t)gamma;
+            u64 u;
+            int b;
+            total += axis_code((prev[a] ^ cur[a]) >> shift, eg, gamma, &u, &b) + b;
         }
     }
     {
@@ -242,22 +278,24 @@ encode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         Py_ssize_t pos = start;
         for (i = 1; i <= n; i++) {
             u64 *prev = vals + (i - 1) * (d + 1), *cur = vals + i * (d + 1);
-            long long dh = (long long)cur[d] - (long long)prev[d];
             u64 shift = cur[d] > gamma ? cur[d] - gamma : 0;
-            if (dh) {
-                u64 mag = (u64)(dh < 0 ? -dh : dh);
-                int b = bitlen(mag);
-                put_bits(out, pos + b, mag, b);
-                put_bits(out, pos + 2 * b, dh < 0, 1);
-                pos += 2 * b + 1;
-            } else {
-                put_bits(out, pos, 1, 1);
-                pos += 1;
+            if (lossy) {
+                long long dh = (long long)cur[d] - (long long)prev[d];
+                if (dh) {
+                    u64 mag = (u64)(dh < 0 ? -dh : dh);
+                    int b = bitlen(mag);
+                    put_bits(out, pos + b, mag, b);
+                    put_bits(out, pos + 2 * b, dh < 0, 1);
+                    pos += 2 * b + 1;
+                } else {
+                    put_bits(out, pos, 1, 1);
+                    pos += 1;
+                }
             }
             for (a = 0; a < d; a++) {
-                u64 u = ((prev[a] ^ cur[a]) >> shift) + (1ull << gamma);
-                int b = bitlen(u);
-                pos += b - 1 - (Py_ssize_t)gamma; /* the zeros */
+                u64 u;
+                int b;
+                pos += axis_code((prev[a] ^ cur[a]) >> shift, eg, gamma, &u, &b);
                 put_bits(out, pos, u, b);
                 pos += b;
             }
@@ -269,7 +307,7 @@ encode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     goto done;
 
 slow:
-    result = PyObject_Vectorcall(py_encode, args, nargs, kwnames);
+    result = PyObject_Vectorcall(fallback, args, nargs, kwnames);
     goto done;
 error:
     result = NULL;
@@ -281,33 +319,26 @@ done:
     return result;
 }
 
-PyDoc_STRVAR(decode_doc,
-"decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit)\n"
-"\n"
-"_bits_py.decode_records_v2, compiled: decode version-2 records from\n"
-"reader, a _bits_py.BitReader, through the first record boundary at or\n"
-"after end_bit; returns (coords, heights).");
-
+/* decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit) of
+ * format ``version``; ``fallback`` is its _bits_py namesake. */
 static PyObject *
-decode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                  PyObject *kwnames)
+decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
+       PyObject *kwnames)
 {
     PyObject *data = NULL, *coords = NULL, *heights = NULL, *result = NULL;
     Py_buffer view = {0};
-    u64 d, w, gamma, prev_h, p[64];
+    u64 d, w, gamma, prev_h = 0, p[64];
     Py_ssize_t nbits, pos, end_bit, a;
-    int lossy;
+    int lossy, eg;
 
     if (kwnames != NULL || nargs != 8)
         goto slow;
-    lossy = PyObject_IsTrue(args[6]);
-    if (lossy != 1) {
-        if (lossy < 0)
-            PyErr_Clear();
+    lossy = as_flag(args[6]);
+    if (lossy < 0)
         goto slow;
-    }
+    eg = lossy && version == 2;
     if (as_u64(args[3], 64, &d) || d == 0 || as_u64(args[4], 32, &w)
-        || as_u64(args[5], w, &gamma) || as_u64(args[2], w, &prev_h))
+        || as_u64(args[5], w, &gamma) || (lossy && as_u64(args[2], w, &prev_h)))
         goto slow;
     if (!PyTuple_Check(args[1]) && !PyList_Check(args[1]))
         goto slow;
@@ -343,44 +374,48 @@ decode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 
     {
         const unsigned char *buf = (const unsigned char *)view.buf;
-        u64 one = 1ull << gamma;
+        u64 one = 1ull << gamma, shift = 0, room = w;
         while (pos < end_bit) {
-            /* Signed gamma of the height delta; "1" is a zero delta. */
-            Py_ssize_t j = next_one(buf, pos, nbits);
-            Py_ssize_t z;
-            long long h;
-            u64 shift, room;
-            if (j < 0)
-                goto slow;
-            z = j - pos;
-            if (z) {
-                /* A magnitude of 2**7 or more leaves [0, w]. */
-                if (z > 7 || j + z + 1 > nbits)
+            Py_ssize_t j, z;
+            if (lossy) {
+                /* Signed gamma of the height delta; "1" is a zero delta. */
+                long long h;
+                j = next_one(buf, pos, nbits);
+                if (j < 0)
                     goto slow;
-                long long mag = (long long)get_bits(buf, j, (int)z);
-                h = get_bits(buf, j + z, 1) ? (long long)prev_h - mag
-                                            : (long long)prev_h + mag;
-                pos = j + z + 1;
-            } else {
-                h = (long long)prev_h;
-                pos = j + 1;
+                z = j - pos;
+                if (z) {
+                    /* A magnitude of 2**7 or more leaves [0, w]. */
+                    if (z > 7 || j + z + 1 > nbits)
+                        goto slow;
+                    long long mag = (long long)get_bits(buf, j, (int)z);
+                    h = get_bits(buf, j + z, 1) ? (long long)prev_h - mag
+                                                : (long long)prev_h + mag;
+                    pos = j + z + 1;
+                } else {
+                    h = (long long)prev_h;
+                    pos = j + 1;
+                }
+                if (h < 0 || h > (long long)w)
+                    goto slow;
+                prev_h = (u64)h;
+                shift = prev_h > gamma ? prev_h - gamma : 0;
+                room = w - shift;
             }
-            if (h < 0 || h > (long long)w)
-                goto slow;
-            prev_h = (u64)h;
-            shift = prev_h > gamma ? prev_h - gamma : 0;
-            room = w - shift;
             for (a = 0; a < (Py_ssize_t)d; a++) {
-                /* z zeros, then the z + gamma + 1 bits of delta + 2**gamma. */
+                /* z zeros, then the bits of the code's value: z + gamma + 1
+                 * bits of delta + 2**gamma (Exp-Golomb), or z bits of
+                 * delta (gamma), where z = 0 leaves the lone 1 of 0. */
                 Py_ssize_t bits;
                 u64 delta;
                 j = next_one(buf, pos, nbits);
                 if (j < 0)
                     goto slow;
-                bits = (j - pos) + (Py_ssize_t)gamma + 1;
+                z = j - pos;
+                bits = eg ? z + (Py_ssize_t)gamma + 1 : (z ? z : 1);
                 if (bits > 64 || j + bits > nbits)
                     goto slow;
-                delta = get_bits(buf, j, (int)bits) - one;
+                delta = get_bits(buf, j, (int)bits) - (eg ? one : (u64)(z == 0));
                 if (delta >> room)
                     goto slow;
                 p[a] = ((p[a] >> shift) ^ delta) << shift;
@@ -417,7 +452,7 @@ decode_records_v2(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 
 slow:
     /* The reader's cursor has not moved. */
-    result = PyObject_Vectorcall(py_decode, args, nargs, kwnames);
+    result = PyObject_Vectorcall(fallback, args, nargs, kwnames);
     goto done;
 error:
     result = NULL;
@@ -430,18 +465,44 @@ done:
     return result;
 }
 
+#define METHOD(name, body, fallback, version)                                   \
+    static PyObject *name(PyObject *self, PyObject *const *args,               \
+                          Py_ssize_t nargs, PyObject *kwnames)                 \
+    {                                                                          \
+        return body(fallback, version, args, nargs, kwnames);                  \
+    }
+
+METHOD(encode_records, encode, py_encode, 1)
+METHOD(decode_records, decode, py_decode, 1)
+METHOD(encode_records_v2, encode, py_encode_v2, 2)
+METHOD(decode_records_v2, decode, py_decode_v2, 2)
+
+#define ENCODE_DOC(name, version)                                              \
+    #name "(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy)\n\n"   \
+    "_bits_py." #name ", compiled: append one version-" version " record per\n" \
+    "point to writer, a _bits_py.BitWriter; returns bits written."
+#define DECODE_DOC(name, version)                                              \
+    #name "(reader, prev, prev_h, d, w, gamma, lossy, end_bit)\n\n"            \
+    "_bits_py." #name ", compiled: decode version-" version " records from\n"   \
+    "reader, a _bits_py.BitReader, through the first record boundary at or\n"  \
+    "after end_bit; returns (coords, heights)."
+
 static PyMethodDef methods[] = {
+    {"encode_records", (PyCFunction)(void (*)(void))encode_records,
+     METH_FASTCALL | METH_KEYWORDS, ENCODE_DOC(encode_records, "1")},
+    {"decode_records", (PyCFunction)(void (*)(void))decode_records,
+     METH_FASTCALL | METH_KEYWORDS, DECODE_DOC(decode_records, "1")},
     {"encode_records_v2", (PyCFunction)(void (*)(void))encode_records_v2,
-     METH_FASTCALL | METH_KEYWORDS, encode_doc},
+     METH_FASTCALL | METH_KEYWORDS, ENCODE_DOC(encode_records_v2, "2")},
     {"decode_records_v2", (PyCFunction)(void (*)(void))decode_records_v2,
-     METH_FASTCALL | METH_KEYWORDS, decode_doc},
+     METH_FASTCALL | METH_KEYWORDS, DECODE_DOC(decode_records_v2, "2")},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
-    "_bits_eg",
-    "Compiled twin of the version-2 lossy record functions of pqc._bits_py.",
+    "_bits_ext",
+    "Compiled twin of the record functions of pqc._bits_py.",
     -1,
     methods,
     NULL,
@@ -451,18 +512,21 @@ static struct PyModuleDef module = {
 };
 
 PyMODINIT_FUNC
-PyInit__bits_eg(void)
+PyInit__bits_ext(void)
 {
     PyObject *py = PyImport_ImportModule("pqc._bits_py");
     if (py == NULL)
         return NULL;
-    py_encode = PyObject_GetAttrString(py, "encode_records_v2");
-    py_decode = PyObject_GetAttrString(py, "decode_records_v2");
+    py_encode = PyObject_GetAttrString(py, "encode_records");
+    py_decode = PyObject_GetAttrString(py, "decode_records");
+    py_encode_v2 = PyObject_GetAttrString(py, "encode_records_v2");
+    py_decode_v2 = PyObject_GetAttrString(py, "decode_records_v2");
     Py_DECREF(py);
     s_buf = PyUnicode_InternFromString("_buf");
     s_nbits = PyUnicode_InternFromString("_nbits");
     s_pos = PyUnicode_InternFromString("_pos");
-    if (!py_encode || !py_decode || !s_buf || !s_nbits || !s_pos)
+    if (!py_encode || !py_decode || !py_encode_v2 || !py_decode_v2 || !s_buf
+        || !s_nbits || !s_pos)
         return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0) {

@@ -1,12 +1,14 @@
-"""Pure-Python bit-twiddling kernels.
+"""Pure-Python bit streams and record codes: the specification of the
+compiled kernel ``_bits_ext``.
 
-This module and the compiled twin ``_bits_c`` implement exactly the same
-version-1 interface and must produce bit-identical streams.  ``pqc._backend``
-picks one of the two at import time; everything else in the package goes
-through that selection.  The version-2 record functions
-``encode_records_v2`` and ``decode_records_v2`` have their compiled twin
-in ``_bits_eg``, which works on this module's BitWriter and BitReader and
-hands every malformed stream back to ``decode_records_v2``.
+``BitWriter`` and ``BitReader`` are the only bit-stream classes in the
+package.  The record functions ``encode_records`` and ``decode_records``
+(version-1 and lossless records) and ``encode_records_v2`` and
+``decode_records_v2`` (version-2 records) have compiled twins of the same
+names in ``_bits_ext``, which work on this module's streams, must produce
+bit-identical streams and hand every malformed stream back to this module
+for its exact error.  ``pqc.codec`` picks one of the two kernels at import
+time; everything else in the package goes through that selection.
 
 Stream layout: bits are packed MSB-first within bytes.  A gamma code for a
 value v is the single bit ``1`` when v == 0, and otherwise b zero bits
@@ -150,63 +152,6 @@ class BitReader:
             zeros += 1
         n = zeros + order
         return ((1 << n) | self.read_bits(n)) - (1 << order)
-
-
-def interleave(coords, w):
-    """Morton key of a coordinate tuple: bit i of axis 0 lands above bit i of
-    axis 1, and so on, for i from w-1 down to 0.
-
-    For d=2 with both coordinates below 2**16 the key is four lookups in
-    ``_SPREAD8``; wider 2D coordinates use :func:`_spread1`, and other
-    dimensions interleave bit by bit."""
-    if len(coords) == 2:
-        x, y = coords
-        if (x | y) >> 16:
-            return (_spread1(x) << 1) | _spread1(y)
-        t = _SPREAD8
-        return (
-            (t[x >> 8] << 17) | (t[y >> 8] << 16) | (t[x & 0xFF] << 1) | t[y & 0xFF]
-        )
-    key = 0
-    for bit in range(w - 1, -1, -1):
-        for c in coords:
-            key = (key << 1) | ((c >> bit) & 1)
-    return key
-
-
-def deinterleave(key, d, w):
-    """Inverse of :func:`interleave`."""
-    if d == 2:
-        return (_compact1(key >> 1), _compact1(key))
-    coords = [0] * d
-    for bit in range(d * w):
-        axis = bit % d
-        coords[axis] = (coords[axis] << 1) | ((key >> (d * w - 1 - bit)) & 1)
-    return tuple(coords)
-
-
-def _spread1(v):
-    # Insert a zero bit above every input bit; good for inputs below 2**32.
-    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
-    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
-    v = (v | (v << 2)) & 0x3333333333333333
-    v = (v | (v << 1)) & 0x5555555555555555
-    return v
-
-
-def _compact1(v):
-    v &= 0x5555555555555555
-    v = (v ^ (v >> 1)) & 0x3333333333333333
-    v = (v ^ (v >> 2)) & 0x0F0F0F0F0F0F0F0F
-    v = (v ^ (v >> 4)) & 0x00FF00FF00FF00FF
-    v = (v ^ (v >> 8)) & 0x0000FFFF0000FFFF
-    v = (v ^ (v >> 16)) & 0x00000000FFFFFFFF
-    return v
-
-
-# _SPREAD8[b] is byte b with a zero bit inserted above each of its bits.
-_SPREAD8 = tuple(_spread1(b) for b in range(256))
 
 
 def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):

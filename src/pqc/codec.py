@@ -19,50 +19,60 @@ This is the persistent payload format:
   for lossless deltas and for every height delta.
 
 Streams pack MSB-first within bytes and are zero-padded to a byte boundary
-only at block ends.  The heavy encode/decode loops live in compiled
-kernels when available (see ``pqc._backend``): ``_bits_c`` for version-1
-and lossless records, ``_bits_eg`` for version-2 lossy records.  This
-module is the stable surface over whichever kernels got selected;
+only at block ends.  Every stream is a ``_bits_py`` BitWriter or BitReader.
+The record loops run in one kernel, chosen at import: the compiled
+extension ``_bits_ext`` when it is built, else its pure-Python twin
+``_bits_py``; both code every record of every format version.  Set
+``PQC_BACKEND=py`` to force the pure-Python kernel, or ``PQC_BACKEND=c`` to
+require the compiled one (raising ImportError when it was not built).
 :func:`records` picks the record codec of a format version and mode.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable, NamedTuple, Sequence
 
 from . import _bits_py
-from ._backend import BACKEND as KERNEL_BACKEND
-from ._backend import impl as _impl
-from ._backend import impl_v2 as _impl_v2
+from ._bits_py import BitReader, BitWriter
 from .morton import Config, Point
 
-BitWriter = _impl.BitWriter
-BitReader = _impl.BitReader
+
+def _kernel():
+    """The kernel module that ``PQC_BACKEND`` selects."""
+    choice = os.environ.get("PQC_BACKEND", "auto")
+    if choice not in ("auto", "c", "py"):
+        raise ValueError(f"PQC_BACKEND must be 'auto', 'c', or 'py', not {choice!r}")
+    if choice == "py":
+        return _bits_py
+    try:
+        from . import _bits_ext
+    except ImportError:
+        if choice == "c":
+            raise
+        return _bits_py
+    return _bits_ext
+
+
+_impl = _kernel()
+KERNEL_BACKEND = _impl.BACKEND
 
 
 class Records(NamedTuple):
-    """A record codec: the BitWriter and BitReader classes of its streams
-    and its record functions, with the signatures of the kernels'
-    ``encode_records`` and ``decode_records``."""
+    """A record codec: the kernel's ``encode_records`` and
+    ``decode_records`` of one format version and mode."""
 
-    BitWriter: type
-    BitReader: type
     encode_records: Callable
     decode_records: Callable
 
 
-def records(version: int, lossy: bool):
-    """The record codec of format ``version`` in lossy or lossless mode.
-    Version-2 lossy records are the Exp-Golomb records of ``_impl_v2`` over
-    ``_bits_py`` streams; every other pair is the selected kernel's."""
+def records(version: int, lossy: bool) -> Records:
+    """The record codec of format ``version`` in lossy or lossless mode:
+    the selected kernel's Exp-Golomb records for version-2 lossy stores,
+    and its gamma records for every other pair."""
     if lossy and version == 2:
-        return Records(
-            _bits_py.BitWriter,
-            _bits_py.BitReader,
-            _impl_v2.encode_records_v2,
-            _impl_v2.decode_records_v2,
-        )
-    return _impl
+        return Records(_impl.encode_records_v2, _impl.decode_records_v2)
+    return Records(_impl.encode_records, _impl.decode_records)
 
 
 # The store calls every record codec through these two functions, so
@@ -70,7 +80,7 @@ def records(version: int, lossy: bool):
 def encode_records(
     writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, kernel
 ) -> int:
-    """Append one record per point to ``writer``, a BitWriter of
+    """Append one record per point to ``writer``, a BitWriter, with
     ``kernel``, a :func:`records` codec; returns bits written."""
     return kernel.encode_records(
         writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
@@ -78,7 +88,7 @@ def encode_records(
 
 
 def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, kernel):
-    """Decode records from ``reader``, a BitReader of ``kernel``, a
+    """Decode records from ``reader``, a BitReader, with ``kernel``, a
     :func:`records` codec, through the first record boundary at or after
     ``end_bit``: (coords, heights)."""
     return kernel.decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
@@ -87,24 +97,6 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, kernel):
 def signed_gamma_bits(value: int) -> int:
     """The length of the signed gamma code of ``value``."""
     return 2 * abs(value).bit_length() + 1 if value else 1
-
-
-def gamma_encode(value: int, out, width: int = None) -> int:
-    """Append gamma(value) to ``out``; returns the number of bits written.
-
-    ``width`` optionally enforces value < 2**width with OverflowError.
-    """
-    if width is not None and value >= (1 << width):
-        raise OverflowError(f"{value} does not fit in {width} bits")
-    return out.write_gamma(value)
-
-
-def xor_code_point(prev: Point, cur: Point, shift: int, out) -> int:
-    """Append the per-axis gamma codes of (prev ^ cur) >> shift."""
-    bits = 0
-    for a in range(len(prev)):
-        bits += out.write_gamma((prev[a] ^ cur[a]) >> shift)
-    return bits
 
 
 def bits_to_string(data: bytes, nbits: int) -> str:

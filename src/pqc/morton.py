@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from ._backend import impl as _impl
 from .errors import DomainError
 
 Point = tuple[int, ...]
@@ -104,12 +103,49 @@ def validate_square(s: TrieSquare, cfg: Config) -> TrieSquare:
 
 
 def interleave(p: Point, cfg: Config) -> int:
-    """Morton key of ``p``: d*w bits, axis 0 most significant per group."""
-    return _impl.interleave(p, cfg.w)
+    """Morton key of ``p``: d*w bits, axis 0 most significant per group.
+
+    For d=2 with both coordinates below 2**16 the key is four lookups in
+    ``_SPREAD8``; wider 2D coordinates use :func:`_spread1`, and other
+    dimensions interleave bit by bit."""
+    if len(p) == 2:
+        x, y = p
+        if (x | y) >> 16:
+            return (_spread1(x) << 1) | _spread1(y)
+        t = _SPREAD8
+        return (
+            (t[x >> 8] << 17) | (t[y >> 8] << 16) | (t[x & 0xFF] << 1) | t[y & 0xFF]
+        )
+    key = 0
+    for bit in range(cfg.w - 1, -1, -1):
+        for c in p:
+            key = (key << 1) | ((c >> bit) & 1)
+    return key
+
+
+def _spread1(v: int) -> int:
+    # Insert a zero bit above every input bit; good for inputs below 2**32.
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    v = (v | (v << 1)) & 0x5555555555555555
+    return v
+
+
+def _compact1(v: int) -> int:
+    # Inverse of _spread1: keep every other bit, from bit 0 up.
+    v &= 0x5555555555555555
+    v = (v ^ (v >> 1)) & 0x3333333333333333
+    v = (v ^ (v >> 2)) & 0x0F0F0F0F0F0F0F0F
+    v = (v ^ (v >> 4)) & 0x00FF00FF00FF00FF
+    v = (v ^ (v >> 8)) & 0x0000FFFF0000FFFF
+    v = (v ^ (v >> 16)) & 0x00000000FFFFFFFF
+    return v
 
 
 # _SPREAD8[b] is byte b with a zero bit inserted above each of its bits.
-_SPREAD8 = tuple(_impl.interleave((0, b), 8) for b in range(256))
+_SPREAD8 = tuple(_spread1(b) for b in range(256))
 
 
 def interleave_all(points: Sequence[Point], cfg: Config) -> list[int]:
@@ -122,14 +158,20 @@ def interleave_all(points: Sequence[Point], cfg: Config) -> list[int]:
             (t[x >> 8] << 17) | (t[y >> 8] << 16) | (t[x & 0xFF] << 1) | t[y & 0xFF]
             for x, y in points
         ]
-    key = _impl.interleave
-    w = cfg.w
-    return [key(p, w) for p in points]
+    return [interleave(p, cfg) for p in points]
 
 
 def deinterleave(key: int, cfg: Config) -> Point:
     """Point whose Morton key is ``key``."""
-    return _impl.deinterleave(key, cfg.d, cfg.w)
+    d = cfg.d
+    if d == 2:
+        return (_compact1(key >> 1), _compact1(key))
+    coords = [0] * d
+    nbits = d * cfg.w
+    for bit in range(nbits):
+        axis = bit % d
+        coords[axis] = (coords[axis] << 1) | ((key >> (nbits - 1 - bit)) & 1)
+    return tuple(coords)
 
 
 def square_of_point(p: Point, height: int) -> TrieSquare:

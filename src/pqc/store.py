@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import codec
+from .codec import BitReader, BitWriter
 from .errors import (
     CorruptPayloadError,
     DomainError,
@@ -88,11 +89,11 @@ class _Prefix:
 
     __slots__ = ("coords", "heights", "keys", "reader")
 
-    def __init__(self, block: Block, head_key: int, bit_reader):
+    def __init__(self, block: Block, head_key: int):
         self.coords = [block.head.coords]
         self.heights = [block.head.height]
         self.keys = [head_key]
-        self.reader = bit_reader(block.payload, block.bit_len)
+        self.reader = BitReader(block.payload, block.bit_len)
 
 
 class CompressedStore(PointSource):
@@ -178,11 +179,10 @@ class CompressedStore(PointSource):
 
     def _set_version(self, version: int):
         self.version = version
-        # The record codec of the version and mode, with its stream classes.
         self._records = codec.records(version, self.mode == LOSSY)
 
     def _encode_block(self, coords: Sequence[Point], heights: Sequence[int]) -> Block:
-        writer = self._records.BitWriter()
+        writer = BitWriter()
         codec.encode_records(
             writer,
             coords[0],
@@ -237,7 +237,7 @@ class CompressedStore(PointSource):
         block = self._blocks[index]
         self.counters.blocks_decoded += 1
         head = block.head
-        reader = self._records.BitReader(block.payload, block.bit_len)
+        reader = BitReader(block.payload, block.bit_len)
         coords, heights = self._decode(
             index, reader, head.coords, head.height, block.bit_len
         )
@@ -259,7 +259,7 @@ class CompressedStore(PointSource):
         entry = self._cache.get(b)
         if entry is None:
             self.counters.blocks_decoded += 1
-            entry = _Prefix(self._blocks[b], self._head_keys[b], self._records.BitReader)
+            entry = _Prefix(self._blocks[b], self._head_keys[b])
             self._cache[b] = entry
             if len(self._cache) > _CACHE_BLOCKS:
                 self._cache.popitem(last=False)
@@ -441,7 +441,7 @@ class CompressedStore(PointSource):
         if self.mode == LOSSY:
             for b, blk in enumerate(self._blocks):
                 head = blk.head
-                reader = self._records.BitReader(blk.payload, blk.bit_len)
+                reader = BitReader(blk.payload, blk.bit_len)
                 _, hs = self._decode(b, reader, head.coords, head.height, blk.bit_len)
                 for dh in map(operator.sub, hs, [head.height] + hs):
                     height_bits += codec.signed_gamma_bits(dh)
@@ -559,10 +559,9 @@ class CompressedStore(PointSource):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         # Counts are not in the file; one validating decode derives them.
         prev_key = -1
-        bit_reader = store._records.BitReader
         for b, blk in enumerate(store._blocks):
             head = blk.head
-            reader = bit_reader(blk.payload, blk.bit_len)
+            reader = BitReader(blk.payload, blk.bit_len)
             coords, _ = store._decode(b, reader, head.coords, head.height, blk.bit_len)
             keys = interleave_all([head.coords] + coords, cfg)
             if keys[0] <= prev_key or any(map(operator.ge, keys, keys[1:])):

@@ -1,10 +1,11 @@
-"""Shared generators for the test suite, and the compiled kernels that the
-backend parity tests compare with the pure-Python one."""
+"""Shared generators for the test suite, and the compiled kernel that the
+kernel parity tests compare with the pure-Python one."""
 
 import importlib.util
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 import warnings
@@ -15,41 +16,39 @@ import pytest
 from pqc.morton import Config
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net
 
-KERNEL_SOURCES = Path(__file__).resolve().parent.parent / "src" / "pqc"
-# The compiled kernels: the committed Cython output of the version-1
-# kernel and the hand-written version-2 record kernel.
-KERNELS = ("_bits_c", "_bits_eg")
-_kernel = {"modules": {}, "dir": None}
+# The C source of the compiled record kernel.
+KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "pqc" / "_bits_ext.c"
+_kernel = {"module": None, "dir": None}
 
 
 def pytest_sessionstart(session):
-    """Compile the C source of each kernel in KERNELS into a temporary
-    directory and load it as ``pqc.<name>``, when gcc and the Python
-    headers are present.  They are not put in ``sys.modules`` and nothing
-    is written under ``src/``, so the backend that ``pqc`` selected at
-    import stays the one every other test runs on; only
-    :func:`compiled_kernel` hands them out."""
+    """Compile KERNEL_SOURCE into a temporary directory and load it as
+    ``pqc._bits_ext``, when gcc and the Python headers are present.  It is
+    not put in ``sys.modules`` and nothing is written under ``src/``, so
+    the kernel that ``pqc`` selected at import stays the one every other
+    test runs on; only :func:`compiled_kernel` hands it out."""
     gcc = shutil.which("gcc")
     include = sysconfig.get_paths()["include"]
     if gcc is None or not (Path(include) / "Python.h").is_file():
         return
     out = Path(tempfile.mkdtemp(prefix="pqc-kernel-"))
     _kernel["dir"] = out
-    for name in KERNELS:
-        target = out / (name + sysconfig.get_config_var("EXT_SUFFIX"))
-        build = subprocess.run(
-            [gcc, "-O0", "-shared", "-fPIC", f"-I{include}"]
-            + [str(KERNEL_SOURCES / f"{name}.c"), "-o", str(target)],
-            capture_output=True,
-            text=True,
-        )
-        if build.returncode:
-            warnings.warn(f"compiled kernel {name} not built: {build.stderr[-500:]}")
-            continue
-        spec = importlib.util.spec_from_file_location(f"pqc.{name}", target)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _kernel["modules"][name] = module
+    target = out / ("_bits_ext" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [gcc, "-O0", "-shared", "-fPIC", f"-I{include}"]
+        + [str(KERNEL_SOURCE), "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    if build.returncode:
+        warnings.warn(f"compiled kernel not built: {build.stderr[-500:]}")
+        return
+    spec = importlib.util.spec_from_file_location("pqc._bits_ext", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Loading an extension registers it; take it out again.
+    sys.modules.pop(spec.name, None)
+    _kernel["module"] = module
 
 
 def pytest_sessionfinish(session):
@@ -57,10 +56,10 @@ def pytest_sessionfinish(session):
         shutil.rmtree(_kernel["dir"], ignore_errors=True)
 
 
-def compiled_kernel(name="_bits_c"):
-    """The kernel ``pqc.<name>`` compiled at session start, or None
+def compiled_kernel():
+    """The kernel ``pqc._bits_ext`` compiled at session start, or None
     without a compiler."""
-    return _kernel["modules"].get(name)
+    return _kernel["module"]
 
 
 def jittered_net(cfg, seed, f0=32, epsilon=0.9, cols=None, rows=None, origin=(0, 0)):

@@ -1,12 +1,17 @@
-"""Bit-exact behaviour of the gamma / xor / signed-difference codes.
+"""Bit-exact behaviour of the gamma / Exp-Golomb / xor / signed-difference
+codes.
 
-Both kernel implementations (pure Python and the compiled extension, when
-built) are exercised through the same cases and must produce identical
-streams.
+The bit streams are ``_bits_py``'s.  Both kernels' record functions (pure
+Python and the compiled extension, when built) are exercised through the
+same cases and must produce identical streams.
 """
 
 import importlib
-import itertools
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +26,12 @@ from pqc.reference import bitwise_decode_records
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
 
 
-def _backends():
+def _kernels():
     """The pure-Python kernel, plus the compiled one: built in place, or
     else compiled for this session by the conftest."""
-    mods = [importlib.import_module("pqc._bits_py")]
+    mods = [_bits_py]
     try:
-        mods.append(importlib.import_module("pqc._bits_c"))
+        mods.append(importlib.import_module("pqc._bits_ext"))
     except ImportError:
         kernel = compiled_kernel()
         if kernel is not None:
@@ -34,24 +39,7 @@ def _backends():
     return mods
 
 
-BACKENDS = _backends()
-
-
-def _v2_kernels():
-    """The modules with the version-2 record functions: ``_bits_py``, plus
-    its compiled twin ``_bits_eg``, built in place or else compiled for
-    this session by the conftest."""
-    mods = [_bits_py]
-    try:
-        mods.append(importlib.import_module("pqc._bits_eg"))
-    except ImportError:
-        kernel = compiled_kernel("_bits_eg")
-        if kernel is not None:
-            mods.append(kernel)
-    return mods
-
-
-V2_KERNELS = _v2_kernels()
+KERNELS = _kernels()
 
 
 def bitstring(writer_mod, encode):
@@ -63,12 +51,28 @@ def bitstring(writer_mod, encode):
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.fixture(params=KERNELS, ids=lambda m: m.BACKEND)
 def kern(request):
     return request.param
 
 
+@pytest.fixture(params=[_bits_py], ids=lambda m: m.BACKEND)
+def streams(request):
+    """The module of the bit-stream classes: ``_bits_py``, whose BitWriter
+    and BitReader every kernel's records are written to and read from."""
+    return request.param
+
+
+def _gamma_record(kern, writer, value):
+    """A one-axis lossless record from 0: the gamma code of ``value``."""
+    return kern.encode_records(writer, (0,), 0, [(value,)], [0], 0, False)
+
+
 class TestGamma:
+    """Gamma codes, as each kernel's lossless ``encode_records`` writes
+    them and ``BitReader.read_gamma``, the reader of the bit-serial oracle,
+    and the kernel's ``decode_records`` read them back."""
+
     # Golden values straight off the worked 5-point example.
     GOLDEN = [
         (0, "1"),
@@ -81,63 +85,66 @@ class TestGamma:
 
     @pytest.mark.parametrize("value,bits", GOLDEN)
     def test_golden_encodings(self, kern, value, bits):
-        s, n = bitstring(kern, lambda w: w.write_gamma(value))
+        s, n = bitstring(_bits_py, lambda w: _gamma_record(kern, w, value))
         assert s == bits
         assert n == len(bits)
+        r = _bits_py.BitReader(*_written(bits))
+        assert r.read_gamma() == value
+        assert r.tell() == len(bits)
 
     def test_length_formula(self, kern):
         for v in range(1, 4096):
-            w = kern.BitWriter()
-            assert w.write_gamma(v) == 2 * v.bit_length()
-        w = kern.BitWriter()
-        assert w.write_gamma(0) == 1
+            assert _gamma_record(kern, _bits_py.BitWriter(), v) == 2 * v.bit_length()
+        assert _gamma_record(kern, _bits_py.BitWriter(), 0) == 1
 
     def test_round_trip_exhaustive_16bit(self, kern):
-        w = kern.BitWriter()
-        for v in range(1 << 16):
-            w.write_gamma(v)
-        r = kern.BitReader(w.getvalue(), w.bit_length)
+        # Point i differs from point i - 1 by the delta i.
+        pts = [(0,)]
+        for v in range(1, 1 << 16):
+            pts.append((pts[-1][0] ^ v,))
+        w = _bits_py.BitWriter()
+        kern.encode_records(w, (0,), 0, pts, [0] * len(pts), 0, False)
+        r = _bits_py.BitReader(w.getvalue(), w.bit_length)
         for v in range(1 << 16):
             assert r.read_gamma() == v
+        assert r.tell() == w.bit_length
+        r = _bits_py.BitReader(w.getvalue(), w.bit_length)
+        got = kern.decode_records(r, (0,), 0, 1, 16, 0, False, w.bit_length)
+        assert got == (pts, [0] * len(pts))
         assert r.tell() == w.bit_length
 
     def test_rejects_negative(self, kern):
         with pytest.raises(ValueError):
-            kern.BitWriter().write_gamma(-1)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            codec.gamma_encode(32, codec.BitWriter(), width=5)
+            _gamma_record(kern, _bits_py.BitWriter(), -1)
 
     def test_truncated_stream(self, kern):
-        w = kern.BitWriter()
-        w.write_gamma(14)
-        data = w.getvalue()
-        r = kern.BitReader(data, 5)  # cut inside the code word
+        w = _bits_py.BitWriter()
+        _gamma_record(kern, w, 14)
+        r = _bits_py.BitReader(w.getvalue(), 5)  # cut inside the code word
         with pytest.raises(TruncatedStreamError):
-            r.read_gamma()
+            kern.decode_records(r, (0,), 0, 1, 5, 0, False, 5)
 
 
 class TestSignedGamma:
-    def test_zero_has_no_sign_bit(self, kern):
-        s, _ = bitstring(kern, lambda w: w.write_signed_gamma(0))
+    def test_zero_has_no_sign_bit(self, streams):
+        s, _ = bitstring(streams, lambda w: w.write_signed_gamma(0))
         assert s == "1"
 
-    def test_plus_minus_one(self, kern):
-        assert bitstring(kern, lambda w: w.write_signed_gamma(1))[0] == "010"
-        assert bitstring(kern, lambda w: w.write_signed_gamma(-1))[0] == "011"
+    def test_plus_minus_one(self, streams):
+        assert bitstring(streams, lambda w: w.write_signed_gamma(1))[0] == "010"
+        assert bitstring(streams, lambda w: w.write_signed_gamma(-1))[0] == "011"
 
-    def test_length_formula(self, kern):
+    def test_length_formula(self, streams):
         for v in list(range(-300, 0)) + list(range(1, 300)):
-            w = kern.BitWriter()
+            w = streams.BitWriter()
             assert w.write_signed_gamma(v) == 2 * abs(v).bit_length() + 1
 
-    def test_round_trip(self, kern):
+    def test_round_trip(self, streams):
         values = list(range(-(1 << 12), (1 << 12) + 1))
-        w = kern.BitWriter()
+        w = streams.BitWriter()
         for v in values:
             w.write_signed_gamma(v)
-        r = kern.BitReader(w.getvalue(), w.bit_length)
+        r = streams.BitReader(w.getvalue(), w.bit_length)
         for v in values:
             assert r.read_signed_gamma() == v
 
@@ -169,7 +176,7 @@ class TestExpGolomb:
         (3, 16, "011000"),
     ]
 
-    @pytest.mark.parametrize("v2", V2_KERNELS, ids=lambda m: m.BACKEND)
+    @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
     @pytest.mark.parametrize("order,value,bits", GOLDEN)
     def test_golden_encodings(self, v2, order, value, bits):
         # A one-axis record at height 0: a zero height delta, "1", then
@@ -184,7 +191,7 @@ class TestExpGolomb:
         assert r.read_exp_golomb(order) == value
         assert r.tell() == len(bits)
 
-    @pytest.mark.parametrize("v2", V2_KERNELS, ids=lambda m: m.BACKEND)
+    @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
     @given(st.integers(1, 32), st.data())
     @settings(deadline=None, max_examples=200)
     def test_round_trip_and_worst_case_length(self, v2, w, data):
@@ -224,6 +231,8 @@ def _written(bits):
 
 
 class TestXorCode:
+    """Lossless records: per axis, the gamma code of prev ^ cur."""
+
     CFG = Config(d=2, w=5, gamma=0)
 
     def test_figure_rows(self, kern):
@@ -232,15 +241,18 @@ class TestXorCode:
             ((9, 6), (10, 6), "00111", 5),
         ]
         for prev, cur, bits, n in rows:
-            w = kern.BitWriter()
-            written = codec.xor_code_point(prev, cur, 0, w)
+            s, written = bitstring(
+                _bits_py, lambda w: kern.encode_records(w, prev, 0, [cur], [0], 0, False)
+            )
             assert written == n
-            assert codec.bits_to_string(w.getvalue(), w.bit_length) == bits
+            assert s == bits
 
     def test_equal_points_cost_one_bit_per_axis(self, kern):
-        w = kern.BitWriter()
-        assert codec.xor_code_point((9, 6), (9, 6), 3, w) == 2
-        assert codec.bits_to_string(w.getvalue(), 2) == "11"
+        s, written = bitstring(
+            _bits_py, lambda w: kern.encode_records(w, (9, 6), 0, [(9, 6)], [0], 0, False)
+        )
+        assert written == 2
+        assert s == "11"
 
     def test_figure_payload_strings(self):
         strings = codec.xor_code_strings(FIGURE_POINTS, self.CFG)
@@ -259,41 +271,39 @@ class TestPrefixFreeness:
     @given(st.lists(st.integers(0, 2**20), max_size=60))
     @settings(deadline=None, max_examples=150)
     def test_concatenated_stream_decodes_exactly(self, values):
-        for kern in BACKENDS:
-            w = kern.BitWriter()
-            for v in values:
-                w.write_gamma(v)
-            r = kern.BitReader(w.getvalue(), w.bit_length)
-            assert [r.read_gamma() for _ in values] == values
-            assert r.tell() == w.bit_length
+        w = _bits_py.BitWriter()
+        for v in values:
+            w.write_gamma(v)
+        r = _bits_py.BitReader(w.getvalue(), w.bit_length)
+        assert [r.read_gamma() for _ in values] == values
+        assert r.tell() == w.bit_length
 
     @given(st.lists(st.integers(-(2**16), 2**16), max_size=60))
     @settings(deadline=None, max_examples=150)
     def test_signed_stream_decodes_exactly(self, values):
-        for kern in BACKENDS:
-            w = kern.BitWriter()
-            for v in values:
-                w.write_signed_gamma(v)
-            r = kern.BitReader(w.getvalue(), w.bit_length)
-            assert [r.read_signed_gamma() for _ in values] == values
+        w = _bits_py.BitWriter()
+        for v in values:
+            w.write_signed_gamma(v)
+        r = _bits_py.BitReader(w.getvalue(), w.bit_length)
+        assert [r.read_signed_gamma() for _ in values] == values
 
 
 class TestWriterReaderPrimitives:
-    def test_write_bits_msb_first(self, kern):
-        w = kern.BitWriter()
+    def test_write_bits_msb_first(self, streams):
+        w = streams.BitWriter()
         w.write_bits(0b101, 3)
         w.write_bits(0b0110, 4)
         assert codec.bits_to_string(w.getvalue(), 7) == "1010110"
-        r = kern.BitReader(w.getvalue(), 7)
+        r = streams.BitReader(w.getvalue(), 7)
         assert r.read_bits(3) == 0b101
         assert r.read_bits(4) == 0b0110
 
-    def test_write_bits_rejects_oversized_value(self, kern):
+    def test_write_bits_rejects_oversized_value(self, streams):
         with pytest.raises(ValueError):
-            kern.BitWriter().write_bits(8, 3)
+            streams.BitWriter().write_bits(8, 3)
 
-    def test_padding_is_zero(self, kern):
-        w = kern.BitWriter()
+    def test_padding_is_zero(self, streams):
+        w = streams.BitWriter()
         w.write_bits(0b1, 1)
         assert w.getvalue() == b"\x80"
 
@@ -301,12 +311,11 @@ class TestWriterReaderPrimitives:
     @settings(deadline=None, max_examples=150)
     def test_chunked_round_trip(self, chunks):
         chunks = [(v & ((1 << n) - 1), n) for v, n in chunks]
-        for kern in BACKENDS:
-            w = kern.BitWriter()
-            for v, n in chunks:
-                w.write_bits(v, n)
-            r = kern.BitReader(w.getvalue(), w.bit_length)
-            assert [(r.read_bits(n), n) for _, n in chunks] == chunks
+        w = _bits_py.BitWriter()
+        for v, n in chunks:
+            w.write_bits(v, n)
+        r = _bits_py.BitReader(w.getvalue(), w.bit_length)
+        assert [(r.read_bits(n), n) for _, n in chunks] == chunks
 
 
 @st.composite
@@ -339,10 +348,9 @@ PY_RECORDS = {
 }
 
 
-# (version, encode, decode) of every record code: the pure-Python
-# kernel's, and the compiled twin of its version-2 records when built.
-RECORD_CODES = [(1,) + PY_RECORDS[1]] + [
-    (2, k.encode_records_v2, k.decode_records_v2) for k in V2_KERNELS
+# (version, encode, decode) of every record code on every kernel.
+RECORD_CODES = [(1, k.encode_records, k.decode_records) for k in KERNELS] + [
+    (2, k.encode_records_v2, k.decode_records_v2) for k in KERNELS
 ]
 
 
@@ -364,8 +372,8 @@ def _decode_outcome(decode, data, nbits, start, args, end_bit):
 
 
 class TestRecordDecodeOracle:
-    """The string-scan ``decode_records`` and ``decode_records_v2``, and the
-    compiled ``decode_records_v2``, against the bit-serial oracle."""
+    """Each kernel's ``decode_records`` and ``decode_records_v2`` against
+    the bit-serial oracle."""
 
     @given(record_streams(), st.data())
     @settings(deadline=None, max_examples=400)
@@ -379,7 +387,8 @@ class TestRecordDecodeOracle:
         encode(writer, head, head_h, coords, heights, gamma, lossy)
         buf, nbits = bytearray(writer.getvalue()), writer.bit_length
         damage = data.draw(
-            st.sampled_from(["none", "truncate", "mutate", "overlong"]), label="damage"
+            st.sampled_from(["none", "truncate", "mutate", "zero run", "overlong"]),
+            label="damage",
         )
         if damage == "truncate":
             nbits = data.draw(st.integers(start, nbits))
@@ -388,6 +397,12 @@ class TestRecordDecodeOracle:
                 buf[data.draw(st.integers(0, len(buf) - 1))] = data.draw(
                     st.integers(0, 255)
                 )
+        elif damage == "zero run" and buf:
+            # 8 to 16 zero bytes: a zero run longer than a 64-bit word and
+            # than any code of a valid record.
+            lo = data.draw(st.integers(0, len(buf) - 1))
+            hi = min(len(buf), lo + data.draw(st.integers(8, 16)))
+            buf[lo:hi] = bytes(hi - lo)
         elif damage == "overlong":
             buf += data.draw(st.binary(min_size=1, max_size=6))
             nbits = data.draw(st.integers(nbits, 8 * len(buf)))
@@ -403,7 +418,7 @@ class TestRecordDecodeOracle:
         if damage == "none" and end_bit == nbits:
             assert fast == ((list(coords), list(heights)), nbits)
 
-    @pytest.mark.parametrize("v2", V2_KERNELS, ids=lambda m: m.BACKEND)
+    @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
     @pytest.mark.parametrize("tail", ["height", "overflow", "truncated", "cut sign"])
     def test_malformed_version_2_records(self, v2, tail):
         """A record after a valid one that is malformed in each way the
@@ -497,19 +512,13 @@ class TestChunkedDecode:
     from the last decoded point and height where the previous one left
     the cursor."""
 
-    # (kernel, encode, decode): version-1 records on every kernel, and
-    # version-2 records on every version-2 kernel, over _bits_py streams.
-    CODES = [(k, k.encode_records, k.decode_records) for k in BACKENDS] + [
-        (_bits_py, k.encode_records_v2, k.decode_records_v2) for k in V2_KERNELS
-    ]
-
     @given(record_streams(), st.data())
     @settings(deadline=None, max_examples=200)
     def test_chunks_concatenate_to_one_call(self, stream, data):
         d, w, gamma, lossy, head, head_h, coords, heights = stream
-        for kern, encode, decode in self.CODES:
+        for _, encode, decode in RECORD_CODES:
             # One record at a time, to know where each record ends.
-            writer = kern.BitWriter()
+            writer = _bits_py.BitWriter()
             bounds = [0]
             prev, prev_h = head, head_h
             for c, h in zip(coords, heights):
@@ -517,11 +526,11 @@ class TestChunkedDecode:
                 bounds.append(writer.bit_length)
                 prev, prev_h = c, h
             buf, nbits = writer.getvalue(), writer.bit_length
-            reader = kern.BitReader(buf, nbits)
+            reader = _bits_py.BitReader(buf, nbits)
             whole = decode(reader, head, head_h, d, w, gamma, lossy, nbits)
             assert reader.tell() == nbits
             cuts = sorted(data.draw(st.lists(st.integers(0, nbits), max_size=8)))
-            reader = kern.BitReader(buf, nbits)
+            reader = _bits_py.BitReader(buf, nbits)
             got_coords, got_heights = [], []
             prev, prev_h = head, head_h
             for end_bit in cuts + [nbits]:
@@ -593,90 +602,60 @@ class TestChunkedDecode:
         assert reader.tell() == longest and len(tops) == 1
 
 
+def _round_trip(encode, decode, stream):
+    """What ``encode`` writes of a record stream, over a ``_bits_py``
+    stream, and what ``decode`` reads back: (bits, bytes, bit length,
+    (coords, heights), final cursor)."""
+    d, w, gamma, lossy, head, head_h, coords, heights = stream
+    writer = _bits_py.BitWriter()
+    bits = encode(writer, head, head_h, coords, heights, gamma, lossy)
+    data, nbits = writer.getvalue(), writer.bit_length
+    reader = _bits_py.BitReader(data, nbits)
+    decoded = decode(reader, head, head_h, d, w, gamma, lossy, nbits)
+    return bits, data, nbits, decoded, reader.tell()
+
+
 class TestBackendParity:
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 2**31 - 1), st.integers(-40, 40)), max_size=80
-        )
-    )
-    @settings(deadline=None, max_examples=150)
-    def test_identical_streams(self, pairs):
-        streams = []
-        for kern in BACKENDS:
-            w = kern.BitWriter()
-            for v, s in pairs:
-                w.write_gamma(v)
-                w.write_signed_gamma(s)
-            streams.append((w.getvalue(), w.bit_length))
-        assert streams[0] == streams[1]
+    """The compiled kernel's gamma records against ``_bits_py``'s, lossy
+    and lossless."""
 
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
-    def test_interleave_parity(self):
-        import random
-
-        rng = random.Random(5)
-        py, cy = BACKENDS
-        for d, w in [(2, 5), (2, 32), (3, 16), (3, 21), (3, 32)]:
-            for _ in range(200):
-                p = tuple(rng.randrange(1 << w) for _ in range(d))
-                key = py.interleave(p, w)
-                assert cy.interleave(p, w) == key
-                assert cy.deinterleave(key, d, w) == p == py.deinterleave(key, d, w)
-
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
+    @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     @given(record_streams())
     @settings(deadline=None, max_examples=200)
     def test_record_parity(self, stream):
-        d, w, gamma, lossy, head, head_h, coords, heights = stream
-        outcomes = []
-        for kern in BACKENDS:
-            writer = kern.BitWriter()
-            bits = kern.encode_records(
-                writer, head, head_h, coords, heights, gamma, lossy
-            )
-            data, nbits = writer.getvalue(), writer.bit_length
-            reader = kern.BitReader(data, nbits)
-            decoded = kern.decode_records(
-                reader, head, head_h, d, w, gamma, lossy, nbits
-            )
-            outcomes.append((bits, data, nbits, decoded, reader.tell()))
+        outcomes = [
+            _round_trip(k.encode_records, k.decode_records, stream) for k in KERNELS
+        ]
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][3] == (list(coords), list(heights))
+        assert outcomes[0][3] == (list(stream[6]), list(stream[7]))
 
 
 class TestVersion2UnderEveryKernel:
     """``codec.records`` gives version-2 lossy records to the selected
-    version-2 kernel, over ``_bits_py`` streams, and lossless and version-1
-    records to the selected kernel.  Every pair of kernels writes the same
-    files."""
+    kernel's Exp-Golomb functions and lossless and version-1 records to its
+    gamma functions, all over ``_bits_py`` streams.  Every kernel writes
+    the same files."""
 
-    @pytest.mark.skipif(
-        len(BACKENDS) < 2 or len(V2_KERNELS) < 2, reason="compiled kernels not built"
-    )
-    def test_every_kernel_pair_round_trips_a_version_2_store(self, monkeypatch):
+    @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
+    def test_every_kernel_round_trips_a_version_2_store(self, monkeypatch):
         cfg = Config(d=2, w=12, gamma=4)
         lossy_pts = round_set(random_points(cfg, 9, 150), cfg)
         plain_pts = [HeightedPoint(hp.coords, 0) for hp in lossy_pts]
         extra = random_points(cfg, 10, 20)
         files = {}
-        for kern, v2 in itertools.product(BACKENDS, V2_KERNELS):
+        for kern in KERNELS:
             monkeypatch.setattr(codec, "_impl", kern)
-            monkeypatch.setattr(codec, "_impl_v2", v2)
             assert codec.records(2, True) == (
-                _bits_py.BitWriter,
-                _bits_py.BitReader,
-                v2.encode_records_v2,
-                v2.decode_records_v2,
+                kern.encode_records_v2,
+                kern.decode_records_v2,
             )
-            assert codec.records(2, False) is codec.records(1, True) is kern
+            gamma_records = (kern.encode_records, kern.decode_records)
+            assert codec.records(2, False) == codec.records(1, True) == gamma_records
             for mode, pts in ((LOSSY, lossy_pts), (LOSSLESS, plain_pts)):
                 st = CompressedStore.build(pts, cfg, mode)
                 data = st.to_bytes()
                 assert data[4] == 2
                 back = CompressedStore.from_bytes(data)
-                reader = back._prefix(0, 1).reader
-                assert type(reader) is codec.records(2, mode == LOSSY).BitReader
                 assert back.decode_all() == pts
                 for p in extra:
                     if p not in {hp.coords for hp in pts}:
@@ -686,22 +665,60 @@ class TestVersion2UnderEveryKernel:
                 files.setdefault(mode, set()).add((data, back.to_bytes()))
         assert all(len(pairs) == 1 for pairs in files.values())
 
-    @pytest.mark.skipif(len(V2_KERNELS) < 2, reason="compiled kernels not built")
+    @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     @given(record_streams())
     @settings(deadline=None, max_examples=200)
     def test_version_2_record_parity(self, stream):
-        d, w, gamma, lossy, head, head_h, coords, heights = stream
-        outcomes = []
-        for v2 in V2_KERNELS:
-            writer = _bits_py.BitWriter()
-            bits = v2.encode_records_v2(
-                writer, head, head_h, coords, heights, gamma, lossy
-            )
-            data, nbits = writer.getvalue(), writer.bit_length
-            reader = _bits_py.BitReader(data, nbits)
-            decoded = v2.decode_records_v2(
-                reader, head, head_h, d, w, gamma, lossy, nbits
-            )
-            outcomes.append((bits, data, nbits, decoded, reader.tell()))
+        outcomes = [
+            _round_trip(k.encode_records_v2, k.decode_records_v2, stream)
+            for k in KERNELS
+        ]
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][3] == (list(coords), list(heights))
+        assert outcomes[0][3] == (list(stream[6]), list(stream[7]))
+
+
+class TestKernelSelection:
+    """``PQC_BACKEND`` picks the kernel when ``pqc`` is first imported, so
+    each case imports it in a fresh interpreter."""
+
+    PROBE = """
+try:
+    import pqc
+except ImportError as exc:
+    print("ImportError:", exc)
+except ValueError as exc:
+    print("ValueError:", exc)
+else:
+    print(pqc.KERNEL_BACKEND)
+"""
+
+    def _import(self, choice):
+        """What importing ``pqc`` under PQC_BACKEND=choice prints."""
+        src = str(Path(codec.__file__).resolve().parent.parent)
+        env = dict(os.environ, PQC_BACKEND=choice)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.strip()
+
+    def test_unknown_choice_names_the_choices(self):
+        assert self._import("bogus") == (
+            "ValueError: PQC_BACKEND must be 'auto', 'c', or 'py', not 'bogus'"
+        )
+
+    def test_py_selects_the_pure_python_kernel(self):
+        assert self._import("py") == "python"
+
+    def test_c_requires_the_compiled_kernel(self):
+        if importlib.util.find_spec("pqc._bits_ext") is None:
+            assert self._import("c").startswith("ImportError:")
+        else:
+            assert self._import("c") == "c"

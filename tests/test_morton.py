@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqc import _bits_py
 from pqc.errors import DomainError
 from pqc.morton import (
     Config,
@@ -85,27 +84,28 @@ def bit_loop_key(p, w):
 
 
 class TestKernelInterleave:
-    """``_bits_py.interleave`` (byte table, spread or bit loop, by the
-    coordinates' width) against the bit-loop definition."""
+    """``interleave`` (byte table, spread or bit loop, by the coordinates'
+    width) and ``deinterleave`` against the bit-loop definition."""
 
     EDGES = [0, 0xFF, 0x100, 0xFFFF, 0x10000, 2**32 - 1]
 
     def test_table_edges(self):
         for x in self.EDGES:
             for y in self.EDGES:
-                key = _bits_py.interleave((x, y), 32)
+                key = interleave((x, y), Config(d=2, w=32))
                 assert key == bit_loop_key((x, y), 32)
-                assert _bits_py.deinterleave(key, 2, 32) == (x, y)
+                assert deinterleave(key, Config(d=2, w=32)) == (x, y)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_points_every_width(self, d):
         rng = random.Random(41 + d)
         for w in range(1, 33):
+            cfg = Config(d=d, w=w)
             for _ in range(100):
                 p = tuple(rng.randrange(1 << w) for _ in range(d))
-                key = _bits_py.interleave(p, w)
+                key = interleave(p, cfg)
                 assert key == bit_loop_key(p, w)
-                assert _bits_py.deinterleave(key, d, w) == p
+                assert deinterleave(key, cfg) == p
 
 
 class TestInterleaveAll:
