@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the bit kernels: lossy record codes and Morton keys.
 
-Times the hot paths behind store construction and queries: block record
-encoding and decoding, for version-1 (gamma) and version-2 (Exp-Golomb)
-records on the pure-Python kernel and on the compiled kernel ``_bits_ext``
-when it is built, and Morton key computation.  Before timing, each record
+Times the hot paths behind store construction and queries: the one
+``round_set`` call that rounds the generated net (leaf-height sweep and
+rounding), block record encoding and decoding, for version-1 (gamma) and
+version-2 (Exp-Golomb) records on the pure-Python kernel and on the
+compiled kernel ``_bits_ext`` when it is built, and Morton key
+computation.  Before timing, each record
 code must decode its own streams back to exactly the encoded points and
 heights, and the Morton keys must match the bit-by-bit definition; a code
 that fails either check stops the script.
@@ -56,7 +58,9 @@ def make_blocks(cfg, n, block_size):
     pts = generate_epsilon_net(spec, cfg, seed=7)[:n]
     if len(pts) < n:
         raise SystemExit(f"domain too small for n={n}; got {len(pts)} points")
+    t0 = time.perf_counter()
     heighted = round_set(pts, cfg)
+    round_s = time.perf_counter() - t0
     blocks = []
     for i in range(0, len(heighted), block_size):
         chunk = heighted[i : i + block_size]
@@ -68,7 +72,7 @@ def make_blocks(cfg, n, block_size):
                 [hp.height for hp in chunk[1:]],
             )
         )
-    return pts, blocks
+    return pts, blocks, round_s
 
 
 def check_code(name, decode, cfg, blocks, payloads):
@@ -110,7 +114,7 @@ def main():
 
     cfg = Config(d=2, w=args.w, gamma=args.gamma)
     print(f"building {args.n} rounded points (d=2, w={args.w}, gamma={args.gamma})...")
-    pts, blocks = make_blocks(cfg, args.n, 2 * cfg.w)
+    pts, blocks, round_s = make_blocks(cfg, args.n, 2 * cfg.w)
     n = sum(1 + len(b[2]) for b in blocks)
     codes = {}
 
@@ -162,6 +166,7 @@ def main():
         cells = "".join(f"{row[k]:>14.4f} ({n / row[k] / 1e6:>5.2f})" for k in sides)
         print(f"{name:<16}{row['bits_per_record']:>12.2f}{cells}")
     print(f"{'morton':<28}{morton:>14.4f} ({n / morton / 1e6:>5.2f})")
+    print(f"{'round_set':<28}{round_s:>14.4f} ({n / round_s / 1e6:>5.2f})  one call")
 
 
 if __name__ == "__main__":

@@ -50,17 +50,22 @@ def round_set(
     """Round a duplicate-free set against its own quadtree leaf heights.
 
     Heights come from one Morton-order sweep over the original set
-    (:meth:`pqc.qtree.ArrayPointSource.leaf_heights`).  The result is in
-    Morton order (rounding cannot reorder: each point stays inside its own
-    leaf and leaves are disjoint).
+    (:meth:`pqc.qtree.ArrayPointSource.leaf_heights`).  Each rounded key
+    is the point's key with its low d*s bits cleared, s = max(h - gamma, 0)
+    the bits cleared per coordinate, so no point is keyed twice.  The
+    result is in Morton order (rounding cannot reorder: each point stays
+    inside its own leaf and leaves are disjoint); a collapse or a reorder,
+    which correct heights never cause, raises.
     """
     gamma = cfg.gamma if gamma is None else gamma
+    d = cfg.d
     src = ArrayPointSource(points, cfg)
     out = []
     prev_key = -1
     for rank, h in enumerate(src.leaf_heights()):
         rp = round_point(src.point_at(rank), h, gamma)
-        key = interleave(rp, cfg)
+        cleared = d * max(h - gamma, 0)
+        key = src.key_at(rank) >> cleared << cleared
         if key == prev_key:
             raise DuplicatePointError(f"rounding collapsed two points at {rp}")
         assert key > prev_key, "rounding must preserve Morton order"

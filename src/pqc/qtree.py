@@ -13,8 +13,14 @@ one while some equal-size neighbour square is nonempty.  Crowdedness is
 monotone along any root-to-leaf chain (an uncrowded square has only
 uncrowded descendants), which is what makes the height search sound.
 :func:`square_of` and :meth:`ArrayPointSource.leaf_heights` share that
-search: the keys of a point's Morton neighbours bracket its leaf height,
-and only the heights between the brackets need a neighbour probe.
+search (:func:`_leaf_search`): the keys of a point's Morton neighbours
+bracket its leaf height, and only the heights between the brackets need a
+neighbour test, "is an equal-size neighbour square nonempty?".  The test
+is the search's argument.  :func:`square_of` answers it with one successor
+search per neighbour square, which any source supports.
+:meth:`ArrayPointSource.leaf_heights`, which sweeps every point it holds,
+answers it from hash sets of each level's occupied cells, built for that
+one call; both probe the same squares in the same order.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, DuplicatePointError, PqcError, UnsortedInputError
@@ -30,6 +37,7 @@ from .morton import (
     Point,
     TrieSquare,
     interleave,
+    interleave_all,
     neighbours,
     square_key_range,
     square_of_point,
@@ -41,9 +49,12 @@ class Counters:
     """Work counters of one source, for complexity regression tests.
 
     range_queries    key lookups by the queries: one per :func:`vertices`
-                     call (a key range, two successor searches) and one per
+                     call (a key range, two successor searches), one per
                      successor search of :func:`square_of`'s height search
-                     (for p's own key and for each neighbour probed).
+                     (for p's own key and for each neighbour probed), and
+                     one per neighbour probed by
+                     :meth:`ArrayPointSource.leaf_heights` (a cell-set
+                     lookup in place of the successor search).
     blocks_decoded   blocks whose decode a compressed store started: one
                      per block-cache miss, however far into the block
                      the read then decodes, and one per decode_block
@@ -127,12 +138,9 @@ class ArrayPointSource(PointSource):
     def __init__(self, points: Sequence[Point], cfg: Config, heights=None, presorted=False):
         self.cfg = cfg
         pts = [validate_point(p, cfg) for p in points]
-        if presorted:
-            keys = [interleave(p, cfg) for p in pts]
-        else:
-            decorated = sorted(
-                (interleave(p, cfg), p) for p in pts
-            )
+        keys = interleave_all(pts, cfg)
+        if not presorted:
+            decorated = sorted(zip(keys, pts))
             keys = [k for k, _ in decorated]
             pts = [p for _, p in decorated]
         for i in range(1, len(keys)):
@@ -172,12 +180,14 @@ class ArrayPointSource(PointSource):
     def leaf_heights(self) -> list[int]:
         """Leaf height of every point, in rank order, in one pass over the keys.
 
-        Each height equals ``square_of(point, self).height`` and comes from
+        Each height equals ``square_of(point, self).height``: the sweep runs
         the same bracketed search (:func:`_leaf_search`), started at the
-        point's known rank, so the sweep makes no successor search of its
-        own: only the neighbour probes between each point's brackets.
+        point's known rank, and makes the same neighbour probes in the same
+        order.  Only the probe differs: a lookup in the set of occupied
+        cells of the tested level (:func:`_occupied_cell_test`), built for
+        this call, instead of a successor search.
         """
-        height = _leaf_search(self)
+        height = _leaf_search(self, _occupied_cell_test(self))
         return [height(key, p, r) for r, (key, p) in enumerate(zip(self._keys, self._points))]
 
 
@@ -187,10 +197,117 @@ def _axis_masks(d: int, w: int) -> tuple:
     return tuple(sum(1 << (d * i + d - 1 - a) for i in range(w)) for a in range(d))
 
 
-def _leaf_search(src: PointSource):
+def _successor_test(src: PointSource):
+    """Is an equal-size neighbour of p's height-h square nonempty?  As a
+    function ``test(key, p, h)`` -> (answer, probes made), that makes one
+    successor search on ``src`` per neighbour inside the domain.
+
+    Per axis, the corner's bits of that axis moved by 0, -1 and +1 squares
+    come from dilated-integer arithmetic on p's key: setting the other
+    axes' bits before adding lets the carry run through them.  The axes'
+    bits are disjoint, so a neighbour's key is their sum; the first sum,
+    no axis moved, is p's own.
+    """
+    cfg = src.cfg
+    d, w = cfg.d, cfg.w
+    masks = _axis_masks(d, w)
+    n = src.count()
+    successor_rank = src.successor_rank
+    key_at = src.key_at
+
+    def test(key: int, p: Point, h: int) -> tuple:
+        shift = d * h
+        corner = key >> shift << shift
+        last_cell = (1 << (w - h)) - 1
+        moves = []
+        for a in range(d):
+            m = masks[a]
+            own = corner & m
+            unit = 1 << (shift + d - 1 - a)
+            cell = p[a] >> h
+            axis = [own]
+            if cell:
+                axis.append((own - unit) & m)
+            if cell < last_cell:
+                axis.append(((own | ~m) + unit) & m)
+            moves.append(axis)
+        span = 1 << shift
+        probes = 0
+        for nk in itertools.islice(map(sum, itertools.product(*moves)), 1, None):
+            probes += 1
+            i = successor_rank(nk)
+            if i < n and key_at(i) < nk + span:
+                return True, probes
+        return False, probes
+
+    return test
+
+
+def _occupied_cell_test(src: ArrayPointSource):
+    """:func:`_successor_test`'s question and probe order, answered from
+    hash sets of the occupied cells of each level (as in Warren and
+    Salmon's hashed oct-tree) instead of successor searches.
+
+    A point's cell at height h packs into one int, ``sum((c >> h) << a*w)``
+    over its coordinates c: the packed point shifted right by h and masked
+    to w - h bits per axis.  A neighbour's cell is the point's cell plus a
+    fixed offset, ``sum(delta_a << a*w)``, each axis moved by 0, -1 or +1
+    cells; the offsets are listed once, in the successor test's probe
+    order (axis 0 slowest, the move that changes nothing left out).  An
+    interior cell probes every offset; a cell on the domain's edge skips
+    the moves that leave it.  A level's set is built the first time the
+    level is tested.  The sets belong to this test alone, so they never
+    outlive the source's current points.
+    """
+    cfg = src.cfg
+    d, w = cfg.d, cfg.w
+    lshift = operator.lshift
+    shifts = tuple(a * w for a in range(d))
+
+    def pack(p: Point) -> int:
+        return sum(map(lshift, p, shifts))
+
+    packed = list(map(pack, map(src.point_at, range(src.count()))))
+    moves = list(itertools.islice(itertools.product((0, -1, 1), repeat=d), 1, None))
+    every = tuple(map(pack, moves))
+    levels = {}  # h -> (last cell per axis, mask of w - h bits per axis, occupied cells)
+    inside = {}  # per-axis (low edge, high edge) flags -> offsets that stay inside
+
+    def test(key: int, p: Point, h: int) -> tuple:
+        level = levels.get(h)
+        if level is None:
+            last_cell = (1 << (w - h)) - 1
+            mask = pack((last_cell,) * d)
+            level = levels[h] = (last_cell, mask, {q >> h & mask for q in packed})
+        last_cell, mask, cells = level
+        if min(p) >> h and max(p) >> h < last_cell:
+            offsets = every
+        else:
+            edges = tuple((c >> h == 0, c >> h == last_cell) for c in p)
+            offsets = inside.get(edges)
+            if offsets is None:
+                offsets = inside[edges] = tuple(
+                    offset
+                    for offset, move in zip(every, moves)
+                    if not any(
+                        m < 0 and low or m > 0 and high for m, (low, high) in zip(move, edges)
+                    )
+                )
+        cell = pack(p) >> h & mask
+        for probes, offset in enumerate(offsets, 1):
+            if cell + offset in cells:
+                return True, probes
+        return False, len(offsets)
+
+    return test
+
+
+def _leaf_search(src: PointSource, neighbour_nonempty):
     """The leaf-height search over ``src``, as a function
     ``height(key, p, r)`` of a point p, its Morton key and r, the rank of
-    the first stored key >= key(p).
+    the first stored key >= key(p).  ``neighbour_nonempty(key, p, h)``
+    answers whether an equal-size neighbour of p's height-h square holds a
+    stored point, with the number of neighbour squares it probed.
 
     A stored point q lies in p's height-h square exactly when
     h >= ceil(b / d), b the bit length of key(p) ^ key(q).  That height
@@ -206,9 +323,7 @@ def _leaf_search(src: PointSource):
     """
     cfg = src.cfg
     d, w = cfg.d, cfg.w
-    masks = _axis_masks(d, w)
     n = src.count()
-    successor_rank = src.successor_rank
     key_at = src.key_at
     counters = src.counters
     none = w + 1
@@ -236,39 +351,16 @@ def _leaf_search(src: PointSource):
         step = 1
         while hi - lo > 1:
             h = max(hi - step, lo + 1) if step else (lo + hi) // 2
-            # Is an equal-size neighbour of p's height-h square nonempty?
-            # One successor search per neighbour inside the domain.  Per
-            # axis, the corner's bits of that axis moved by 0, -1 and +1
-            # squares come from dilated-integer arithmetic on p's key:
-            # setting the other axes' bits before adding lets the carry run
-            # through them.  The axes' bits are disjoint, so a neighbour's
-            # key is their sum; the first sum, no axis moved, is p's own.
-            shift = d * h
-            corner = key >> shift << shift
-            last_cell = (1 << (w - h)) - 1
-            moves = []
-            for a in range(d):
-                m = masks[a]
-                own = corner & m
-                unit = 1 << (shift + d - 1 - a)
-                cell = p[a] >> h
-                axis = [own]
-                if cell:
-                    axis.append((own - unit) & m)
-                if cell < last_cell:
-                    axis.append(((own | ~m) + unit) & m)
-                moves.append(axis)
-            span = 1 << shift
-            for nk in itertools.islice(map(sum, itertools.product(*moves)), 1, None):
-                probes += 1
-                i = successor_rank(nk)
-                if i < n and key_at(i) < nk + span:
-                    hi = h
-                    step *= 2
-                    break
+            crowded, made = neighbour_nonempty(key, p, h)
+            probes += made
+            if crowded:
+                hi = h
+                step *= 2
             else:
                 lo = h
                 step = 0
+        # Each probe counts as one range query, whether it was a successor
+        # search or a cell-set lookup, so the counts do not depend on the test.
         counters.range_queries += probes
         counters.squares_scanned += probes
         return max(hi - 1, 0)
@@ -322,7 +414,7 @@ def square_of(p: Point, src: PointSource, cfg: Config = None) -> TrieSquare:
     r = src.successor_rank(key)
     if src.has_heights and r < src.count() and src.key_at(r) == key:
         return square_of_point(p, src.height_at(r))
-    return square_of_point(p, _leaf_search(src)(key, p, r))
+    return square_of_point(p, _leaf_search(src, _successor_test(src))(key, p, r))
 
 
 def restricted_voronoi(v: Point, src: PointSource, cfg: Config = None):

@@ -29,7 +29,8 @@ from .store import LOSSY, CompressedStore
 
 @dataclass(frozen=True)
 class RefineParams:
-    """Target aspect ratio, rounding precision, and a round budget.
+    """Target aspect ratio, rounding precision, and a round budget (0 picks
+    40 * (w + 1) rounds); a negative precision or budget raises DomainError.
 
     Termination requires rho - 2**-gamma >= 1: each Steiner point must
     keep a nearest-neighbour distance strictly beyond its parent's even
@@ -43,12 +44,14 @@ class RefineParams:
     def __post_init__(self):
         rho = Fraction(self.rho)
         object.__setattr__(self, "rho", rho)
+        if self.gamma < 0:
+            raise DomainError("gamma must be nonnegative")
+        if self.max_rounds < 0:
+            raise DomainError("max_rounds must be nonnegative (0 picks the default budget)")
         if rho - Fraction(1, 1 << self.gamma) < 1:
             raise DomainError(
                 f"rho={rho} too small for gamma={self.gamma}: need rho - 2^-gamma >= 1"
             )
-        if self.gamma < 0:
-            raise DomainError("gamma must be nonnegative")
 
 
 @dataclass

@@ -340,3 +340,17 @@ class TestExitCodes:
         argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "1"]
         assert main(argv) == 3
         assert "rho" in capsys.readouterr().err
+
+    def test_refine_negative_gamma_is_3(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "2", "--gamma", "-1"]
+        assert main(argv) == 3
+        assert "gamma must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "r.pqc").exists()
+
+    def test_refine_negative_max_rounds_is_3(self, tmp_path, capsys):
+        store = self._figure_store(tmp_path, capsys)
+        argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "2", "--max-rounds", "-1"]
+        assert main(argv) == 3
+        assert "max_rounds must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "r.pqc").exists()

@@ -1,6 +1,7 @@
 """Quadtree queries over Morton-sorted sources, checked against slow scans
 and the materialised reference tree."""
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -282,6 +283,116 @@ class TestSquareOfOracle:
         src = _MinimalSource(pts, cfg)
         arr = ArrayPointSource(pts, cfg)
         assert [src.key_at(r) for r in range(30)] == [arr.key_at(r) for r in range(30)]
+
+
+@st.composite
+def sweep_cases(draw):
+    """(cfg, points) for the leaf-height sweep, d in {2, 3}, w in [1, 8]:
+    a lone point, a clump of grid-adjacent points, points on the domain's
+    edges and middle lines, or scattered points."""
+    d = draw(st.sampled_from((2, 3)))
+    w = draw(st.integers(1, 8))
+    cfg = Config(d=d, w=w, gamma=0)
+    lim = cfg.coord_limit
+    coord = st.integers(0, lim - 1)
+    point = st.tuples(*[coord] * d)
+    kind = draw(st.sampled_from(("one", "adjacent", "edge", "scattered")))
+    if kind == "one":
+        return cfg, [draw(point)]
+    if kind == "adjacent":
+        base = draw(point)
+        steps = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=1, max_size=8))
+        pts = {tuple(min(lim - 1, max(0, c + o)) for c, o in zip(base, step)) for step in steps}
+        return cfg, sorted(pts | {base})
+    if kind == "edge":
+        edge = st.sampled_from(sorted({0, 1, lim // 2 - 1, lim // 2, lim - 2, lim - 1}))
+        on_edge = st.tuples(*[st.one_of(edge, coord)] * d)
+        return cfg, list(draw(st.sets(on_edge, min_size=1, max_size=24)))
+    return cfg, list(draw(st.sets(point, min_size=1, max_size=24)))
+
+
+class TestLeafHeights:
+    """ArrayPointSource.leaf_heights, which probes occupied-cell sets,
+    against square_of's successor searches and the materialised tree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    @example((Config(d=2, w=1, gamma=0), [(1, 1)]))
+    @example((Config(d=2, w=1, gamma=0), [(0, 0), (1, 1)]))
+    @example((Config(d=2, w=8, gamma=0), [(255, 254), (255, 255), (0, 255)]))
+    @example((Config(d=3, w=8, gamma=0), [(0, 0, 0), (255, 255, 255), (0, 255, 128)]))
+    def test_matches_square_of_and_explicit_tree(self, case):
+        cfg, pts = case
+        src = ArrayPointSource(pts, cfg)
+        heights = src.leaf_heights()
+        swept = src.counters.snapshot()
+        tree = ExplicitQuadtree(pts, cfg)
+        src.counters.reset()
+        assert len(heights) == len(pts)
+        for r, h in enumerate(heights):
+            p = src.point_at(r)
+            assert h == square_of(p, src, cfg).height == tree.leaf_height(p), p
+        if len(pts) == 1:
+            assert heights == [cfg.w]
+        # Both tests probe the same squares in the same order; square_of
+        # adds one successor search of its own per point.
+        assert src.counters.squares_scanned == swept["squares_scanned"]
+        assert src.counters.range_queries == swept["range_queries"] + len(pts)
+
+    def test_empty_source(self):
+        assert ArrayPointSource([], CFG5).leaf_heights() == []
+
+    @pytest.mark.parametrize(
+        "cfg, make, counts",
+        [
+            (Config(d=2, w=10, gamma=3), lambda cfg: jittered_net(cfg, 5, f0=24), 17845),
+            (Config(d=3, w=7, gamma=2), lambda cfg: random_points(cfg, 11, 300), 12031),
+        ],
+        ids=["net-d2", "random-d3"],
+    )
+    def test_probe_count_pinned(self, cfg, make, counts):
+        # The counts of the successor-search sweep that the cell sets replaced.
+        src = ArrayPointSource(make(cfg), cfg)
+        src.leaf_heights()
+        assert src.counters.snapshot() == {
+            "range_queries": counts,
+            "blocks_decoded": 0,
+            "squares_scanned": counts,
+        }
+
+
+class _SplicedSource(ArrayPointSource):
+    """Inserts by splicing into the sorted key and point lists, the way an
+    uncompressed oracle kept in step with a store's inserts does."""
+
+    def insert(self, p):
+        key = interleave(p, self.cfg)
+        i = bisect.bisect_left(self._keys, key)
+        self._keys.insert(i, key)
+        self._points.insert(i, tuple(p))
+
+
+class TestSplicedSource:
+    """Answers after splices equal those of a source built fresh from the
+    same points: nothing the sweep builds outlives its call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_of_cases())
+    def test_matches_fresh_source(self, case):
+        cfg, pts, extra = case
+        src = _SplicedSource(pts, cfg)
+        src.leaf_heights()
+        for p in pts[:2]:
+            square_of(p, src, cfg)
+        held = set(pts)
+        for p in extra:
+            if p not in held:
+                src.insert(p)
+                held.add(p)
+        fresh = ArrayPointSource(held, cfg)
+        assert src.leaf_heights() == fresh.leaf_heights()
+        for q in itertools.product(range(cfg.coord_limit), repeat=cfg.d):
+            assert square_of(q, src, cfg) == square_of(q, fresh, cfg), q
 
 
 class TestRestrictedVoronoi:
