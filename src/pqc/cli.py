@@ -90,11 +90,19 @@ def _resolve_text_config(args) -> tuple[Config, int]:
     with open(args.input, "r", encoding="utf-8") as fh:
         first = fh.readline()
     header = parse_header_line(first) or {}
-    d = args.dim or header.get("d") or 2
-    w = args.width or header.get("w") or 16
-    scale = args.scale or header.get("scale") or 1
+
+    def pick(flag, field, default):
+        # The flag, else the header field, else the default: a zero from
+        # either is a value to check, not a gap to fill.
+        return flag if flag is not None else header.get(field, default)
+
+    w = pick(args.width, "w", 16)
     gamma = args.gamma if args.gamma is not None else min(5, w)
-    return Config(d=d, w=w, gamma=gamma), scale
+    cfg = Config(d=pick(args.dim, "d", 2), w=w, gamma=gamma)
+    scale = pick(args.scale, "scale", 1)
+    if scale < 1:
+        raise DomainError(f"scale must be at least 1, not {scale}")
+    return cfg, scale
 
 
 def cmd_compress(args) -> int:
@@ -211,10 +219,9 @@ def cmd_gen(args) -> int:
     cfg = Config(d=args.dim, w=args.width, gamma=0)
     if cfg.d != 2:
         raise DimensionError("gen writes 2D nets only")
-    if args.cols:
-        spec = EpsilonNetSpec(
-            f0=args.f0, epsilon=args.epsilon, cols=args.cols, rows=args.rows or args.cols
-        )
+    if args.cols is not None:
+        rows = args.rows if args.rows is not None else args.cols
+        spec = EpsilonNetSpec(f0=args.f0, epsilon=args.epsilon, cols=args.cols, rows=rows)
     else:
         spec = EpsilonNetSpec.fill(args.f0, args.epsilon, cfg)
     pts = generate_epsilon_net(spec, cfg, args.seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -50,28 +51,30 @@ def round_set(
     """Round a duplicate-free set against its own quadtree leaf heights.
 
     Heights come from one Morton-order sweep over the original set
-    (:meth:`pqc.qtree.ArrayPointSource.leaf_heights`).  Each rounded key
-    is the point's key with its low d*s bits cleared, s = max(h - gamma, 0)
-    the bits cleared per coordinate, so no point is keyed twice.  The
+    (:meth:`pqc.qtree.ArrayPointSource.leaf_heights`).  A point of
+    height h is rounded as :func:`round_point` does, by masks made once
+    per height: its coordinates and its Morton key lose their low s and
+    d*s bits, s = max(h - gamma, 0), so no point is keyed twice.  The
     result is in Morton order (rounding cannot reorder: each point stays
     inside its own leaf and leaves are disjoint); a collapse or a reorder,
     which correct heights never cause, raises.
     """
     gamma = cfg.gamma if gamma is None else gamma
-    d = cfg.d
+    d, w = cfg.d, cfg.w
     src = ArrayPointSource(points, cfg)
-    out = []
-    prev_key = -1
-    for rank, h in enumerate(src.leaf_heights()):
-        rp = round_point(src.point_at(rank), h, gamma)
-        cleared = d * max(h - gamma, 0)
-        key = src.key_at(rank) >> cleared << cleared
-        if key == prev_key:
-            raise DuplicatePointError(f"rounding collapsed two points at {rp}")
-        assert key > prev_key, "rounding must preserve Morton order"
-        prev_key = key
-        out.append(HeightedPoint(rp, h))
-    return out
+    heights = src.leaf_heights()
+    cleared = [max(h - gamma, 0) for h in range(w + 1)]
+    coord_masks = [~((1 << s) - 1) for s in cleared]
+    key_masks = [~((1 << d * s) - 1) for s in cleared]
+    masks = list(map(coord_masks.__getitem__, heights))
+    rounded = list(zip(*(map(operator.and_, column, masks) for column in zip(*src.points()))))
+    keys = list(map(operator.and_, src.keys(), map(key_masks.__getitem__, heights)))
+    if not all(map(operator.lt, keys, keys[1:])):
+        for i in range(1, len(keys)):
+            if keys[i] == keys[i - 1]:
+                raise DuplicatePointError(f"rounding collapsed two points at {rounded[i]}")
+            assert keys[i] > keys[i - 1], "rounding must preserve Morton order"
+    return list(map(HeightedPoint, rounded, heights))
 
 
 # --- exact polygon machinery -------------------------------------------------

@@ -13,11 +13,13 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, DuplicatePointError, UnsortedInputError
 
 Point = tuple[int, ...]
 
@@ -84,6 +86,33 @@ def validate_point(p: Sequence[int], cfg: Config) -> Point:
         if not 0 <= c < limit:
             raise DomainError(f"coordinate {c} outside [0, {limit})")
     return tuple(p)
+
+
+def all_on_grid(points: Sequence[Point], cfg: Config) -> bool:
+    """True iff :func:`validate_point` accepts every point: the check in
+    bulk, by min and max over the lengths and over each coordinate column.
+    A caller that gets False runs :func:`validate_point` point by point to
+    raise the first point's error."""
+    if not points:
+        return True
+    lengths = list(map(len, points))
+    if min(lengths) != cfg.d or max(lengths) != cfg.d:
+        return False
+    limit = cfg.coord_limit
+    return all(min(column) >= 0 and max(column) < limit for column in zip(*points))
+
+
+def check_increasing(keys: Sequence[int], points: Sequence[Point]):
+    """Raise unless the Morton keys strictly increase: DuplicatePointError
+    naming the point when the first pair out of order is equal,
+    UnsortedInputError when it is reversed."""
+    if all(map(operator.lt, keys, islice(keys, 1, None))):
+        return
+    for i in range(1, len(keys)):
+        if keys[i] == keys[i - 1]:
+            raise DuplicatePointError(f"duplicate point {points[i]}")
+        if keys[i] < keys[i - 1]:
+            raise UnsortedInputError("points not in Morton order")
 
 
 def validate_square(s: TrieSquare, cfg: Config) -> TrieSquare:

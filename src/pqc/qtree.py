@@ -16,11 +16,13 @@ uncrowded descendants), which is what makes the height search sound.
 search (:func:`_leaf_search`): the keys of a point's Morton neighbours
 bracket its leaf height, and only the heights between the brackets need a
 neighbour test, "is an equal-size neighbour square nonempty?".  The test
-is the search's argument.  :func:`square_of` answers it with one successor
-search per neighbour square, which any source supports.
+is the search's argument.  :func:`square_of` brackets its one point from
+the keys around its rank (:func:`_brackets`) and answers the test with one
+successor search per neighbour square, which any source supports.
 :meth:`ArrayPointSource.leaf_heights`, which sweeps every point it holds,
-answers it from hash sets of each level's occupied cells, built for that
-one call; both probe the same squares in the same order.
+brackets them all in one pass over the sorted keys and answers the test
+from hash sets of each level's occupied cells, built for that one call;
+both probe the same squares in the same order.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ import itertools
 import operator
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DimensionError, DuplicatePointError, PqcError, UnsortedInputError
+from .errors import DimensionError, PqcError
 from .morton import (
     Config,
     Point,
     TrieSquare,
+    all_on_grid,
+    check_increasing,
     interleave,
     interleave_all,
     neighbours,
@@ -137,17 +141,16 @@ class ArrayPointSource(PointSource):
 
     def __init__(self, points: Sequence[Point], cfg: Config, heights=None, presorted=False):
         self.cfg = cfg
-        pts = [validate_point(p, cfg) for p in points]
+        pts = list(map(tuple, points))
+        if not all_on_grid(pts, cfg):
+            for p in pts:
+                validate_point(p, cfg)
         keys = interleave_all(pts, cfg)
         if not presorted:
             decorated = sorted(zip(keys, pts))
             keys = [k for k, _ in decorated]
             pts = [p for _, p in decorated]
-        for i in range(1, len(keys)):
-            if keys[i] == keys[i - 1]:
-                raise DuplicatePointError(f"duplicate point {pts[i]}")
-            if keys[i] < keys[i - 1]:
-                raise UnsortedInputError("points not in Morton order")
+        check_increasing(keys, pts)
         self._points = pts
         self._keys = keys
         self._heights = list(heights) if heights is not None else None
@@ -177,18 +180,40 @@ class ArrayPointSource(PointSource):
     def key_at(self, rank: int) -> int:
         return self._keys[rank]
 
+    def keys(self) -> list[int]:
+        """Morton keys of the points, in rank order; not to be mutated."""
+        return self._keys
+
+    def points(self) -> list[Point]:
+        """The points as coordinate tuples, in rank order; not to be mutated."""
+        return self._points
+
     def leaf_heights(self) -> list[int]:
         """Leaf height of every point, in rank order, in one pass over the keys.
 
-        Each height equals ``square_of(point, self).height``: the sweep runs
-        the same bracketed search (:func:`_leaf_search`), started at the
-        point's known rank, and makes the same neighbour probes in the same
-        order.  Only the probe differs: a lookup in the set of occupied
+        Each height equals ``square_of(point, self).height``.  A stored
+        point's lower bracket is 0, and its upper one is the nearer of its
+        Morton neighbours': the smaller of the two gaps
+        ceil(bitlen(key ^ key') / d) on either side, taken for every
+        consecutive pair at once, then lowered by the sibling rule of
+        :func:`_brackets`.  Between the brackets the sweep runs the same
+        search (:func:`_leaf_search`) with the same neighbour probes in the
+        same order; only the probe differs: a lookup in the set of occupied
         cells of the tested level (:func:`_occupied_cell_test`), built for
         this call, instead of a successor search.
         """
-        height = _leaf_search(self, _occupied_cell_test(self))
-        return [height(key, p, r) for r, (key, p) in enumerate(zip(self._keys, self._points))]
+        d, w = self.cfg.d, self.cfg.w
+        keys = self._keys
+        past_end = [w + 1]  # the gap to a neighbour that does not exist
+        # ceil(b / d) of a bit length b, and the sibling rule: one below a
+        # bracket that some point reaches, w + 1 where none does.
+        ceil_d = [-(-b // d) for b in range(d * w + 1)]
+        sibling = list(range(-1, w)) + past_end
+        bit_lengths = map(int.bit_length, map(operator.xor, keys, keys[1:]))
+        gaps = list(map(ceil_d.__getitem__, bit_lengths))
+        tops = map(sibling.__getitem__, map(min, past_end + gaps, gaps + past_end))
+        search = _leaf_search(self, _occupied_cell_test(self))
+        return list(map(search, keys, self._points, itertools.repeat(-1), tops))
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,13 +286,16 @@ def _occupied_cell_test(src: ArrayPointSource):
     """
     cfg = src.cfg
     d, w = cfg.d, cfg.w
+    add = operator.add
     lshift = operator.lshift
     shifts = tuple(a * w for a in range(d))
 
     def pack(p: Point) -> int:
         return sum(map(lshift, p, shifts))
 
-    packed = list(map(pack, map(src.point_at, range(src.count()))))
+    packed = [0] * src.count()
+    for shift, column in zip(shifts, zip(*src.points())):
+        packed = list(map(add, packed, map(lshift, column, itertools.repeat(shift))))
     moves = list(itertools.islice(itertools.product((0, -1, 1), repeat=d), 1, None))
     every = tuple(map(pack, moves))
     levels = {}  # h -> (last cell per axis, mask of w - h bits per axis, occupied cells)
@@ -294,20 +322,18 @@ def _occupied_cell_test(src: ArrayPointSource):
                     )
                 )
         cell = pack(p) >> h & mask
-        for probes, offset in enumerate(offsets, 1):
-            if cell + offset in cells:
-                return True, probes
-        return False, len(offsets)
+        if cells.isdisjoint(map(add, offsets, itertools.repeat(cell))):
+            return False, len(offsets)
+        # Crowded: count the probes up to the first occupied neighbour.
+        return True, next(i for i, offset in enumerate(offsets, 1) if cell + offset in cells)
 
     return test
 
 
-def _leaf_search(src: PointSource, neighbour_nonempty):
-    """The leaf-height search over ``src``, as a function
-    ``height(key, p, r)`` of a point p, its Morton key and r, the rank of
-    the first stored key >= key(p).  ``neighbour_nonempty(key, p, h)``
-    answers whether an equal-size neighbour of p's height-h square holds a
-    stored point, with the number of neighbour squares it probed.
+def _brackets(src: PointSource, key: int, r: int) -> tuple:
+    """The heights (lo, hi) between which a point p's leaf-height search
+    runs: p's square is uncrowded at height lo (or lo < 0) and crowded at
+    hi.  ``key`` is key(p) and r the rank of the first stored key >= key.
 
     A stored point q lies in p's height-h square exactly when
     h >= ceil(b / d), b the bit length of key(p) ^ key(q).  That height
@@ -316,35 +342,45 @@ def _leaf_search(src: PointSource, neighbour_nonempty):
     a stored point (0 when p is stored), and b2, the first that holds two
     (w + 1 when none does).  Below b1 the square is empty, hence
     uncrowded; from b2 up it is crowded, and when b1 < b2 it is crowded
-    at b2 - 1 too.  In between it holds one point, so it is crowded iff an
-    equal-size neighbour is nonempty.  Crowdedness is monotone in h, so a
-    search between the brackets finds the first crowded height, and the
-    leaf is one below it, floored at the unit square.
+    at b2 - 1 too (the sibling rule).  In between it holds one point, so
+    it is crowded iff an equal-size neighbour is nonempty.
     """
-    cfg = src.cfg
-    d, w = cfg.d, cfg.w
+    d, w = src.cfg.d, src.cfg.w
     n = src.count()
     key_at = src.key_at
-    counters = src.counters
     none = w + 1
+    # First height whose square holds the predecessor / the successor.
+    below = -(-(key ^ key_at(r - 1)).bit_length() // d) if r else none
+    above = -(-(key ^ key_at(r)).bit_length() // d) if r < n else none
+    if below < above:  # the predecessor comes first, then r-2 or r
+        nxt = -(-(key ^ key_at(r - 2)).bit_length() // d) if r > 1 else none
+        b1, b2 = below, min(above, nxt)
+    elif above < below:  # the successor comes first, then r-1 or r+1
+        nxt = -(-(key ^ key_at(r + 1)).bit_length() // d) if r + 1 < n else none
+        b1, b2 = above, min(below, nxt)
+    else:
+        b1 = b2 = below
+    if b1 < b2 <= w:
+        # One level below b2 the square holds one point, and the second
+        # lies in a sibling square, an equal-size neighbour: crowded.
+        b2 -= 1
+    return b1 - 1, b2
 
-    def height(key: int, p: Point, r: int) -> int:
-        # First height whose square holds the predecessor / the successor.
-        below = -(-(key ^ key_at(r - 1)).bit_length() // d) if r else none
-        above = -(-(key ^ key_at(r)).bit_length() // d) if r < n else none
-        if below < above:  # the predecessor comes first, then r-2 or r
-            nxt = -(-(key ^ key_at(r - 2)).bit_length() // d) if r > 1 else none
-            b1, b2 = below, min(above, nxt)
-        elif above < below:  # the successor comes first, then r-1 or r+1
-            nxt = -(-(key ^ key_at(r + 1)).bit_length() // d) if r + 1 < n else none
-            b1, b2 = above, min(below, nxt)
-        else:
-            b1 = b2 = below
-        if b1 < b2 <= w:
-            # One level below b2 the square holds one point, and the second
-            # lies in a sibling square, an equal-size neighbour: crowded.
-            b2 -= 1
-        lo, hi = b1 - 1, b2  # uncrowded at lo (or below 0), crowded at hi
+
+def _leaf_search(src: PointSource, neighbour_nonempty):
+    """The leaf-height search over ``src``, as a function
+    ``height(key, p, lo, hi)`` of a point p, its Morton key and the
+    brackets of :func:`_brackets`.  ``neighbour_nonempty(key, p, h)``
+    answers whether an equal-size neighbour of p's height-h square holds a
+    stored point, with the number of neighbour squares it probed.
+
+    Crowdedness is monotone in h, so a search between the brackets finds
+    the first crowded height, and the leaf is one below it, floored at the
+    unit square.
+    """
+    counters = src.counters
+
+    def height(key: int, p: Point, lo: int, hi: int) -> int:
         probes = 0
         # The leaf most often sits just below hi: test down from there in
         # steps of 1, 2, 4, ... and bisect once a test comes out uncrowded.
@@ -414,7 +450,8 @@ def square_of(p: Point, src: PointSource, cfg: Config = None) -> TrieSquare:
     r = src.successor_rank(key)
     if src.has_heights and r < src.count() and src.key_at(r) == key:
         return square_of_point(p, src.height_at(r))
-    return square_of_point(p, _leaf_search(src, _successor_test(src))(key, p, r))
+    lo, hi = _brackets(src, key, r)
+    return square_of_point(p, _leaf_search(src, _successor_test(src))(key, p, lo, hi))
 
 
 def restricted_voronoi(v: Point, src: PointSource, cfg: Config = None):

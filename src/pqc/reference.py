@@ -351,6 +351,10 @@ class EpsilonNetSpec:
             raise GenerationError(f"epsilon must be in (0, 1), not {self.epsilon}")
         if self.f0 < 1:
             raise GenerationError("f0 must be at least one grid unit")
+        if self.cols < 1 or self.rows < 1:
+            raise GenerationError(
+                f"a net needs at least one column and one row, not {self.cols}x{self.rows}"
+            )
         theta = (self.epsilon / math.sqrt(2) - 0.5) / 2
         if theta < 0:
             raise GenerationError(

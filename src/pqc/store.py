@@ -52,10 +52,17 @@ from .errors import (
     FormatError,
     PqcError,
     TruncatedStreamError,
-    UnsortedInputError,
 )
 from .geom import HeightedPoint
-from .morton import Config, Point, interleave, interleave_all, validate_point
+from .morton import (
+    Config,
+    Point,
+    all_on_grid,
+    check_increasing,
+    interleave,
+    interleave_all,
+    validate_point,
+)
 from .qtree import Counters, PointSource
 
 MAGIC = b"PQC1"
@@ -96,6 +103,23 @@ class _Prefix:
         self.reader = BitReader(block.payload, block.bit_len)
 
 
+def _check_each(points: Sequence[HeightedPoint], cfg: Config, lossy: bool):
+    """:meth:`CompressedStore.build`'s checks, point by point: raise for the
+    first point that fails one, in the order dimension, coordinate range,
+    height range, then lossy rounding or lossless zero height.  The bulk
+    checks call it once one of them has failed, to name the defect."""
+    for hp in points:
+        p = validate_point(hp.coords, cfg)
+        if not 0 <= hp.height <= cfg.w:
+            raise DomainError(f"height {hp.height} outside [0, {cfg.w}]")
+        if lossy:
+            shift = max(hp.height - cfg.gamma, 0)
+            if any(c & ((1 << shift) - 1) for c in p):
+                raise DomainError(f"{p} is not rounded for height {hp.height}")
+        elif hp.height != 0:
+            raise DomainError("lossless mode requires all heights zero")
+
+
 class CompressedStore(PointSource):
     """PointSource over xor-coded blocks; supports dynamic insertion.
 
@@ -134,33 +158,35 @@ class CompressedStore(PointSource):
 
         Lossy input must already be rounded: each point's low
         max(height - gamma, 0) bits must be zero, or the xor records could
-        not reproduce it.  Blocks are filled to 2w points so insertions
-        start with headroom; an undersized tail is balanced with its left
-        neighbour to keep every block of a multi-block store >= w points.
+        not reproduce it.  The checks run in bulk, over coordinate columns,
+        heights and the Morton keys the blocks need anyway; when one fails,
+        the points are checked one by one, so the error names the first
+        defective point as a point-by-point check would.  Blocks are filled
+        to 2w points so insertions start with headroom; an undersized tail
+        is balanced with its left neighbour to keep every block of a
+        multi-block store >= w points.
         """
         store = cls(cfg, mode)
         lossy = mode == LOSSY
         n = len(points)
-        coords = []
-        heights = []
-        for hp in points:
-            p = validate_point(hp.coords, cfg)
-            if not 0 <= hp.height <= cfg.w:
-                raise DomainError(f"height {hp.height} outside [0, {cfg.w}]")
-            if lossy:
-                shift = max(hp.height - cfg.gamma, 0)
-                if any(c & ((1 << shift) - 1) for c in p):
-                    raise DomainError(f"{p} is not rounded for height {hp.height}")
-            elif hp.height != 0:
-                raise DomainError("lossless mode requires all heights zero")
-            coords.append(p)
-            heights.append(hp.height)
+        coords = [tuple(hp.coords) for hp in points]
+        heights = [hp.height for hp in points]
+        if n and not (
+            all_on_grid(coords, cfg)
+            and 0 <= min(heights)
+            and max(heights) <= cfg.w
+            and (lossy or not any(heights))
+        ):
+            _check_each(points, cfg, lossy)
         keys = interleave_all(coords, cfg)
-        for i in range(1, n):
-            if keys[i] <= keys[i - 1]:
-                if keys[i] == keys[i - 1]:
-                    raise DuplicatePointError(f"duplicate point {coords[i]}")
-                raise UnsortedInputError("points not in Morton order")
+        if lossy:
+            # Rounded for height h: the low d*s key bits are zero,
+            # s = max(h - gamma, 0), as the low s bits of each coordinate are.
+            d, gamma = cfg.d, cfg.gamma
+            low_bits = [(1 << d * max(h - gamma, 0)) - 1 for h in range(cfg.w + 1)]
+            if any(map(operator.and_, keys, map(low_bits.__getitem__, heights))):
+                _check_each(points, cfg, lossy)
+        check_increasing(keys, coords)
         target = 2 * cfg.w
         bounds = list(range(0, n, target))
         sizes = [min(target, n - b) for b in bounds]

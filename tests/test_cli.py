@@ -354,3 +354,47 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "max_rounds must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "r.pqc").exists()
+
+    # Zero and negative flag or header values are checked, never replaced
+    # by a default.
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cols", "0"], "not 0x0"),
+            (["--cols", "-2"], "not -2x-2"),
+            (["--cols", "3", "--rows", "-1"], "not 3x-1"),
+            (["--cols", "3", "--rows", "0"], "not 3x0"),
+        ],
+    )
+    def test_gen_empty_grid_is_3(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "net.txt"
+        assert main(["gen", "-o", str(out)] + flags) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_explicit_grid_is_0(self, tmp_path, capsys):
+        code, pairs, _ = run(["gen", "-o", str(tmp_path / "n.txt"), "--cols", "2"], capsys)
+        assert code == 0
+        assert pairs["n"] == ["4"]
+        assert pairs["rows"] == ["2"]
+
+    @pytest.mark.parametrize(
+        "header, flags, message",
+        [
+            ("", ["--width", "0"], "coordinate width must be in [1, 32], not 0"),
+            ("", ["--scale", "0"], "scale must be at least 1, not 0"),
+            ("", ["--scale", "-1"], "scale must be at least 1, not -1"),
+            ("# pqc w=0\n", [], "coordinate width must be in [1, 32], not 0"),
+            ("# pqc d=0\n", [], "dimension must be 2 or 3, not 0"),
+            ("# pqc scale=0\n", [], "scale must be at least 1, not 0"),
+            ("# pqc w=5 scale=-3\n", [], "scale must be at least 1, not -3"),
+            ("# pqc w=5\n", ["--width", "0"], "coordinate width must be in [1, 32], not 0"),
+        ],
+    )
+    def test_compress_bad_width_or_scale_is_3(self, tmp_path, capsys, header, flags, message):
+        src = tmp_path / "fig.txt"
+        src.write_text(header + FIGURE_LINES)
+        out = tmp_path / "x.pqc"
+        assert main(["compress", str(src), "-o", str(out)] + flags) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jittered_net, random_points
-from pqc.errors import DimensionError, DomainError
+from pqc.errors import (
+    DimensionError,
+    DomainError,
+    DuplicatePointError,
+    PqcError,
+    UnsortedInputError,
+)
 from pqc.geom import HeightedPoint, round_point, round_set
 from pqc.morton import Config, TrieSquare, clear_low_bits, interleave, square_contains
 from pqc.qtree import (
@@ -532,3 +538,40 @@ class TestQueryCost:
             for i, what in enumerate(("range queries", "blocks decoded")):
                 assert large[op][i] <= 1.2 * small[op][i], (op, what, small[op], large[op])
                 assert wide[op][i] <= w_bound * small[op][i], (op, what, small[op], wide[op])
+
+
+class TestArrayPointSourceRejections:
+    @pytest.mark.parametrize(
+        "points, presorted, error, message",
+        [
+            ([(1, 2, 3)], False, DomainError, "expected 2 coordinates, got 3"),
+            ([(32, 0)], False, DomainError, "coordinate 32 outside [0, 32)"),
+            ([(0, -1)], False, DomainError, "coordinate -1 outside [0, 32)"),
+            ([(5, 2), (6, 3), (5, 2)], False, DuplicatePointError, "duplicate point (5, 2)"),
+            ([(6, 3), (5, 2)], True, UnsortedInputError, "points not in Morton order"),
+            # Two defects: the earlier point's error wins.
+            ([(40, 0), (1, 2, 3)], False, DomainError, "coordinate 40 outside [0, 32)"),
+            ([(1, 2, 3), (40, 0)], False, DomainError, "expected 2 coordinates, got 3"),
+            ([(6, 3), (5, 2), (6, 3)], True, UnsortedInputError, "points not in Morton order"),
+        ],
+        ids=[
+            "dimension", "coordinate-high", "coordinate-negative", "duplicate", "unsorted",
+            "coordinate-before-dimension", "dimension-before-coordinate",
+            "unsorted-before-duplicate",
+        ],
+    )
+    def test_rejection_class_and_message(self, points, presorted, error, message):
+        with pytest.raises(error) as info:
+            ArrayPointSource(points, CFG5, presorted=presorted)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_heights_of_another_length(self):
+        with pytest.raises(PqcError) as info:
+            ArrayPointSource([(5, 2)], CFG5, heights=[0, 0])
+        assert str(info.value) == "heights length does not match points"
+
+    def test_points_become_tuples(self):
+        src = ArrayPointSource([[6, 3], [5, 2]], CFG5)
+        assert src.points() == [(5, 2), (6, 3)]
+        assert src.keys() == [interleave((5, 2), CFG5), interleave((6, 3), CFG5)]

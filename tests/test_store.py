@@ -18,6 +18,7 @@ from pqc.errors import (
 )
 from pqc.geom import HeightedPoint, round_set
 from pqc.morton import Config, interleave
+from pqc.reference import EpsilonNetSpec, generate_epsilon_net
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
 from pqc.qtree import ArrayPointSource, restricted_voronoi, square_of, vertices
 from pqc.morton import TrieSquare
@@ -61,6 +62,56 @@ class TestBuild:
         with pytest.raises(DomainError):
             CompressedStore.build([HeightedPoint((5, 2), 4)], cfg, LOSSY)
 
+    CFG8 = Config(d=2, w=8, gamma=0)
+    GOOD = [HeightedPoint((0, 0), 0), HeightedPoint((4, 4), 2)]  # lossy, rounded
+
+    @pytest.mark.parametrize(
+        "points, mode, error, message",
+        [
+            ([HeightedPoint((1, 2, 3), 0)], LOSSY, DomainError, "expected 2 coordinates, got 3"),
+            ([HeightedPoint((256, 0), 0)], LOSSY, DomainError, "coordinate 256 outside [0, 256)"),
+            ([HeightedPoint((0, -1), 0)], LOSSY, DomainError, "coordinate -1 outside [0, 256)"),
+            ([HeightedPoint((0, 0), 9)], LOSSY, DomainError, "height 9 outside [0, 8]"),
+            ([HeightedPoint((0, 0), -1)], LOSSY, DomainError, "height -1 outside [0, 8]"),
+            ([HeightedPoint((5, 2), 4)], LOSSY, DomainError, "(5, 2) is not rounded for height 4"),
+            (
+                [HeightedPoint((4, 4), 2)],
+                LOSSLESS, DomainError, "lossless mode requires all heights zero",
+            ),
+            (GOOD + GOOD[1:], LOSSY, DuplicatePointError, "duplicate point (4, 4)"),
+            (GOOD[::-1], LOSSY, UnsortedInputError, "points not in Morton order"),
+            # Two defects: the earlier point's error wins, whichever check
+            # would see the later one first.
+            (
+                GOOD + [HeightedPoint((5, 2), 4), HeightedPoint((1, 2, 3), 0)],
+                LOSSY, DomainError, "(5, 2) is not rounded for height 4",
+            ),
+            (
+                GOOD + [HeightedPoint((8, 8), 9), HeightedPoint((300, 0), 0)],
+                LOSSY, DomainError, "height 9 outside [0, 8]",
+            ),
+            (
+                [HeightedPoint((0, 0), 1), HeightedPoint((0, 300), 0)],
+                LOSSLESS, DomainError, "lossless mode requires all heights zero",
+            ),
+            (
+                GOOD[::-1] + [HeightedPoint((7, 7), 4)],
+                LOSSY, DomainError, "(7, 7) is not rounded for height 4",
+            ),
+        ],
+        ids=[
+            "dimension", "coordinate-high", "coordinate-negative", "height-high",
+            "height-negative", "unrounded", "lossless-height", "duplicate", "unsorted",
+            "unrounded-before-dimension", "height-before-coordinate",
+            "lossless-height-before-coordinate", "point-checks-before-order",
+        ],
+    )
+    def test_rejection_class_and_message(self, points, mode, error, message):
+        with pytest.raises(error) as info:
+            CompressedStore.build(points, self.CFG8, mode)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_block_sizes_within_bounds(self):
         cfg = Config(d=2, w=8, gamma=2)
         for n in (1, 7, 15, 16, 17, 31, 32, 33, 100, 257):
@@ -95,6 +146,54 @@ class TestBuild:
         st = lossless_store(pts, cfg)
         ordered = sorted(pts, key=lambda p: interleave(p, cfg))
         assert [hp.coords for hp in st.decode_all()] == ordered
+
+
+def _net(f0, seed):
+    """The jittered net that the benchmark builds for spacing f0."""
+    cfg = Config(d=2, w=16, gamma=0)
+    return generate_epsilon_net(EpsilonNetSpec.fill(f0, 0.9, cfg), cfg, seed)
+
+
+class TestBuildPinned:
+    """round_set + build output bytes and the leaf-height sweep's work,
+    pinned on the benchmark's 196- and 784-point nets and a d=3 set."""
+
+    @pytest.mark.parametrize(
+        "cfg, make, n, digest, probes",
+        [
+            (
+                Config(d=2, w=16, gamma=5), lambda: _net(4096, 11), 196,
+                "9ca6c6789b9c8281d1e26e85bc5927670fdceb852cfc08e793422eb62b03d27b", 1596,
+            ),
+            (
+                Config(d=2, w=16, gamma=5), lambda: _net(2048, 11), 784,
+                "26a0eff1d80e7d6b554af1fc90032435253f133605b41333fa88234b4f61cffd", 6417,
+            ),
+            (
+                Config(d=3, w=10, gamma=2),
+                lambda: random_points(Config(d=3, w=10, gamma=2), 7, 500), 500,
+                "e3afaf1fdd72b073de20c6615637e5b19f369948c8f1bd255087efee1b07526e", 20899,
+            ),
+        ],
+        ids=["net-196", "net-784", "random-d3"],
+    )
+    def test_bytes_and_counters(self, monkeypatch, cfg, make, n, digest, probes):
+        swept = []
+        sweep = ArrayPointSource.leaf_heights
+
+        def spy(self):
+            heights = sweep(self)
+            swept.append(self.counters.snapshot())
+            return heights
+
+        monkeypatch.setattr(ArrayPointSource, "leaf_heights", spy)
+        pts = make()
+        data = CompressedStore.build(round_set(pts, cfg), cfg, LOSSY).to_bytes()
+        assert len(pts) == n
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert swept == [
+            {"range_queries": probes, "blocks_decoded": 0, "squares_scanned": probes}
+        ]
 
 
 class TestSearch:
