@@ -2,7 +2,8 @@
 """Benchmark store construction and the bit kernels (record codes, Morton keys).
 
 Times the hot paths behind store construction and queries: ``round_set``
-of the generated net (leaf-height sweep and rounding) and
+of the generated net (leaf-height sweep and rounding), the sweep alone
+(``ArrayPointSource.leaf_heights`` on a source built beforehand) and
 ``CompressedStore.build`` of its output on the kernel ``pqc`` selected,
 block record encoding and decoding, for version-1 (gamma) and version-2
 (Exp-Golomb) records on the pure-Python kernel and on the compiled kernel
@@ -26,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pqc import KERNEL_BACKEND, _bits_py  # noqa: E402
 from pqc.geom import round_set  # noqa: E402
 from pqc.morton import Config, interleave  # noqa: E402
+from pqc.qtree import ArrayPointSource  # noqa: E402
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net  # noqa: E402
 from pqc.store import LOSSY, CompressedStore  # noqa: E402
 
@@ -160,6 +162,7 @@ def main():
 
     morton = bench(interleave_all, args.repeat)
     round_s = bench(lambda: round_set(pts, cfg), args.repeat)
+    sweep_s = bench(ArrayPointSource(pts, cfg).leaf_heights, args.repeat)
     build_s = bench(lambda: CompressedStore.build(heighted, cfg, LOSSY), args.repeat)
 
     print(f"\n{n} points, best of {args.repeat} runs (CPU seconds; Mpts/s in parens)")
@@ -170,6 +173,7 @@ def main():
         print(f"{name:<16}{row['bits_per_record']:>12.2f}{cells}")
     print(f"{'morton':<28}{morton:>14.4f} ({n / morton / 1e6:>5.2f})")
     print(f"{'round_set':<28}{round_s:>14.4f} ({n / round_s / 1e6:>5.2f})")
+    print(f"{'leaf_heights':<28}{sweep_s:>14.4f} ({n / sweep_s / 1e6:>5.2f})")
     build = f"build ({KERNEL_BACKEND})"
     print(f"{build:<28}{build_s:>14.4f} ({n / build_s / 1e6:>5.2f})")
 

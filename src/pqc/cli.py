@@ -219,6 +219,10 @@ def cmd_gen(args) -> int:
     cfg = Config(d=args.dim, w=args.width, gamma=0)
     if cfg.d != 2:
         raise DimensionError("gen writes 2D nets only")
+    if args.rows is not None and args.cols is None:
+        raise GenerationError(
+            f"--rows {args.rows} needs --cols: without it the net fills the domain"
+        )
     if args.cols is not None:
         rows = args.rows if args.rows is not None else args.cols
         spec = EpsilonNetSpec(f0=args.f0, epsilon=args.epsilon, cols=args.cols, rows=rows)
@@ -293,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2, choices=(2, 3))
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int, help="grid columns (default: fill the domain)")
+    p.add_argument("--rows", type=int, help="grid rows, with --cols (default: as many as columns)")
     p.set_defaults(func=cmd_gen)
     return ap
 

@@ -20,9 +20,13 @@ is the search's argument.  :func:`square_of` brackets its one point from
 the keys around its rank (:func:`_brackets`) and answers the test with one
 successor search per neighbour square, which any source supports.
 :meth:`ArrayPointSource.leaf_heights`, which sweeps every point it holds,
-brackets them all in one pass over the sorted keys and answers the test
-from hash sets of each level's occupied cells, built for that one call;
-both probe the same squares in the same order.
+brackets them all in one pass over the sorted keys.  Most points' searches
+end at their first test, so the sweep answers the first tests one level
+at a time, in bulk, from a hash set of the level's occupied cells
+(:func:`_occupied_cell_test`); a point crowded there goes on through the
+same search, with the same cell sets.  A cell-set lookup and a successor
+search probe the same squares in the same order, so heights and probe
+counts do not depend on which one answered.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class Counters:
                      (for p's own key and for each neighbour probed), and
                      one per neighbour probed by
                      :meth:`ArrayPointSource.leaf_heights` (a cell-set
-                     lookup in place of the successor search).
+                     lookup or a successor search).
     blocks_decoded   blocks whose decode a compressed store started: one
                      per block-cache miss, however far into the block
                      the read then decodes, and one per decode_block
@@ -84,6 +88,10 @@ class Counters:
             "blocks_decoded": self.blocks_decoded,
             "squares_scanned": self.squares_scanned,
         }
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value}" for name, value in self.snapshot().items())
+        return f"Counters({fields})"
 
 
 class VertexRange(NamedTuple):
@@ -189,37 +197,64 @@ class ArrayPointSource(PointSource):
         return self._points
 
     def leaf_heights(self) -> list[int]:
-        """Leaf height of every point, in rank order, in one pass over the keys.
+        """Leaf height of every point, in rank order, one level at a time.
 
-        Each height equals ``square_of(point, self).height``.  A stored
-        point's lower bracket is 0, and its upper one is the nearer of its
-        Morton neighbours': the smaller of the two gaps
-        ceil(bitlen(key ^ key') / d) on either side, taken for every
-        consecutive pair at once, then lowered by the sibling rule of
-        :func:`_brackets`.  Between the brackets the sweep runs the same
-        search (:func:`_leaf_search`) with the same neighbour probes in the
-        same order; only the probe differs: a lookup in the set of occupied
-        cells of the tested level (:func:`_occupied_cell_test`), built for
-        this call, instead of a successor search.
+        Each height equals ``square_of(point, self).height``, found with the
+        same neighbour probes in the same order.  A stored point's lower
+        bracket is 0 and its upper one, top, comes from its Morton
+        neighbours' keys (:func:`_upper_brackets`), for every consecutive
+        pair at once.  The search between the brackets (:func:`_leaf_search`)
+        tests height top - 1 first, and most points are uncrowded there,
+        which ends their search at top - 1.  So the sweep groups the points
+        by that first height and answers each group's test in one pass over
+        the level's occupied cells (:func:`_occupied_cell_test`).  Only a
+        point crowded there goes on, through :func:`_leaf_search` with the
+        same cell sets, from the gallop's next step.  A point with top 0 is
+        tested nowhere: its leaf is the unit square.
         """
         d, w = self.cfg.d, self.cfg.w
-        keys = self._keys
-        past_end = [w + 1]  # the gap to a neighbour that does not exist
-        # ceil(b / d) of a bit length b, and the sibling rule: one below a
-        # bracket that some point reaches, w + 1 where none does.
-        ceil_d = [-(-b // d) for b in range(d * w + 1)]
-        sibling = list(range(-1, w)) + past_end
-        bit_lengths = map(int.bit_length, map(operator.xor, keys, keys[1:]))
-        gaps = list(map(ceil_d.__getitem__, bit_lengths))
-        tops = map(sibling.__getitem__, map(min, past_end + gaps, gaps + past_end))
-        search = _leaf_search(self, _occupied_cell_test(self))
-        return list(map(search, keys, self._points, itertools.repeat(-1), tops))
+        keys, pts = self._keys, self._points
+        if not keys:
+            return []
+        none = d * w + 1  # the key difference to a neighbour that does not exist
+        bit_lengths = list(map(int.bit_length, map(operator.xor, keys, keys[1:])))
+        rows = map(_upper_brackets(d, w).__getitem__, [none] + bit_lengths)
+        tops = list(map(operator.getitem, rows, bit_lengths + [none]))
+        # Uncrowded at its first test, a point's leaf is max(top - 1, 0).
+        heights = list(map(((0,) + tuple(range(w + 1))).__getitem__, tops))
+        level_test, test = _occupied_cell_test(self)
+        search = _leaf_search(self, test)
+        probes = 0
+        for top in set(tops) - {0}:
+            crowded, made = level_test(top - 1, list(map(top.__eq__, tops)))
+            probes += made
+            for r in crowded:
+                heights[r] = search(keys[r], pts[r], -1, top - 1, 2)
+        self.counters.range_queries += probes
+        self.counters.squares_scanned += probes
+        return heights
 
 
 @functools.lru_cache(maxsize=None)
 def _axis_masks(d: int, w: int) -> tuple:
     """Key bits of each axis; axis 0 is the most significant of a group."""
     return tuple(sum(1 << (d * i + d - 1 - a) for i in range(w)) for a in range(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_brackets(d: int, w: int) -> tuple:
+    """``table[b][b']``: the upper bracket of a stored point whose Morton
+    key differs from its neighbours' keys in bit lengths b and b' (d*w + 1
+    where there is no neighbour).
+
+    That is :func:`_brackets`' hi for a stored point: the point's lower
+    bracket is 0, the first height whose square holds a second point is
+    ceil(min(b, b') / d), and the sibling rule lowers it by one; it is
+    w + 1 where no second point exists.
+    """
+    none = d * w + 1
+    top = [-(-b // d) - 1 for b in range(none)] + [w + 1]
+    return tuple(tuple(top[min(b, c)] for c in range(none + 1)) for b in range(none + 1))
 
 
 def _successor_test(src: PointSource):
@@ -271,63 +306,105 @@ def _successor_test(src: PointSource):
 def _occupied_cell_test(src: ArrayPointSource):
     """:func:`_successor_test`'s question and probe order, answered from
     hash sets of the occupied cells of each level (as in Warren and
-    Salmon's hashed oct-tree) instead of successor searches.
+    Salmon's hashed oct-tree) instead of successor searches.  Two functions
+    share the sets:
 
-    A point's cell at height h packs into one int, ``sum((c >> h) << a*w)``
-    over its coordinates c: the packed point shifted right by h and masked
-    to w - h bits per axis.  A neighbour's cell is the point's cell plus a
-    fixed offset, ``sum(delta_a << a*w)``, each axis moved by 0, -1 or +1
-    cells; the offsets are listed once, in the successor test's probe
-    order (axis 0 slowest, the move that changes nothing left out).  An
-    interior cell probes every offset; a cell on the domain's edge skips
-    the moves that leave it.  A level's set is built the first time the
-    level is tested.  The sets belong to this test alone, so they never
-    outlive the source's current points.
+    - ``level_test(h, chosen)`` -> (ranks of the chosen points whose
+      height-h square has a nonempty equal-size neighbour, probes made for
+      all chosen points), ``chosen`` a flag per rank, every chosen point
+      alone in its height-h square: the whole group in one pass;
+    - ``test(key, p, h)`` -> (answer, probes made), as
+      :func:`_successor_test` gives it, for one point.
+
+    A point packs into one int of w + 1 bits per axis, ``sum(c << a*(w+1))``
+    over its coordinates c: w bits of coordinate under one guard bit.  Its
+    cell at height h is the packed point shifted right by h and masked to
+    w - h bits per axis, and a neighbour's cell is that plus a fixed offset,
+    ``sum(delta_a << a*(w+1))``, each axis moved by 0, -1 or +1 cells; the
+    offsets are listed once, in the successor test's probe order (axis 0
+    slowest, the move that changes nothing left out).  A move past the
+    domain's edge sets a bit outside the mask: the bit above the cell's
+    bits or, moving below 0, the guard bit (or the sign of the whole int)
+    through the borrow.  So an out-of-domain neighbour is never an
+    occupied cell, no move reaches into another axis's bits, and a probe
+    counts only when its neighbour has no bit outside the mask.
+
+    An uncrowded interior cell probes all 3**d - 1 neighbours, so the
+    group pass walks the probes one by one only for crowded cells and for
+    cells on the domain's edge.  A level's set is built the first time the
+    level is tested.  The sets belong to these functions alone, so they
+    never outlive the source's current points.  The source must not be
+    empty.
     """
     cfg = src.cfg
     d, w = cfg.d, cfg.w
-    add = operator.add
+    n = src.count()
+    repeat = itertools.repeat
+    add, sub, and_, or_ = operator.add, operator.sub, operator.and_, operator.or_
     lshift = operator.lshift
-    shifts = tuple(a * w for a in range(d))
+    shifts = [a * (w + 1) for a in range(d)]
+    ones = sum(1 << shift for shift in shifts)  # one cell up on every axis
+    columns = [list(map(operator.itemgetter(a), src.points())) for a in range(d)]
+    packed = columns[0]
+    for shift, column in zip(shifts[1:], columns[1:]):
+        packed = map(or_, packed, map(lshift, column, repeat(shift)))
+    packed = list(packed)
+    # A point's cell is on the domain's edge from the height of the bit
+    # length of its lowest coordinate, or of its highest one's distance to
+    # the last coordinate, up; below the least such height no cell is.
+    last = (1 << w) - 1
+    edge = min(min(min(c).bit_length(), (last - max(c)).bit_length()) for c in columns)
+    moves = itertools.islice(itertools.product((0, -1, 1), repeat=d), 1, None)
+    offsets = [sum(map(lshift, move, shifts)) for move in moves]
+    forward = [offset for offset in offsets if offset > 0]  # one of each pair +-offset
+    levels = {}  # h -> (bits outside the cell mask, every point's cell, occupied cells)
 
-    def pack(p: Point) -> int:
-        return sum(map(lshift, p, shifts))
+    def level(h: int) -> tuple:
+        got = levels.get(h)
+        if got is None:
+            mask = ((1 << (w - h)) - 1) * ones
+            cells = list(map(and_, map(operator.rshift, packed, repeat(h)), repeat(mask)))
+            got = levels[h] = (~mask, cells, set(cells))
+        return got
 
-    packed = [0] * src.count()
-    for shift, column in zip(shifts, zip(*src.points())):
-        packed = list(map(add, packed, map(lshift, column, itertools.repeat(shift))))
-    moves = list(itertools.islice(itertools.product((0, -1, 1), repeat=d), 1, None))
-    every = tuple(map(pack, moves))
-    levels = {}  # h -> (last cell per axis, mask of w - h bits per axis, occupied cells)
-    inside = {}  # per-axis (low edge, high edge) flags -> offsets that stay inside
+    def walk(cell: int, outside: int, occupied: set) -> tuple:
+        probes = 0
+        for offset in offsets:
+            near = cell + offset
+            if not near & outside:
+                probes += 1
+                if near in occupied:
+                    return True, probes
+        return False, probes
+
+    def level_test(h: int, chosen: list) -> tuple:
+        outside, cells, occupied = level(h)
+        here = list(itertools.compress(cells, chosen))
+        # Probe from the chosen cells with every move or, when they are
+        # most of the points, from every cell with one move of each
+        # opposite pair.  Either way a hit marks the cells at both ends.
+        probe, moves = (cells, forward) if 2 * len(here) > n else (here, offsets)
+        crowded = set()
+        for offset in moves:
+            hits = occupied.intersection(map(add, probe, repeat(offset)))
+            crowded.update(hits, map(sub, hits, repeat(offset)))
+        crowded.intersection_update(here)
+        walked = set(crowded)
+        if h >= edge:  # add the cells with an axis at the domain's first or last cell
+            low = map(and_, map(sub, here, repeat(ones)), repeat(outside))
+            high = map(and_, map(add, here, repeat(ones)), repeat(outside))
+            walked.update(itertools.compress(here, map(or_, low, high)))
+        probes = len(offsets) * (len(here) - len(walked))
+        probes += sum(walk(cell, outside, occupied)[1] for cell in walked)
+        if not crowded:
+            return [], probes
+        return list(itertools.compress(range(n), map(crowded.__contains__, cells))), probes
 
     def test(key: int, p: Point, h: int) -> tuple:
-        level = levels.get(h)
-        if level is None:
-            last_cell = (1 << (w - h)) - 1
-            mask = pack((last_cell,) * d)
-            level = levels[h] = (last_cell, mask, {q >> h & mask for q in packed})
-        last_cell, mask, cells = level
-        if min(p) >> h and max(p) >> h < last_cell:
-            offsets = every
-        else:
-            edges = tuple((c >> h == 0, c >> h == last_cell) for c in p)
-            offsets = inside.get(edges)
-            if offsets is None:
-                offsets = inside[edges] = tuple(
-                    offset
-                    for offset, move in zip(every, moves)
-                    if not any(
-                        m < 0 and low or m > 0 and high for m, (low, high) in zip(move, edges)
-                    )
-                )
-        cell = pack(p) >> h & mask
-        if cells.isdisjoint(map(add, offsets, itertools.repeat(cell))):
-            return False, len(offsets)
-        # Crowded: count the probes up to the first occupied neighbour.
-        return True, next(i for i, offset in enumerate(offsets, 1) if cell + offset in cells)
+        outside, _, occupied = level(h)
+        return walk(sum(map(lshift, p, shifts)) >> h & ~outside, outside, occupied)
 
-    return test
+    return level_test, test
 
 
 def _brackets(src: PointSource, key: int, r: int) -> tuple:
@@ -369,8 +446,8 @@ def _brackets(src: PointSource, key: int, r: int) -> tuple:
 
 def _leaf_search(src: PointSource, neighbour_nonempty):
     """The leaf-height search over ``src``, as a function
-    ``height(key, p, lo, hi)`` of a point p, its Morton key and the
-    brackets of :func:`_brackets`.  ``neighbour_nonempty(key, p, h)``
+    ``height(key, p, lo, hi, step=1)`` of a point p, its Morton key and
+    the brackets of :func:`_brackets`.  ``neighbour_nonempty(key, p, h)``
     answers whether an equal-size neighbour of p's height-h square holds a
     stored point, with the number of neighbour squares it probed.
 
@@ -380,11 +457,12 @@ def _leaf_search(src: PointSource, neighbour_nonempty):
     """
     counters = src.counters
 
-    def height(key: int, p: Point, lo: int, hi: int) -> int:
+    def height(key: int, p: Point, lo: int, hi: int, step: int = 1) -> int:
         probes = 0
         # The leaf most often sits just below hi: test down from there in
         # steps of 1, 2, 4, ... and bisect once a test comes out uncrowded.
-        step = 1
+        # A caller that found the square crowded at hi - 1 itself passes
+        # that height as hi and the gallop's next step, 2.
         while hi - lo > 1:
             h = max(hi - step, lo + 1) if step else (lo + hi) // 2
             crowded, made = neighbour_nonempty(key, p, h)

@@ -372,6 +372,14 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows", ["3", "0", "-1"])
+    def test_gen_rows_without_cols_is_3(self, tmp_path, capsys, rows):
+        # A fill-mode net sets its own rows; it does not drop the flag.
+        out = tmp_path / "net.txt"
+        assert main(["gen", "-o", str(out), "--f0", "8192", "--rows", rows]) == 3
+        assert f"--rows {rows} needs --cols" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_explicit_grid_is_0(self, tmp_path, capsys):
         code, pairs, _ = run(["gen", "-o", str(tmp_path / "n.txt"), "--cols", "2"], capsys)
         assert code == 0

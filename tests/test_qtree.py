@@ -327,6 +327,22 @@ class TestLeafHeights:
     @example((Config(d=2, w=1, gamma=0), [(0, 0), (1, 1)]))
     @example((Config(d=2, w=8, gamma=0), [(255, 254), (255, 255), (0, 255)]))
     @example((Config(d=3, w=8, gamma=0), [(0, 0, 0), (255, 255, 255), (0, 255, 128)]))
+    # Unit-spacing pairs whose first test is at h = 0: crowded, uncrowded,
+    # and crowded on the domain's edge.
+    @example((Config(d=2, w=4, gamma=0), [(1, 5), (2, 5)]))
+    @example((Config(d=2, w=4, gamma=0), [(5, 5), (7, 5)]))
+    @example((Config(d=2, w=4, gamma=0), [(0, 1), (0, 2)]))
+    # Every domain edge and corner at the tested levels.
+    @example((Config(d=2, w=3, gamma=0), [(0, 0), (0, 7), (7, 0), (7, 7), (0, 3), (7, 4), (3, 0), (4, 7)]))
+    # At h = 0, (15, 12) moved one cell up x is (0, 13) when cells pack
+    # without a guard bit.
+    @example((Config(d=2, w=4, gamma=0), [(15, 12), (15, 14), (0, 13)]))
+    # Crowded at the first test: the gallop goes on below it.
+    @example((Config(d=2, w=5, gamma=0), [(8, 8), (16, 15), (17, 17)]))
+    # d = 3 on the edge; (7, 3, 4) moved up x would alias (0, 4, 4).
+    @example((Config(d=3, w=3, gamma=0), [(7, 3, 4), (7, 3, 6), (0, 4, 4)]))
+    # First tests on several levels, crowded and not.
+    @example((Config(d=2, w=6, gamma=0), [(2, 2), (4, 2), (40, 40), (60, 10), (20, 50), (21, 52)]))
     def test_matches_square_of_and_explicit_tree(self, case):
         cfg, pts = case
         src = ArrayPointSource(pts, cfg)
@@ -484,6 +500,13 @@ class TestRestrictedVoronoi:
             restricted_voronoi(p, store, cfg)
             decoded.append(store.counters.blocks_decoded)
         assert sum(decoded) / len(decoded) <= 10
+
+
+class TestCounters:
+    def test_repr_names_every_field(self):
+        c = Counters()
+        c.range_queries, c.squares_scanned = 3, 5
+        assert repr(c) == "Counters(range_queries=3, blocks_decoded=0, squares_scanned=5)"
 
 
 class TestQueryCost:
