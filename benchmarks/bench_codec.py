@@ -3,21 +3,24 @@
 
 Times the hot paths behind store construction and queries: ``round_set``
 of the generated net (leaf-height sweep and rounding), the sweep alone
-(``ArrayPointSource.leaf_heights`` on a source built beforehand) and
+(``ArrayPointSource.leaf_heights`` on a source built beforehand),
 ``CompressedStore.build`` of its output on the kernel ``pqc`` selected,
-block record encoding and decoding, for version-1 (gamma) and version-2
-(Exp-Golomb) records on the pure-Python kernel and on the compiled kernel
-``_bits_ext`` when it is built, and Morton key computation.  Every figure
-is the best process CPU time of ``--repeat`` runs.  Before timing, each
-record code must decode its own streams back to exactly the encoded
-points and heights, and the Morton keys must match the bit-by-bit
-definition; a code that fails either check stops the script.
+``read_multiscan`` of a fixed 3,136-point net (with its count of
+``CompressedStore.successor_rank`` calls), block record encoding and
+decoding, for version-1 (gamma) and version-2 (Exp-Golomb) records on the
+pure-Python kernel and on the compiled kernel ``_bits_ext`` when it is
+built, and Morton key computation.  Every figure is the best process CPU
+time of ``--repeat`` runs.  Before timing, each record code must decode
+its own streams back to exactly the encoded points and heights, the
+Morton keys must match the bit-by-bit definition, and the multiscan must
+decode like ``round_set`` + ``build``; a failed check stops the script.
 
     python benchmarks/bench_codec.py --n 200000 --w 16 --gamma 5
 """
 
 import argparse
 import importlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,10 +29,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pqc import KERNEL_BACKEND, _bits_py  # noqa: E402
 from pqc.geom import round_set  # noqa: E402
+from pqc.ingest import MemoryPointReader, read_multiscan  # noqa: E402
 from pqc.morton import Config, interleave  # noqa: E402
 from pqc.qtree import ArrayPointSource  # noqa: E402
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net  # noqa: E402
 from pqc.store import LOSSY, CompressedStore  # noqa: E402
+
+MULTISCAN_N = 3136  # points of the multiscan net, whatever --n is
 
 
 def load_kernels():
@@ -51,9 +57,9 @@ def record_codes(mods):
     return codes
 
 
-def make_blocks(cfg, n, block_size):
-    import math
-
+def make_net(cfg, n):
+    """The first ``n`` points of a jittered epsilon-net (seed 7) that fills
+    the domain with about ``n`` points."""
     cols = math.isqrt(n - 1) + 1
     f0 = int(cfg.coord_limit / cols / 1.15)
     if f0 < 2:
@@ -62,6 +68,11 @@ def make_blocks(cfg, n, block_size):
     pts = generate_epsilon_net(spec, cfg, seed=7)[:n]
     if len(pts) < n:
         raise SystemExit(f"domain too small for n={n}; got {len(pts)} points")
+    return pts
+
+
+def make_blocks(cfg, n, block_size):
+    pts = make_net(cfg, n)
     heighted = round_set(pts, cfg)
     blocks = []
     for i in range(0, len(heighted), block_size):
@@ -95,6 +106,24 @@ def check_morton(cfg, pts):
                 key = (key << 1) | ((c >> bit) & 1)
         if interleave(p, cfg) != key:
             raise SystemExit(f"wrong Morton key for {p}")
+
+
+def successor_searches(fn):
+    """``fn()`` and the number of ``CompressedStore.successor_rank`` calls
+    it made."""
+    calls = 0
+    search = CompressedStore.successor_rank
+
+    def counted(self, key):
+        nonlocal calls
+        calls += 1
+        return search(self, key)
+
+    CompressedStore.successor_rank = counted
+    try:
+        return fn(), calls
+    finally:
+        CompressedStore.successor_rank = search
 
 
 def bench(fn, repeat):
@@ -165,6 +194,17 @@ def main():
     sweep_s = bench(ArrayPointSource(pts, cfg).leaf_heights, args.repeat)
     build_s = bench(lambda: CompressedStore.build(heighted, cfg, LOSSY), args.repeat)
 
+    scan_pts = make_net(cfg, MULTISCAN_N)
+
+    def multiscan():
+        return read_multiscan(MemoryPointReader(scan_pts, cfg), cfg, LOSSY)
+
+    scanned, searches = successor_searches(multiscan)
+    built = CompressedStore.build(round_set(scan_pts, cfg), cfg, LOSSY)
+    if scanned.decode_all() != built.decode_all():
+        raise SystemExit("read_multiscan does not decode like round_set + build")
+    multiscan_s = bench(multiscan, args.repeat)
+
     print(f"\n{n} points, best of {args.repeat} runs (CPU seconds; Mpts/s in parens)")
     sides = ("encode", "decode")
     print(f"{'records':<16}{'bits/record':>12}" + "".join(f"{k:>22}" for k in sides))
@@ -176,6 +216,8 @@ def main():
     print(f"{'leaf_heights':<28}{sweep_s:>14.4f} ({n / sweep_s / 1e6:>5.2f})")
     build = f"build ({KERNEL_BACKEND})"
     print(f"{build:<28}{build_s:>14.4f} ({n / build_s / 1e6:>5.2f})")
+    scan = f"read_multiscan n={MULTISCAN_N}"
+    print(f"{scan:<28}{multiscan_s:>14.4f}  successor_rank calls={searches}")
 
 
 if __name__ == "__main__":

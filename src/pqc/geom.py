@@ -173,19 +173,6 @@ class ClippedVoronoiCell:
     def aspect(self) -> float:
         return math.sqrt(float(self.aspect_sq))
 
-    @property
-    def clip_radius_sq(self) -> Fraction:
-        return self.beta * self.beta * self.nn_sq
-
-
-def aspect_ratio(cell: ClippedVoronoiCell) -> float:
-    """Farthest cell point over nearest-neighbour distance.
-
-    The maximum of a convex function over a convex polygon is attained at
-    a vertex, so the polygon vertices (clamped to the clip radius) decide.
-    """
-    return cell.aspect
-
 
 def _ring_corners(base: Point, side: int, k: int, cfg: Config) -> Iterator[Point]:
     """Corners of the equal-size squares at Chebyshev ring k around a base

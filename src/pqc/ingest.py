@@ -6,14 +6,13 @@ stepping from w-1 down to 0) and rebuilds the compressed store from the
 masked values.  While reading, each point's prefix square from the
 *previous* level is tested for crowding against the previous store; the
 first level at which that square is uncrowded is the point's quadtree leaf
-height.  Once the height h of a point is known, the point stops refining
-at max(h - gamma, 0) cleared bits: from that scan on it is frozen and
-copied (re-cleared from the masked line) instead of refined, which makes
-the final store decode exactly like rounding and building in memory.
+height h.  From then on the point is stored as ``round_point(p, h,
+gamma)`` at height h, which stops refining at max(h - gamma, 0) cleared
+bits, so the final store decodes exactly like rounding and building in
+memory.
 
-Per-point bookkeeping is a height byte and a small counter, so the peak
-footprint is two compressed stores plus O(n) counter bytes, not the raw
-coordinates.
+Per-point bookkeeping is one height byte, so the peak footprint is two
+compressed stores plus n bytes, not the raw coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -123,30 +121,6 @@ class MemoryPointReader:
             yield clear_low_bits(p, bits)
 
 
-@dataclass
-class ScanState:
-    """Bookkeeping that survives between scans.
-
-    ``heights[j]`` is the leaf height of input point j once observed (255
-    until then) and ``counters[j]`` counts extra uncrowded observations
-    after the first, saturating at gamma; a saturated counter implies the
-    point is frozen.  ``frozen[j]`` marks points whose stored value has
-    reached its final precision and is copied, not refined, afterwards.
-    """
-
-    heights: array = field(default_factory=lambda: array("B"))
-    counters: array = field(default_factory=lambda: array("B"))
-    frozen: bytearray = field(default_factory=bytearray)
-
-    def grow(self):
-        self.heights.append(_UNSET)
-        self.counters.append(0)
-        self.frozen.append(0)
-
-    def counter_bytes(self) -> int:
-        return len(self.heights) + len(self.counters) + len(self.frozen)
-
-
 def read_multiscan(
     reader,
     cfg: Config = None,
@@ -160,6 +134,14 @@ def read_multiscan(
     whole input in memory and batch-building.  Reading several bits per
     scan trades passes for conservatively low leaf heights (heights snap
     down to the tested levels, so extra precision is kept, never lost).
+
+    A lossy scan stores each point by one rule: once its leaf height h is
+    known (h = 0 at the last scan if no test found it), as
+    ``round_point(p, h, gamma)`` at height h; before that, masked at
+    height min(mask_bits + gamma, w).  A lossless scan stores (p, 0).
+    The crowding tests (:func:`pqc.qtree.is_crowded`) ask the previous
+    scan's store, whose masked keys may repeat; their neighbour probes
+    are successor searches, counted like :func:`pqc.qtree.square_of`'s.
     """
     cfg = cfg or reader.cfg
     if bits_per_scan < 1:
@@ -172,8 +154,7 @@ def read_multiscan(
         level = max(level - bits_per_scan, 0)
         levels.append(level)
 
-    state = ScanState()
-    store = CompressedStore(cfg, mode)
+    heights = array("B")  # leaf height of input point j, _UNSET until found
     prev_store: Optional[CompressedStore] = None
     prev_level: Optional[int] = None
     n: Optional[int] = None
@@ -186,38 +167,23 @@ def read_multiscan(
         j = -1
         for j, p in enumerate(reader.masked(mask_bits)):
             if n is None:
-                if j >= len(state.heights):
-                    state.grow()
+                heights.append(_UNSET)
             elif j >= n:
                 raise ParseError(f"input grew to more than {n} points between scans")
-            if prev_store is not None and lossy:
-                if state.heights[j] == _UNSET:
-                    square = TrieSquare(clear_low_bits(p, prev_level), prev_level)
-                    if not is_crowded(square, prev_store):
-                        state.heights[j] = prev_level
-                elif state.counters[j] < gamma:
-                    # Uncrowded once means uncrowded at every lower level;
-                    # no query needed to keep counting.
-                    state.counters[j] += 1
-            if lossy and state.heights[j] != _UNSET:
-                target = max(state.heights[j] - gamma, 0)
-                h_enc = state.heights[j]
-                if mask_bits <= target:
-                    value = clear_low_bits(p, target)
-                    state.frozen[j] = 1
-                else:
-                    value = p
+            if not lossy:
+                store.insert(p, 0)
+                continue
+            h = heights[j]
+            if h == _UNSET and prev_store is not None:
+                square = TrieSquare(clear_low_bits(p, prev_level), prev_level)
+                if not is_crowded(square, prev_store):
+                    h = heights[j] = prev_level
+            if h == _UNSET and last_scan:
+                h = 0
+            if h == _UNSET:
+                store.insert(p, min(mask_bits + gamma, cfg.w))
             else:
-                target = 0
-                if last_scan:
-                    if lossy and state.heights[j] == _UNSET:
-                        state.heights[j] = 0
-                    h_enc = 0 if not lossy else state.heights[j]
-                    state.frozen[j] = 1
-                else:
-                    h_enc = min(mask_bits + gamma, cfg.w) if lossy else 0
-                value = clear_low_bits(p, max(target, mask_bits))
-            store.insert(value, h_enc if lossy else 0)
+                store.insert(round_point(p, h, gamma), h)
         if n is None:
             n = j + 1
         elif j + 1 != n:
@@ -236,11 +202,10 @@ def read_multiscan(
         store = CompressedStore.build(
             [HeightedPoint(round_point(p, cfg.w, gamma), cfg.w)], cfg, mode
         )
-    store._allow_duplicates = False
     if stats_out is not None:
         stats_out["passes"] = reader.passes
         stats_out["n"] = n
         stats_out["peak_interim_store_bytes"] = peak_bytes
-        stats_out["counter_bytes"] = state.counter_bytes()
+        stats_out["counter_bytes"] = len(heights)
         stats_out["final_store_bytes"] = store.file_bits() // 8
     return store

@@ -63,10 +63,6 @@ class Config:
     def coord_max(self) -> int:
         return (1 << self.w) - 1
 
-    @property
-    def key_bits(self) -> int:
-        return self.d * self.w
-
 
 class TrieSquare(NamedTuple):
     corner: Point

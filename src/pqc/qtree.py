@@ -18,7 +18,8 @@ bracket its leaf height, and only the heights between the brackets need a
 neighbour test, "is an equal-size neighbour square nonempty?".  The test
 is the search's argument.  :func:`square_of` brackets its one point from
 the keys around its rank (:func:`_brackets`) and answers the test with one
-successor search per neighbour square, which any source supports.
+successor search per neighbour square, which any source supports;
+:func:`is_crowded` asks the same test of one square.
 :meth:`ArrayPointSource.leaf_heights`, which sweeps every point it holds,
 brackets them all in one pass over the sorted keys.  Most points' searches
 end at their first test, so the sweep answers the first tests one level
@@ -46,7 +47,6 @@ from .morton import (
     check_increasing,
     interleave,
     interleave_all,
-    neighbours,
     square_key_range,
     square_of_point,
     validate_point,
@@ -59,8 +59,9 @@ class Counters:
     range_queries    key lookups by the queries: one per :func:`vertices`
                      call (a key range, two successor searches), one per
                      successor search of :func:`square_of`'s height search
-                     (for p's own key and for each neighbour probed), and
-                     one per neighbour probed by
+                     (for p's own key and for each neighbour probed) and
+                     of :func:`is_crowded`'s neighbour test (one per
+                     neighbour probed), and one per neighbour probed by
                      :meth:`ArrayPointSource.leaf_heights` (a cell-set
                      lookup or a successor search).
     blocks_decoded   blocks whose decode a compressed store started: one
@@ -120,7 +121,7 @@ class PointSource:
         raise NotImplementedError
 
     def successor_rank(self, key: int) -> int:
-        """Rank of the first point with Morton key >= key."""
+        """Rank of the first point with Morton key >= key; keys may repeat."""
         raise NotImplementedError
 
     def key_at(self, rank: int) -> int:
@@ -496,17 +497,21 @@ def vertices(s: TrieSquare, src: PointSource) -> VertexRange:
 
 
 def is_crowded(s: TrieSquare, src: PointSource) -> bool:
-    """Crowding test: own count >= 2, or == 1 with a nonempty neighbour."""
-    own = vertices(s, src)
-    if len(own) >= 2:
-        return True
-    if len(own) == 0:
-        return False
-    for nb in neighbours(s, src.cfg):
-        src.counters.squares_scanned += 1
-        if len(vertices(nb, src)) > 0:
-            return True
-    return False
+    """Crowding test: own count >= 2, or == 1 with a nonempty neighbour.
+
+    The own count is one :func:`vertices` range query.  The neighbour
+    test is :func:`square_of`'s (:func:`_successor_test`): one successor
+    search per neighbour probed, each counted as one range query and one
+    scanned square.
+    """
+    own = len(vertices(s, src))
+    if own != 1:
+        return own > 1
+    key = interleave(s.corner, src.cfg)
+    crowded, probes = _successor_test(src)(key, s.corner, s.height)
+    src.counters.range_queries += probes
+    src.counters.squares_scanned += probes
+    return crowded
 
 
 def square_of(p: Point, src: PointSource, cfg: Config = None) -> TrieSquare:

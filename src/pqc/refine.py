@@ -24,7 +24,7 @@ from .errors import DomainError, DimensionError, DuplicatePointError, RefineErro
 from .geom import ClippedVoronoiCell, clipped_voronoi, nearest_neighbor, round_point
 from .morton import Config, Point, interleave
 from .qtree import ArrayPointSource
-from .store import LOSSY, CompressedStore
+from .store import CompressedStore
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def refine(
                     raise RefineError(f"Steiner point for {v} rounded onto it")
                 nn_x_sq, _ = nearest_neighbor(xr, store, cfg)
                 try:
-                    store.insert(xr, heights[v] if store.mode == LOSSY else 0)
+                    store.insert(xr, heights[v])
                 except DuplicatePointError as exc:
                     raise RefineError(f"Steiner point {xr} already present") from exc
                 heights[xr] = heights[v]

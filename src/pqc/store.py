@@ -361,7 +361,9 @@ class CompressedStore(PointSource):
         return self._prefix(b, i).keys[i] if i else self._head_keys[b]
 
     def successor_rank(self, key: int) -> int:
-        b = bisect.bisect_right(self._head_keys, key) - 1
+        # Search from the last block whose head is below ``key``: a run of
+        # copies of ``key`` may start at the end of that block.
+        b = bisect.bisect_left(self._head_keys, key) - 1
         if b < 0:
             return 0
         entry = self._prefix(b)

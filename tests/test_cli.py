@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from pqc.cli import main
+from pqc.geom import round_set
+from pqc.morton import Config
 
 FIGURE_LINES = "5 2\n6 3\n8 4\n9 6\n10 6\n"
 
@@ -134,6 +136,25 @@ def test_scaled_decimal_input(tmp_path, capsys):
     code, _, cap = run(["decompress", str(out)], capsys)
     assert code == 0
     assert "8 4" in cap.out and "12 2" in cap.out
+
+
+def test_compress_repeated_key_run_matches_round_set(tmp_path, capsys):
+    # A run of one masked key crosses a block boundary in an interim store;
+    # compress once stopped here with "point (4, 8) already stored".
+    pts = [(1, 5), (3, 1), (4, 3), (5, 8), (5, 9), (8, 2), (8, 5), (10, 9), (12, 12), (14, 5)]
+    src = tmp_path / "pts.txt"
+    src.write_text("".join(f"{x} {y}\n" for x, y in pts))
+    out = tmp_path / "pts.pqc"
+    code, pairs, _ = run(
+        ["compress", str(src), "-o", str(out), "--width", "4", "--gamma", "0"], capsys
+    )
+    assert code == 0
+    assert pairs["n"] == ["10"]
+    code, _, cap = run(["decompress", str(out)], capsys)
+    assert code == 0
+    body = [l for l in cap.out.splitlines() if l and not l.startswith("#")]
+    want = round_set(pts, Config(d=2, w=4, gamma=0))
+    assert body == [" ".join(map(str, hp.coords)) for hp in want]
 
 
 def test_query_square_of(tmp_path, capsys):

@@ -12,7 +12,6 @@ from conftest import clustered_points, jittered_net, random_points
 from pqc.errors import DimensionError, DuplicatePointError, PqcError
 from pqc.geom import (
     HeightedPoint,
-    aspect_ratio,
     clipped_voronoi,
     nearest_neighbor,
     round_point,
@@ -325,7 +324,6 @@ class TestClippedVoronoi:
         cell = clipped_voronoi((500, 500), beta, src, cfg)
         assert cell.clip_bounded
         assert cell.aspect_sq == beta * beta
-        assert aspect_ratio(cell) == cell.aspect
 
 
 class TestNearestNeighbor:
