@@ -14,6 +14,11 @@ time of ``--repeat`` runs.  Before timing, each record code must decode
 its own streams back to exactly the encoded points and heights, the
 Morton keys must match the bit-by-bit definition, and the multiscan must
 decode like ``round_set`` + ``build``; a failed check stops the script.
+It also counts the records a cold-cache ``successor_rank`` decodes on the
+store of that fixed net, for one key in each block: a first pass on a
+fresh store, which has no resume points, and a second pass over the same
+keys, with the resume points the first left.  Counts are the same on
+every machine.
 
     python benchmarks/bench_codec.py --n 200000 --w 16 --gamma 5
 """
@@ -21,13 +26,14 @@ decode like ``round_set`` + ``build``; a failed check stops the script.
 import argparse
 import importlib
 import math
+import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pqc import KERNEL_BACKEND, _bits_py  # noqa: E402
+from pqc import KERNEL_BACKEND, _bits_py, codec  # noqa: E402
 from pqc.geom import round_set  # noqa: E402
 from pqc.ingest import MemoryPointReader, read_multiscan  # noqa: E402
 from pqc.morton import Config, interleave  # noqa: E402
@@ -126,6 +132,42 @@ def successor_searches(fn):
         CompressedStore.successor_rank = search
 
 
+def records_per_search(store, rounds=10, seed=5):
+    """Mean records decoded per cold-cache ``successor_rank`` on ``store``,
+    (first pass, second pass).  Each round loads a fresh copy, draws one
+    key inside each block's key range and searches every key twice over:
+    first with no resume points set, then with those the first pass left.
+    """
+    rng = random.Random(seed)
+    data = store.to_bytes()
+    decoded = 0
+    decode = codec.decode_records
+
+    def counted(*args):
+        nonlocal decoded
+        coords, heights = decode(*args)
+        decoded += len(coords)
+        return coords, heights
+
+    totals, searches = [0, 0], 0
+    codec.decode_records = counted
+    try:
+        for _ in range(rounds):
+            fresh = CompressedStore.from_bytes(data)
+            heads = fresh._head_keys + [1 << (fresh.cfg.d * fresh.cfg.w)]
+            keys = [rng.randrange(lo + 1, hi) for lo, hi in zip(heads, heads[1:])]
+            searches += len(keys)
+            for side in (0, 1):
+                for key in keys:
+                    fresh._cache.clear()
+                    decoded = 0
+                    fresh.successor_rank(key)
+                    totals[side] += decoded
+    finally:
+        codec.decode_records = decode
+    return totals[0] / searches, totals[1] / searches
+
+
 def bench(fn, repeat):
     """Best process CPU time of ``repeat`` calls of ``fn``, in seconds."""
     best = float("inf")
@@ -204,6 +246,7 @@ def main():
     if scanned.decode_all() != built.decode_all():
         raise SystemExit("read_multiscan does not decode like round_set + build")
     multiscan_s = bench(multiscan, args.repeat)
+    first, second = records_per_search(built)
 
     print(f"\n{n} points, best of {args.repeat} runs (CPU seconds; Mpts/s in parens)")
     sides = ("encode", "decode")
@@ -218,6 +261,10 @@ def main():
     print(f"{build:<28}{build_s:>14.4f} ({n / build_s / 1e6:>5.2f})")
     scan = f"read_multiscan n={MULTISCAN_N}"
     print(f"{scan:<28}{multiscan_s:>14.4f}  successor_rank calls={searches}")
+    print(
+        f"records decoded per cold successor_rank, n={MULTISCAN_N}: "
+        f"first pass {first:.2f}, second pass {second:.2f}"
+    )
 
 
 if __name__ == "__main__":

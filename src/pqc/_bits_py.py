@@ -111,6 +111,13 @@ class BitReader:
     def tell(self):
         return self._pos
 
+    def seek(self, pos):
+        """Move the cursor to bit ``pos``, which must be a record boundary
+        for the record decoders to read on from it."""
+        if not 0 <= pos <= self._nbits:
+            raise ValueError(f"bit offset {pos} outside [0, {self._nbits}]")
+        self._pos = pos
+
     def read_bits(self, nbits):
         if self._pos + nbits > self._nbits:
             raise TruncatedStreamError(_need(nbits, self._pos, self._nbits))

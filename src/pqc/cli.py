@@ -286,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--rho", required=True, help="target aspect ratio, e.g. 2 or 3/2")
-    p.add_argument("--gamma", type=int, default=4)
+    p.add_argument(
+        "--gamma",
+        type=int,
+        default=4,
+        help="Steiner point precision, at most a lossy store's gamma",
+    )
     p.add_argument("--max-rounds", type=int, default=0)
     p.set_defaults(func=cmd_refine)
 

@@ -24,7 +24,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import OutOfRangeError, ParseError, PqcError
+from .errors import DomainError, OutOfRangeError, ParseError
 from .geom import HeightedPoint, round_point
 from .morton import Config, Point, TrieSquare, clear_low_bits
 from .qtree import is_crowded
@@ -145,7 +145,7 @@ def read_multiscan(
     """
     cfg = cfg or reader.cfg
     if bits_per_scan < 1:
-        raise PqcError("bits_per_scan must be at least 1")
+        raise DomainError(f"bits_per_scan must be at least 1, not {bits_per_scan}")
     lossy = mode == LOSSY
     gamma = cfg.gamma
     levels = []

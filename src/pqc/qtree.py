@@ -66,8 +66,10 @@ class Counters:
                      lookup or a successor search).
     blocks_decoded   blocks whose decode a compressed store started: one
                      per block-cache miss, however far into the block
-                     the read then decodes, and one per decode_block
-                     call; cache hits count nothing.
+                     the read then decodes and whether it starts at the
+                     head or at the resume point, and one per
+                     decode_block call; cache hits count nothing, nor
+                     does the decode of a cached run's head part.
     squares_scanned  equal-size neighbour squares probed by crowding tests
                      and height searches, plus the squares the Voronoi
                      gather visits.

@@ -6,7 +6,9 @@ quadtree below is materialised by actually splitting squares, and the
 Voronoi cells are cut with a locally written clipper.  Point-in-square
 counting walks an x-sorted list, so no Morton machinery is involved.  The
 record decoder reads one gamma code at a time through the bit reader's own
-methods, without the kernel's string scan.
+methods, without the kernel's string scan.  The trie helpers at the end
+(``deinterleave``, ``neighbours``, ``child``) are for tests; the library
+itself has no use for them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CorruptPayloadError,
@@ -468,3 +470,66 @@ def bitwise_decode_records(
         coords_out.append(tuple(prev))
         heights_out.append(h)
     return coords_out, heights_out
+
+
+# --- trie helpers that only tests use ------------------------------------
+
+
+def _compact1(v: int) -> int:
+    # Inverse of morton._spread1: keep every other bit, from bit 0 up.
+    v &= 0x5555555555555555
+    v = (v ^ (v >> 1)) & 0x3333333333333333
+    v = (v ^ (v >> 2)) & 0x0F0F0F0F0F0F0F0F
+    v = (v ^ (v >> 4)) & 0x00FF00FF00FF00FF
+    v = (v ^ (v >> 8)) & 0x0000FFFF0000FFFF
+    v = (v ^ (v >> 16)) & 0x00000000FFFFFFFF
+    return v
+
+
+def deinterleave(key: int, cfg: Config) -> Point:
+    """Point whose Morton key is ``key``."""
+    d = cfg.d
+    if d == 2:
+        return (_compact1(key >> 1), _compact1(key))
+    coords = [0] * d
+    nbits = d * cfg.w
+    for bit in range(nbits):
+        axis = bit % d
+        coords[axis] = (coords[axis] << 1) | ((key >> (nbits - 1 - bit)) & 1)
+    return tuple(coords)
+
+
+def neighbours(s: TrieSquare, cfg: Config) -> Iterator[TrieSquare]:
+    """All 3**d - 1 equal-size neighbours that lie inside the domain."""
+    side = 1 << s.height
+    limit = cfg.coord_limit
+    offsets = (-side, 0, side)
+
+    def rec(axis: int, corner: list) -> Iterator[TrieSquare]:
+        if axis == cfg.d:
+            if any(corner[a] != s.corner[a] for a in range(cfg.d)):
+                yield TrieSquare(tuple(corner), s.height)
+            return
+        base = s.corner[axis]
+        for off in offsets:
+            c = base + off
+            if 0 <= c and c + side <= limit:
+                corner[axis] = c
+                yield from rec(axis + 1, corner)
+        corner[axis] = base
+
+    yield from rec(0, list(s.corner))
+
+
+def child(s: TrieSquare, index: int, cfg: Config) -> TrieSquare:
+    """Child ``index`` of ``s``; bit a of the index selects the upper half
+    along axis a.  Raises DomainError at height 0."""
+    if s.height < 1:
+        raise DomainError("height-0 squares have no children")
+    if not 0 <= index < (1 << cfg.d):
+        raise DomainError(f"child index {index} outside [0, {1 << cfg.d})")
+    half = 1 << (s.height - 1)
+    corner = tuple(
+        c + (half if (index >> a) & 1 else 0) for a, c in enumerate(s.corner)
+    )
+    return TrieSquare(corner, s.height - 1)

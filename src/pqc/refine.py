@@ -1,10 +1,12 @@
 """Quality refinement over the compressed store.
 
-Vertices are visited in rounds of growing quadtree-square size.  A vertex
-whose square is still larger than the round threshold is deferred; a due
+Vertices are visited in rounds of growing square size 2**h, h a vertex's
+height: its leaf height in a lossless store, its recorded rounding height
+in a lossy one (not its leaf size; see :func:`refine`).  A vertex whose
+square is still larger than the round threshold is deferred; a due
 vertex gets its 2*rho-clipped Voronoi cell, and while its aspect ratio
 exceeds rho a far point of the cell is chosen, snapped to the grid,
-rounded as if it shared the vertex's leaf height, and inserted.  The
+rounded as if it shared the vertex's height, and inserted.  The
 threshold repeats while insertions happen, then jumps to the smallest
 deferred square; the loop ends when a full pass neither inserts nor
 defers, at which moment every vertex has been verified at aspect <= rho.
@@ -24,7 +26,7 @@ from .errors import DomainError, DimensionError, DuplicatePointError, RefineErro
 from .geom import ClippedVoronoiCell, clipped_voronoi, nearest_neighbor, round_point
 from .morton import Config, Point, interleave
 from .qtree import ArrayPointSource
-from .store import CompressedStore
+from .store import LOSSY, CompressedStore
 
 
 @dataclass(frozen=True)
@@ -150,13 +152,27 @@ def refine(
 ) -> tuple[CompressedStore, RefineReport]:
     """Refine in place until every vertex has aspect ratio at most rho.
 
-    Returns the same store plus a report.  Inserted points are rounded
-    with their parent vertex's leaf height and the configured gamma, so
-    the store stays compressed as it grows.
+    Returns the same store plus a report.  Vertices are scheduled by
+    ``1 << heights[v]`` and each Steiner point is rounded with its parent
+    vertex's ``heights[v]`` and the configured gamma, so the store stays
+    compressed as it grows.  In lossless mode ``heights[v]`` is v's leaf
+    height.  In lossy mode it is v's recorded height, the height v was
+    rounded for, which is not its leaf size once inserts have changed the
+    set (a Steiner point records its parent's); and the configured gamma
+    may not exceed the store's unless the store's is w, or the rounded
+    points would not be rounded for their heights: that raises
+    DomainError before any work.
     """
     cfg = store.cfg
     if cfg.d != 2:
         raise DimensionError("refinement requires d=2")
+    if store.mode == LOSSY and min(params.gamma, cfg.w) > cfg.gamma:
+        # Steiner points rounded with more precision bits than the store's
+        # are not rounded for their heights, so an insert would fail.  At
+        # heights up to w, any gamma >= w rounds nothing.
+        raise DomainError(
+            f"refine gamma={params.gamma} exceeds the lossy store's gamma={cfg.gamma}"
+        )
     rho = Fraction(params.rho)
     rho_sq = rho * rho
     beta = 2 * rho

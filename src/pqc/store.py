@@ -9,9 +9,13 @@ in format version 2 and gamma in version 1.  Lossless blocks fix every
 height at zero, omit the height delta and gamma-code the deltas in both
 versions.  An ordered list of head keys serves as the search index;
 finding a key costs one bisection plus the decode of the block's records
-up to that key.  Reads keep the decoded
-prefix of the last few blocks they touched - coordinates, heights and
-Morton keys in parallel lists - and extend it only as far as they need.
+up to that key.  Reads keep a decoded run of the last few blocks they
+touched - coordinates, heights and Morton keys in parallel lists - and
+extend it only as far as they need.  A run starts at the block's head or
+at its resume point: the decoder state at the first record boundary past
+half the payload, which the first read to decode that far from the head
+leaves on the block, in memory only.  A search for a key above the
+resume key starts there, so it decodes from the nearer of the two.
 
 Persistent format (all integers little-endian):
 
@@ -41,7 +45,7 @@ import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import codec
 from .codec import BitReader, BitWriter
@@ -72,13 +76,26 @@ LOSSLESS = "lossless"
 LOSSY = "lossy"
 _MODE_CODE = {LOSSLESS: 0, LOSSY: 1}
 _MODE_NAME = {0: LOSSLESS, 1: LOSSY}
-_CACHE_BLOCKS = 8  # decoded block prefixes kept by each store, least recently used out
-# A read that stops mid-block extends its prefix by a quarter of the
-# block's payload per kernel call.  A call costs about as much as decoding
-# two records, and a search stops halfway into a block of w..2w records on
-# average, so quarters come near the fewest calls plus records decoded
-# past the target: 2-3 calls and 1/8 of a block.
+_CACHE_BLOCKS = 8  # decoded block runs kept by each store, least recently used out
+# A read that stops mid-block extends its run to the next quarter mark of
+# the block's payload per kernel call.  A call costs about as much as
+# decoding two records; a search starts at the head or at the resume point
+# and stops a quarter of a block past it on average, so quarters come near
+# the fewest calls plus records decoded past the target: 1-2 calls and 1/8
+# of a block.  The count must stay even, so that the half mark, where the
+# resume point is taken, is a chunk mark.
 _CHUNKS_PER_BLOCK = 4
+
+
+class _State(NamedTuple):
+    """The decoder state at a record boundary of a block: the point at
+    ``index`` in the block, and the bit offset where its record ends."""
+
+    index: int
+    bit: int
+    coords: Point
+    height: int
+    key: int
 
 
 @dataclass
@@ -87,20 +104,28 @@ class Block:
     count: int
     payload: bytes
     bit_len: int
+    # The resume point: the decoder state at the first record boundary at
+    # or past half the payload, once a read has decoded that far from the
+    # head; in memory only.  A rewrite makes a new Block, so it never goes
+    # stale.
+    resume: _State | None = None
 
 
-class _Prefix:
-    """The decoded prefix of one block: parallel lists of coordinates,
-    heights and Morton keys, head first, and the reader of the block's
+class _Run:
+    """A decoded run of one block from the state ``at`` (the head, or the
+    block's resume point): parallel lists of coordinates, heights and
+    Morton keys from index ``start``, and the reader of the block's
     payload, parked at the end of the last decoded record."""
 
-    __slots__ = ("coords", "heights", "keys", "reader")
+    __slots__ = ("start", "coords", "heights", "keys", "reader")
 
-    def __init__(self, block: Block, head_key: int):
-        self.coords = [block.head.coords]
-        self.heights = [block.head.height]
-        self.keys = [head_key]
+    def __init__(self, block: Block, at: _State):
+        self.start = at.index
+        self.coords = [at.coords]
+        self.heights = [at.height]
+        self.keys = [at.key]
         self.reader = BitReader(block.payload, block.bit_len)
+        self.reader.seek(at.bit)
 
 
 def _check_each(points: Sequence[HeightedPoint], cfg: Config, lossy: bool):
@@ -123,11 +148,13 @@ def _check_each(points: Sequence[HeightedPoint], cfg: Config, lossy: bool):
 class CompressedStore(PointSource):
     """PointSource over xor-coded blocks; supports dynamic insertion.
 
-    Reads go through a small LRU of decoded block prefixes, each holding
-    the block's points, heights and Morton keys as far as reads have
-    needed them; a read that needs more resumes the decode where the
-    prefix ends.  A store is not safe to share between threads without a
-    lock.
+    Reads go through a small LRU of decoded block runs, each holding a
+    stretch of the block's points, heights and Morton keys from its head
+    or its resume point as far as reads have needed them; a read that
+    needs more resumes the decode where the run ends, and one that needs
+    an earlier point decodes the head part once and splices it in front.
+    Resume points cost one tuple per block, O(n/w) words.  A store is not
+    safe to share between threads without a lock.
     """
 
     def __init__(self, cfg: Config, mode: str = LOSSY):
@@ -142,8 +169,8 @@ class CompressedStore(PointSource):
         self._offsets: list[int] = []  # starting rank of each block
         self._n = 0
         self._allow_duplicates = False
-        # block index -> decoded prefix of that block; cleared on write
-        self._cache: OrderedDict[int, _Prefix] = OrderedDict()
+        # block index -> decoded run of that block; cleared on write
+        self._cache: OrderedDict[int, _Run] = OrderedDict()
 
     # -- construction ---------------------------------------------------
 
@@ -277,33 +304,68 @@ class CompressedStore(PointSource):
             out.extend(self.decode_block(i))
         return out
 
-    def _prefix(self, b: int, i: int = 0) -> _Prefix:
-        """Decoded prefix of block ``b``, extended past index ``i``, from
-        the LRU of the last _CACHE_BLOCKS blocks read; a block missing
-        there starts as its head alone, from the index.  Callers must not
-        mutate its lists."""
+    def _run(self, b: int, first: int, last: int) -> _Run:
+        """Decoded run of block ``b`` that holds its indices ``first``
+        through ``last``, from the LRU of the last _CACHE_BLOCKS blocks
+        read; a block missing there starts as its head alone, from the
+        index, and a cached run that starts past ``first`` gets the head
+        part spliced in front.  Callers must not mutate its lists."""
         entry = self._cache.get(b)
         if entry is None:
-            self.counters.blocks_decoded += 1
-            entry = _Prefix(self._blocks[b], self._head_keys[b])
-            self._cache[b] = entry
-            if len(self._cache) > _CACHE_BLOCKS:
-                self._cache.popitem(last=False)
+            entry = self._miss(b, self._head_state(b))
         else:
             self._cache.move_to_end(b)
-        if i and i >= len(entry.keys):
-            whole = i + 1 >= self._blocks[b].count
-            while len(entry.keys) <= i:
+            if first < entry.start:
+                self._splice(b, entry)
+        if last >= entry.start + len(entry.keys):
+            whole = last + 1 >= self._blocks[b].count
+            while entry.start + len(entry.keys) <= last:
                 self._extend(b, entry, whole)
         return entry
 
-    def _extend(self, b: int, entry: _Prefix, whole: bool):
-        """Decode the next chunk of block ``b``'s payload, or with ``whole``
-        all the rest, onto ``entry``, the block's prefix."""
+    def _head_state(self, b: int) -> _State:
+        head = self._blocks[b].head
+        return _State(0, 0, head.coords, head.height, self._head_keys[b])
+
+    def _miss(self, b: int, at: _State) -> _Run:
+        """A new run of block ``b`` from ``at`` in the LRU; counts one
+        decoded block."""
+        self.counters.blocks_decoded += 1
+        entry = _Run(self._blocks[b], at)
+        self._cache[b] = entry
+        if len(self._cache) > _CACHE_BLOCKS:
+            self._cache.popitem(last=False)
+        return entry
+
+    def _splice(self, b: int, entry: _Run):
+        """Decode block ``b`` from its head up to ``entry``'s start, the
+        block's resume point, and put those records in front of the run."""
+        block = self._blocks[b]
+        head = block.head
+        reader = BitReader(block.payload, block.bit_len)
+        coords, heights = self._decode(
+            b, reader, head.coords, head.height, block.resume.bit
+        )
+        # The last record decoded is the run's first point.
+        del coords[-1], heights[-1]
+        entry.coords[:0] = [head.coords, *coords]
+        entry.heights[:0] = [head.height, *heights]
+        entry.keys[:0] = [self._head_keys[b], *interleave_all(coords, self.cfg)]
+        entry.start = 0
+
+    def _extend(self, b: int, entry: _Run, whole: bool):
+        """Decode the next chunk of block ``b``'s payload, up to the next
+        quarter mark, or with ``whole`` all the rest, onto ``entry``, the
+        block's run.  A chunk that first passes the half mark from the head
+        records the block's resume point."""
         reader = entry.reader
-        end_bit = reader.bit_length
-        if not whole:
-            end_bit = min(reader.tell() + end_bit // _CHUNKS_PER_BLOCK + 1, end_bit)
+        bit_len = end_bit = reader.bit_length
+        pos = reader.tell()
+        # A cursor at the end (a payload short of the count) decodes
+        # nothing and fails below.
+        if not whole and pos < bit_len:
+            mark = pos * _CHUNKS_PER_BLOCK // bit_len + 1
+            end_bit = -(-mark * bit_len // _CHUNKS_PER_BLOCK)
         try:
             coords, heights = self._decode(
                 b, reader, entry.coords[-1], entry.heights[-1], end_bit
@@ -320,7 +382,17 @@ class CompressedStore(PointSource):
             raise
         entry.coords += coords
         entry.heights += heights
-        entry.keys += interleave_all(coords, self.cfg)
+        keys = entry.keys
+        keys += interleave_all(coords, self.cfg)
+        block = self._blocks[b]
+        half = (bit_len + 1) // 2
+        if not whole and block.resume is None and pos < half <= reader.tell():
+            # The half mark is a chunk mark, so this chunk stopped at the
+            # first record boundary past it; a run with no resume point
+            # yet starts at the head.
+            block.resume = _State(
+                len(keys) - 1, reader.tell(), coords[-1], heights[-1], keys[-1]
+            )
 
     # -- PointSource ------------------------------------------------------
 
@@ -344,35 +416,54 @@ class CompressedStore(PointSource):
 
     def heighted_at(self, rank: int) -> HeightedPoint:
         b, i = self._locate(rank)
-        entry = self._prefix(b, i)
+        entry = self._run(b, i, i)
+        i -= entry.start
         return HeightedPoint(entry.coords[i], entry.heights[i])
 
     def point_at(self, rank: int) -> Point:
         b, i = self._locate(rank)
-        return self._prefix(b, i).coords[i]
+        entry = self._run(b, i, i)
+        return entry.coords[i - entry.start]
 
     def height_at(self, rank: int) -> int:
         b, i = self._locate(rank)
-        return self._prefix(b, i).heights[i]
+        entry = self._run(b, i, i)
+        return entry.heights[i - entry.start]
 
     def key_at(self, rank: int) -> int:
         b, i = self._locate(rank)
-        # A head's key is in the index, so reading it decodes nothing.
-        return self._prefix(b, i).keys[i] if i else self._head_keys[b]
+        if not i:
+            # A head's key is in the index, so reading it decodes nothing.
+            return self._head_keys[b]
+        entry = self._run(b, i, i)
+        return entry.keys[i - entry.start]
 
     def successor_rank(self, key: int) -> int:
         # Search from the last block whose head is below ``key``: a run of
-        # copies of ``key`` may start at the end of that block.
+        # copies of ``key`` may start at the end of that block.  For a key
+        # equal to the next head that read starts at the resume point.
         b = bisect.bisect_left(self._head_keys, key) - 1
         if b < 0:
             return 0
-        entry = self._prefix(b)
+        block = self._blocks[b]
+        entry = self._cache.get(b)
+        if entry is None:
+            # Only a key strictly above the resume key starts there: copies
+            # of one key may straddle the resume point.
+            at = block.resume
+            if at is None or key <= at.key:
+                at = self._head_state(b)
+            entry = self._miss(b, at)
+        else:
+            self._cache.move_to_end(b)
+            if entry.start and key <= entry.keys[0]:
+                self._splice(b, entry)
         keys = entry.keys
-        # Keys past the prefix are no smaller than its last one, so once
-        # that reaches ``key`` the answer lies in the prefix.
-        while keys[-1] < key and len(keys) < self._blocks[b].count:
+        # Keys past the run are no smaller than its last one, so once that
+        # reaches ``key`` the answer lies in the run.
+        while keys[-1] < key and entry.start + len(keys) < block.count:
             self._extend(b, entry, False)
-        return self._offsets[b] + bisect.bisect_left(keys, key)
+        return self._offsets[b] + entry.start + bisect.bisect_left(keys, key)
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         if lo >= hi:
@@ -380,10 +471,11 @@ class CompressedStore(PointSource):
         b = self._locate(lo)[0]
         rank = lo
         while rank < hi:
-            start = self._offsets[b]
-            stop = min(hi - start, self._blocks[b].count)
-            yield from self._prefix(b, stop - 1).coords[rank - start : stop]
-            rank = start + stop
+            base = self._offsets[b]
+            i, j = rank - base, min(hi - base, self._blocks[b].count)
+            entry = self._run(b, i, j - 1)
+            yield from entry.coords[i - entry.start : j - entry.start]
+            rank = base + j
             b += 1
 
     # -- insertion ---------------------------------------------------------
@@ -412,7 +504,7 @@ class CompressedStore(PointSource):
             self._append_block(self._encode_block([p], [height]), key)
             return
         b = max(bisect.bisect_right(self._head_keys, key) - 1, 0)
-        entry = self._prefix(b, self._blocks[b].count - 1)
+        entry = self._run(b, 0, self._blocks[b].count - 1)
         keys = entry.keys
         pos = bisect.bisect_right(keys, key)
         if not self._allow_duplicates and pos > 0 and keys[pos - 1] == key:

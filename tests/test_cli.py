@@ -369,6 +369,32 @@ class TestExitCodes:
         assert "gamma must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "r.pqc").exists()
 
+    def test_refine_gamma_above_the_lossy_store_is_3(self, tmp_path, capsys):
+        # The default --gamma 4 against a store compressed at gamma 0: it is
+        # refused before the first round, not at the first Steiner insert.
+        src = tmp_path / "fig.txt"
+        src.write_text(FIGURE_LINES)
+        store = tmp_path / "fig.pqc"
+        argv = ["compress", str(src), "-o", str(store), "--width", "5", "--gamma", "0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.pqc"
+        assert main(["refine", str(store), "-o", str(out), "--rho", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "refine gamma=4 exceeds the lossy store's gamma=0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bits", ["0", "-1"])
+    def test_compress_bits_per_scan_below_1_is_3(self, tmp_path, capsys, bits):
+        src = tmp_path / "fig.txt"
+        src.write_text(FIGURE_LINES)
+        out = tmp_path / "x.pqc"
+        argv = ["compress", str(src), "-o", str(out), "--width", "5"]
+        assert main(argv + ["--bits-per-scan", bits]) == 3
+        assert f"bits_per_scan must be at least 1, not {bits}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refine_negative_max_rounds_is_3(self, tmp_path, capsys):
         store = self._figure_store(tmp_path, capsys)
         argv = ["refine", store, "-o", str(tmp_path / "r.pqc"), "--rho", "2", "--max-rounds", "-1"]

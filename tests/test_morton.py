@@ -10,16 +10,14 @@ from pqc.errors import DomainError
 from pqc.morton import (
     Config,
     TrieSquare,
-    child,
     clear_low_bits,
-    deinterleave,
     interleave,
     interleave_all,
-    neighbours,
     square_contains,
     square_key_range,
     validate_square,
 )
+from pqc.reference import child, deinterleave, neighbours
 
 CFG5 = Config(d=2, w=5, gamma=0)
 

@@ -45,7 +45,7 @@ def scan_range(points, square):
 
 
 def scan_crowded(points, square, cfg):
-    from pqc.morton import neighbours
+    from pqc.reference import neighbours
 
     inside = sum(square_contains(square, p) for p in points)
     if inside >= 2:

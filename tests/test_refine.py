@@ -101,6 +101,31 @@ class TestRefine:
         assert st.decode_all() == before
         assert rep.final_max_aspect_sq <= RHO * RHO
 
+    @pytest.mark.parametrize(
+        "w, store_gamma, gamma, refused",
+        [
+            (12, 2, 4, True),
+            (12, 4, 4, False),
+            (12, 4, 2, False),
+            (3, 2, 4, True),
+            (3, 3, 4, False),
+        ],
+    )
+    def test_gamma_above_the_lossy_store(self, w, store_gamma, gamma, refused):
+        # Steiner points rounded with more precision bits than the store
+        # keeps would fail the store's rounding check; a gamma of w or more
+        # rounds nothing at any height.
+        cfg = Config(d=2, w=w, gamma=store_gamma, rho=RHO)
+        st = lossy_store([(1, 1), (6, 6)], cfg)
+        before = st.to_bytes()
+        if refused:
+            message = f"gamma={gamma} exceeds .* gamma={store_gamma}"
+            with pytest.raises(DomainError, match=message):
+                refine(st, RefineParams(rho=RHO, gamma=gamma))
+            assert st.to_bytes() == before
+        else:
+            refine(st, RefineParams(rho=RHO, gamma=gamma))
+
     def test_tiny_store_is_noop(self):
         cfg = Config(d=2, w=8, gamma=2, rho=RHO)
         st = lossy_store([(10, 17)], cfg)

@@ -1,5 +1,6 @@
 """Block store round trips, search, insertion, and the PQC1 file format."""
 
+import bisect
 import hashlib
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from conftest import jittered_net, random_points
+from pqc import codec
 from pqc.errors import (
     CorruptPayloadError,
     DomainError,
@@ -592,6 +594,7 @@ class TestBlockCache:
         st = CompressedStore.build(
             [HeightedPoint(p, height[p]) for p in stored], cfg, LOSSY
         )
+        resumed = []  # the start of each run begun at a resume point
 
         def check():
             oracle = ArrayPointSource(stored, cfg, [height[p] for p in stored])
@@ -610,18 +613,59 @@ class TestBlockCache:
                 for r in (start - 1, start):
                     assert st.key_at(r) == interleave(st.point_at(r), cfg)
                     assert st.key_at(r) == oracle.key_at(r)
+            # Runs that start at resume points, then one read below each
+            # (the splice), in a seeded order of blocks and read kinds.
+            for b in rng.sample(range(st.block_count), 6):
+                first, count = st._offsets[b], st._blocks[b].count
+                last = first + count - 1
+                for _ in range(2):  # the first search leaves the resume point
+                    st._cache.clear()
+                    k = oracle.key_at(last) + 1
+                    assert st.successor_rank(k) == oracle.successor_rank(k)
+                start = st._cache[b].start
+                assert start > 0
+                resumed.append(start)
+                kind = rng.choice(["successor", "key", "point", "heighted", "range"])
+                r = first + rng.randrange(start)
+                if kind == "successor":
+                    # A key above the head and at most the resume key.
+                    lo, hi = oracle.key_at(first), oracle.key_at(first + start)
+                    k = rng.randrange(lo, hi) + 1
+                    assert st.successor_rank(k) == oracle.successor_rank(k)
+                elif kind == "key":
+                    assert st.key_at(r) == oracle.key_at(r)
+                elif kind == "point":
+                    assert st.point_at(r) == oracle.point_at(r)
+                elif kind == "heighted":
+                    assert st.heighted_at(r) == (oracle.point_at(r), oracle.height_at(r))
+                else:
+                    hi = min(last + 2, st.count())
+                    assert list(st.iter_range(r, hi)) == list(oracle.iter_range(r, hi))
+                if kind != "key" or r > first:  # a head's key decodes nothing
+                    assert st._cache[b].start == 0
+                whole = list(st.iter_range(first, last + 1))
+                assert whole == oracle.points()[first : last + 1]
 
         check()
         blocks = st.block_count
+        spliced_inserts = 0
         for p in pts[300:]:
             # Cache the target block and the ones after it, whose indices
             # a split shifts.
-            r = st.successor_rank(interleave(p, cfg))
+            st._cache.clear()
+            key = interleave(p, cfg)
+            r = st.successor_rank(key)
             list(st.iter_range(r, min(r + 8 * cfg.w, st.count())))
+            # The insert reads the whole target block: a splice when its
+            # run starts at the resume point.
+            run = st._cache.get(max(bisect.bisect_right(st._head_keys, key) - 1, 0))
+            spliced_inserts += run is not None and run.start > 0
             st.insert(p, height[p])
             stored = sorted(stored + [p], key=lambda q: interleave(q, cfg))
             check()
         assert st.block_count > blocks
+        assert len(resumed) == 6 * 101
+        assert spliced_inserts > 10
 
     def test_key_at_every_rank(self):
         cfg = Config(d=2, w=4, gamma=0)
@@ -649,6 +693,72 @@ class TestBlockCache:
         for _ in range(50):
             st.point_at(7)
         assert st.counters.blocks_decoded == 1
+
+    def test_repeated_keys_straddling_a_resume_point(self):
+        # Multiscan's interim stores repeat keys.  A search for a key whose
+        # copies straddle a block's resume point must still find the first
+        # copy.  The oracle is ArrayPointSource.successor_rank's rule,
+        # bisect_left over the sorted keys; ArrayPointSource itself refuses
+        # repeated keys.  With gamma == w and one height, every record is
+        # 23 bits (a height bit and two 11-bit Exp-Golomb codes), so each
+        # resume point sits mid-block, most often inside a run of copies.
+        cfg = Config(d=2, w=10, gamma=10)
+        rng = random.Random(11)
+        pts = [p for p in random_points(cfg, 23, 60) for _ in range(6)]
+        rng.shuffle(pts)
+        st = CompressedStore(cfg, LOSSY)
+        st._allow_duplicates = True
+        for p in pts:
+            st.insert(p, 3)
+        keys = sorted(interleave(p, cfg) for p in pts)
+        probes = sorted({k + dk for k in keys for dk in (-1, 0, 1)})
+        for _ in range(2):  # the first pass leaves the resume points
+            for k in probes:
+                st._cache.clear()
+                assert st.successor_rank(k) == bisect.bisect_left(keys, k)
+        straddled = [
+            b
+            for b, blk in enumerate(st._blocks)
+            if blk.resume
+            and keys[st._offsets[b] + blk.resume.index - 1] == blk.resume.key
+        ]
+        assert len(straddled) >= 3
+        rng.shuffle(probes)  # warm runs: splices on cache hits
+        for k in probes:
+            assert st.successor_rank(k) == bisect.bisect_left(keys, k)
+
+    def test_records_decoded_by_cold_searches(self, monkeypatch):
+        # A fixed batch of cold-cache successor searches on the benchmark's
+        # 784-point net, twice: the first pass begins with no resume points
+        # and leaves one on each block it decodes past the half mark; the
+        # second starts every search above a block's resume key there.
+        # Blocks decoded (one per search that reads a block) are the same
+        # on both passes; kernel calls and records decoded are not.
+        cfg = Config(d=2, w=16, gamma=5)
+        st = CompressedStore.build(round_set(_net(2048, 11), cfg), cfg, LOSSY)
+        oracle = ArrayPointSource([hp.coords for hp in st.decode_all()], cfg)
+        decoded = []
+        decode = codec.decode_records
+
+        def counted(*args):
+            coords, heights = decode(*args)
+            decoded.append(len(coords))
+            return coords, heights
+
+        monkeypatch.setattr(codec, "decode_records", counted)
+        rng = random.Random(29)
+        keys = [rng.randrange(1 << 32) for _ in range(300)]
+        passes = []
+        for _ in range(2):
+            st.counters.reset()
+            decoded.clear()
+            for k in keys:
+                st._cache.clear()
+                assert st.successor_rank(k) == oracle.successor_rank(k)
+            passes.append((st.counters.blocks_decoded, len(decoded), sum(decoded)))
+        # Blocks read, kernel calls and records decoded per pass.  Before
+        # resume points, both passes read (299, 748, 5908).
+        assert passes == [(299, 475, 3663), (299, 449, 3463)]
 
 
 class TestFormatVersions:
