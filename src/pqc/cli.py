@@ -199,6 +199,7 @@ def cmd_refine(args) -> int:
     store = CompressedStore.load(args.input, rho=rho)
     store, report = refine(store, params)
     store.save(args.output)
+    s = store.stats()
     _emit(
         sys.stdout,
         input_count=report.input_count,
@@ -210,6 +211,9 @@ def cmd_refine(args) -> int:
         payload_bits_after=report.payload_bits_after,
         bpv_before=report.bpv_before(),
         bpv_after=report.bpv_after(),
+        blocks=s["blocks"],
+        file_bits=s["file_bits"],
+        bpv_file=float(s["bpv_file"]),
         output=args.output,
     )
     return 0

@@ -31,11 +31,10 @@ require the compiled one (raising ImportError when it was not built).
 from __future__ import annotations
 
 import os
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import _bits_py
 from ._bits_py import BitReader, BitWriter
-from .morton import Config, Point
 
 
 def _kernel():
@@ -97,34 +96,3 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, kernel):
 def signed_gamma_bits(value: int) -> int:
     """The length of the signed gamma code of ``value``."""
     return 2 * abs(value).bit_length() + 1 if value else 1
-
-
-def bits_to_string(data: bytes, nbits: int) -> str:
-    """The first ``nbits`` bits of ``data`` as a '01' string."""
-    out = []
-    for i in range(nbits):
-        out.append("1" if data[i >> 3] & (0x80 >> (i & 7)) else "0")
-    return "".join(out)
-
-
-def gamma_bitstring(value: int) -> str:
-    w = BitWriter()
-    n = w.write_gamma(value)
-    return bits_to_string(w.getvalue(), n)
-
-
-def xor_code_strings(points: Sequence[Point], cfg: Config) -> list[str]:
-    """Per-point payload bit strings for a lossless stream, axes separated
-    by commas.  The first point appears longhand at w bits per axis; each
-    later point shows its per-axis gamma codes.  Useful for golden tests
-    and for eyeballing encodings.
-    """
-    out = []
-    prev = None
-    for p in points:
-        if prev is None:
-            out.append(",".join(format(c, f"0{cfg.w}b") for c in p))
-        else:
-            out.append(",".join(gamma_bitstring(prev[a] ^ p[a]) for a in range(cfg.d)))
-        prev = p
-    return out

@@ -142,6 +142,7 @@ def read_multiscan(
     The crowding tests (:func:`pqc.qtree.is_crowded`) ask the previous
     scan's store, whose masked keys may repeat; their neighbour probes
     are successor searches, counted like :func:`pqc.qtree.square_of`'s.
+    The store is returned packed, cut into blocks as ``build`` cuts them.
     """
     cfg = cfg or reader.cfg
     if bits_per_scan < 1:
@@ -202,6 +203,7 @@ def read_multiscan(
         store = CompressedStore.build(
             [HeightedPoint(round_point(p, cfg.w, gamma), cfg.w)], cfg, mode
         )
+    store.pack()
     if stats_out is not None:
         stats_out["passes"] = reader.passes
         stats_out["n"] = n

@@ -67,9 +67,11 @@ class Counters:
     blocks_decoded   blocks whose decode a compressed store started: one
                      per block-cache miss, however far into the block
                      the read then decodes and whether it starts at the
-                     head or at the resume point, and one per
-                     decode_block call; cache hits count nothing, nor
-                     does the decode of a cached run's head part.
+                     head or at the resume point, and one per block of
+                     a whole-block walk (decode_block, decode_all,
+                     bit_budget, pack); cache hits count nothing, nor
+                     does the decode of a cached run's head part, nor a
+                     load's validating walk.
     squares_scanned  equal-size neighbour squares probed by crowding tests
                      and height searches, plus the squares the Voronoi
                      gather visits.

@@ -6,9 +6,10 @@ quadtree below is materialised by actually splitting squares, and the
 Voronoi cells are cut with a locally written clipper.  Point-in-square
 counting walks an x-sorted list, so no Morton machinery is involved.  The
 record decoder reads one gamma code at a time through the bit reader's own
-methods, without the kernel's string scan.  The trie helpers at the end
-(``deinterleave``, ``neighbours``, ``child``) are for tests; the library
-itself has no use for them.
+methods, without the kernel's string scan.  The bit-string helpers, which
+spell codes out as '0'/'1' text for golden tests, and the trie helpers at
+the end (``deinterleave``, ``neighbours``, ``child``) are for tests; the
+library itself has no use for them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     DuplicatePointError,
     GenerationError,
 )
+from .codec import BitWriter
 from .morton import Config, Point, TrieSquare
 
 # --- explicit quadtree --------------------------------------------------
@@ -470,6 +472,38 @@ def bitwise_decode_records(
         coords_out.append(tuple(prev))
         heights_out.append(h)
     return coords_out, heights_out
+
+
+# --- bit strings for golden tests -----------------------------------------
+
+
+def bits_to_string(data: bytes, nbits: int) -> str:
+    """The first ``nbits`` bits of ``data`` as a '01' string."""
+    out = []
+    for i in range(nbits):
+        out.append("1" if data[i >> 3] & (0x80 >> (i & 7)) else "0")
+    return "".join(out)
+
+
+def gamma_bitstring(value: int) -> str:
+    w = BitWriter()
+    n = w.write_gamma(value)
+    return bits_to_string(w.getvalue(), n)
+
+
+def xor_code_strings(points: Sequence[Point], cfg: Config) -> list[str]:
+    """Per-point payload bit strings for a lossless stream, axes separated
+    by commas.  The first point appears longhand at w bits per axis; each
+    later point shows its per-axis gamma codes."""
+    out = []
+    prev = None
+    for p in points:
+        if prev is None:
+            out.append(",".join(format(c, f"0{cfg.w}b") for c in p))
+        else:
+            out.append(",".join(gamma_bitstring(prev[a] ^ p[a]) for a in range(cfg.d)))
+        prev = p
+    return out
 
 
 # --- trie helpers that only tests use ------------------------------------

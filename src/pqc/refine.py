@@ -152,7 +152,7 @@ def refine(
 ) -> tuple[CompressedStore, RefineReport]:
     """Refine in place until every vertex has aspect ratio at most rho.
 
-    Returns the same store plus a report.  Vertices are scheduled by
+    Returns the same store, packed, plus a report.  Vertices are scheduled by
     ``1 << heights[v]`` and each Steiner point is rounded with its parent
     vertex's ``heights[v]`` and the configured gamma, so the store stays
     compressed as it grows.  In lossless mode ``heights[v]`` is v's leaf
@@ -256,6 +256,7 @@ def refine(
     report.rounds = rounds
     report.steiner_count = store.count() - n_in
     report.output_count = store.count()
+    store.pack()
     report.payload_bits_after = store.payload_bits()
     report.final_max_aspect_sq = max(
         (aspect for _reach, aspect in clean.values()), default=Fraction(0)

@@ -1,7 +1,11 @@
 """Compressed block store of Morton-ordered heighted points.
 
 Layout: the sorted sequence is split into blocks of between w and 2w
-points (a lone undersized block is allowed for tiny stores).  Each block
+points (a lone undersized block is allowed for tiny stores).  Inserts
+split a block that outgrows 2w into halves, but every file is cut as
+:meth:`CompressedStore.build` cuts the same points, whatever the
+in-memory layout: blocks of 2w points, an undersized tail balanced
+against its left neighbour (:meth:`CompressedStore.pack`).  Each block
 stores its first point longhand - the head - plus one self-delimiting
 record per following point: signed-gamma height delta, then per axis
 the code of (prev ^ cur) >> max(h - gamma, 0), Exp-Golomb of order gamma
@@ -45,6 +49,7 @@ import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from . import codec
@@ -145,6 +150,20 @@ def _check_each(points: Sequence[HeightedPoint], cfg: Config, lossy: bool):
             raise DomainError("lossless mode requires all heights zero")
 
 
+def _block_sizes(n: int, w: int) -> list[int]:
+    """The canonical cut of n points: blocks of 2w, so inserts start with
+    headroom, and an undersized tail balanced with its left neighbour to
+    keep every block of a multi-block store >= w points."""
+    target = 2 * w
+    sizes = [min(target, n - b) for b in range(0, n, target)]
+    if len(sizes) > 1 and sizes[-1] < w:
+        # Rebalance the last two chunks; their total is in (2w, 3w).
+        total = sizes[-2] + sizes[-1]
+        sizes[-2] = total - total // 2
+        sizes[-1] = total // 2
+    return sizes
+
+
 class CompressedStore(PointSource):
     """PointSource over xor-coded blocks; supports dynamic insertion.
 
@@ -188,10 +207,8 @@ class CompressedStore(PointSource):
         not reproduce it.  The checks run in bulk, over coordinate columns,
         heights and the Morton keys the blocks need anyway; when one fails,
         the points are checked one by one, so the error names the first
-        defective point as a point-by-point check would.  Blocks are filled
-        to 2w points so insertions start with headroom; an undersized tail
-        is balanced with its left neighbour to keep every block of a
-        multi-block store >= w points.
+        defective point as a point-by-point check would.  Blocks are cut
+        by the canonical rule, :func:`_block_sizes`.
         """
         store = cls(cfg, mode)
         lossy = mode == LOSSY
@@ -214,16 +231,8 @@ class CompressedStore(PointSource):
             if any(map(operator.and_, keys, map(low_bits.__getitem__, heights))):
                 _check_each(points, cfg, lossy)
         check_increasing(keys, coords)
-        target = 2 * cfg.w
-        bounds = list(range(0, n, target))
-        sizes = [min(target, n - b) for b in bounds]
-        if len(sizes) > 1 and sizes[-1] < cfg.w:
-            # Rebalance the last two chunks; their total is in (2w, 3w).
-            total = sizes[-2] + sizes[-1]
-            sizes[-2] = total - total // 2
-            sizes[-1] = total // 2
         pos = 0
-        for size in sizes:
+        for size in _block_sizes(n, cfg.w):
             end = pos + size
             block = store._encode_block(coords[pos:end], heights[pos:end])
             store._append_block(block, keys[pos])
@@ -283,25 +292,34 @@ class CompressedStore(PointSource):
                 str(exc), block_index=index, bit_offset=reader.tell()
             ) from exc
 
+    def _walk(self, start: int = 0, stop: int | None = None):
+        """Blocks ``start`` to ``stop`` in order, each as (coords, heights)
+        lists, head first, from one whole-block decode call; counts one
+        decoded block each."""
+        for b in range(start, len(self._blocks) if stop is None else stop):
+            block = self._blocks[b]
+            head = block.head
+            reader = BitReader(block.payload, block.bit_len)
+            coords, heights = self._decode(
+                b, reader, head.coords, head.height, block.bit_len
+            )
+            self.counters.blocks_decoded += 1
+            coords.insert(0, head.coords)
+            heights.insert(0, head.height)
+            yield coords, heights
+
     def decode_block(self, index: int) -> list[HeightedPoint]:
         """Exact inverse of the block encoding; heights prefix-sum from the
         head.  Raises CorruptPayloadError with the block id and bit offset
         on any malformed payload."""
-        block = self._blocks[index]
-        self.counters.blocks_decoded += 1
-        head = block.head
-        reader = BitReader(block.payload, block.bit_len)
-        coords, heights = self._decode(
-            index, reader, head.coords, head.height, block.bit_len
-        )
-        out = [head]
-        out.extend(map(HeightedPoint, coords, heights))
-        return out
+        for coords, heights in self._walk(index, index + 1):
+            return list(map(HeightedPoint, coords, heights))
+        raise IndexError(f"block {index} outside [0, {len(self._blocks)})")
 
     def decode_all(self) -> list[HeightedPoint]:
         out = []
-        for i in range(len(self._blocks)):
-            out.extend(self.decode_block(i))
+        for coords, heights in self._walk():
+            out += map(HeightedPoint, coords, heights)
         return out
 
     def _run(self, b: int, first: int, last: int) -> _Run:
@@ -559,11 +577,8 @@ class CompressedStore(PointSource):
         codes.  Lossy stores decode every block to count the height codes."""
         height_bits = 0
         if self.mode == LOSSY:
-            for b, blk in enumerate(self._blocks):
-                head = blk.head
-                reader = BitReader(blk.payload, blk.bit_len)
-                _, hs = self._decode(b, reader, head.coords, head.height, blk.bit_len)
-                for dh in map(operator.sub, hs, [head.height] + hs):
+            for _, hs in self._walk():
+                for dh in map(operator.sub, hs[1:], hs):
                     height_bits += codec.signed_gamma_bits(dh)
         record_bits = sum(blk.bit_len for blk in self._blocks)
         return {
@@ -573,7 +588,8 @@ class CompressedStore(PointSource):
         }
 
     def file_bits(self) -> int:
-        """Exact size of the serialization, in bits."""
+        """Size of the current block layout's serialization, in bits: the
+        size of to_bytes() once the store is packed."""
         per_block = 4 * self.cfg.d + 1 + 4
         total = 21 + sum(
             per_block + (blk.bit_len + 7) // 8 for blk in self._blocks
@@ -604,7 +620,34 @@ class CompressedStore(PointSource):
 
     # -- persistence ---------------------------------------------------------
 
+    def pack(self):
+        """Re-cut the blocks in place as :meth:`build` cuts the same points;
+        a no-op when they already are.  One walk over the blocks feeds the
+        new ones, whose sizes come from n alone, so at most about 4w decoded
+        points are held at once.  The records keep the store's format
+        version; the new blocks start without resume points."""
+        cfg = self.cfg
+        sizes = _block_sizes(self._n, cfg.w)
+        if sizes == [block.count for block in self._blocks]:
+            return
+        blocks, head_keys = [], []
+        coords, heights = [], []
+        walk = self._walk()
+        for size in sizes:
+            while len(coords) < size:
+                more_coords, more_heights = next(walk)
+                coords += more_coords
+                heights += more_heights
+            blocks.append(self._encode_block(coords[:size], heights[:size]))
+            head_keys.append(interleave(coords[0], cfg))
+            del coords[:size], heights[:size]
+        self._blocks, self._head_keys = blocks, head_keys
+        self._offsets = list(accumulate(sizes[:-1], initial=0))
+        self._cache.clear()
+
     def to_bytes(self) -> bytes:
+        """The file, cut as build cuts the same points (packs the store)."""
+        self.pack()
         cfg = self.cfg
         out = bytearray()
         out += MAGIC
@@ -677,20 +720,18 @@ class CompressedStore(PointSource):
             store._blocks.append(Block(head, 0, payload, bit_len))
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
-        # Counts are not in the file; one validating decode derives them.
+        # Counts are not in the file; one validating walk derives them.
         prev_key = -1
-        for b, blk in enumerate(store._blocks):
-            head = blk.head
-            reader = BitReader(blk.payload, blk.bit_len)
-            coords, _ = store._decode(b, reader, head.coords, head.height, blk.bit_len)
-            keys = interleave_all([head.coords] + coords, cfg)
+        for b, (coords, _) in enumerate(store._walk()):
+            keys = interleave_all(coords, cfg)
             if keys[0] <= prev_key or any(map(operator.ge, keys, keys[1:])):
                 raise FormatError(f"block {b}: points out of Morton order")
             prev_key = keys[-1]
             store._head_keys.append(keys[0])
             store._offsets.append(store._n)
-            blk.count = len(keys)
-            store._n += blk.count
+            store._blocks[b].count = len(keys)
+            store._n += len(keys)
+        store.counters.reset()  # a load has read nothing yet
         if store._n != n:
             raise FormatError(f"header says n={n}, blocks decode to {store._n}")
         return store

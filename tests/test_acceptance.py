@@ -12,13 +12,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import jittered_net, random_points
-from pqc import codec
 from pqc.geom import HeightedPoint, round_set
 from pqc.ingest import MemoryPointReader, read_multiscan
 from pqc.morton import Config, interleave
 from pqc.qtree import ArrayPointSource, restricted_voronoi, square_of, vertices
 from pqc.refine import RefineParams, refine
-from pqc.reference import ExplicitQuadtree, brute_voronoi, check_well_spaced
+from pqc.reference import (
+    ExplicitQuadtree,
+    brute_voronoi,
+    check_well_spaced,
+    xor_code_strings,
+)
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
 from test_refine import adversarial_cases
 
@@ -45,7 +49,7 @@ def lossless_store(points, cfg):
 def test_bit_exact_figure_reproduction():
     with criterion("bit-exact xor-code figure"):
         cfg = Config(d=2, w=5, gamma=0)
-        assert codec.xor_code_strings(FIGURE_POINTS, cfg) == [
+        assert xor_code_strings(FIGURE_POINTS, cfg) == [
             "00101,00010",
             "0011,01",
             "00001110,000111",
@@ -178,7 +182,7 @@ def test_round_trip_exactness():
 
 
 def test_insertion_equivalence():
-    with criterion("insertion equals batch build; block sizes in [w, 2w]"):
+    with criterion("insertion saves batch build's bytes; block sizes in [w, 2w]"):
         for seed in range(6):
             cfg = Config(d=2, w=8, gamma=3)
             pts = jittered_net(cfg, 100 + seed, f0=8)[:150]
@@ -196,6 +200,7 @@ def test_insertion_equivalence():
                 if len(sizes) > 1:
                     assert all(cfg.w <= s <= 2 * cfg.w for s in sizes)
             assert one_by_one.decode_all() == batch.decode_all()
+            assert one_by_one.to_bytes() == batch.to_bytes()
 
 
 def test_multiscan_ingestion():

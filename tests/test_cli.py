@@ -8,6 +8,7 @@ import pytest
 from pqc.cli import main
 from pqc.geom import round_set
 from pqc.morton import Config
+from pqc.store import CompressedStore
 
 FIGURE_LINES = "5 2\n6 3\n8 4\n9 6\n10 6\n"
 
@@ -230,6 +231,32 @@ def test_refine_subcommand(tmp_path, capsys):
     code, pairs, _ = run(["stats", str(refined)], capsys)
     assert code == 0
     assert int(pairs["n"][0]) > 2
+
+
+def test_reported_sizes_are_the_written_files(tmp_path, capsys):
+    # Multiscan and refine insert point by point and split blocks; the
+    # reports must describe the files, which are cut as build cuts them.
+    src = tmp_path / "net.txt"
+    store = tmp_path / "net.pqc"
+    refined = tmp_path / "refined.pqc"
+    run(["gen", "-o", str(src), "--width", "12", "--f0", "256", "--seed", "3"], capsys)
+    lines = src.read_text().splitlines()
+    x, y = map(int, lines[50].split())
+    with open(src, "a", encoding="utf-8") as fh:
+        fh.write(f"{x + 5} {y + 3}\n")  # a close pair for refine to mend
+    code, compressed, _ = run(["compress", str(src), "-o", str(store)], capsys)
+    assert code == 0
+    code, pairs, _ = run(["refine", str(store), "-o", str(refined), "--rho", "2"], capsys)
+    assert code == 0 and int(pairs["steiner_points"][0]) > 0
+    for out, path in ((compressed, store), (pairs, refined)):
+        loaded = CompressedStore.load(path)
+        assert int(out["file_bits"][0]) == 8 * path.stat().st_size
+        assert int(out["blocks"][0]) == loaded.block_count
+        assert float(out["bpv_file"][0]) == pytest.approx(
+            8 * path.stat().st_size / loaded.count(), abs=1e-6
+        )
+    assert int(compressed["payload_bits"][0]) == CompressedStore.load(store).payload_bits()
+    assert int(pairs["payload_bits_after"][0]) == CompressedStore.load(refined).payload_bits()
 
 
 def test_gen_deterministic(tmp_path, capsys):

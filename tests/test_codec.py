@@ -22,7 +22,7 @@ from pqc import _bits_py, codec
 from pqc.errors import CorruptPayloadError, TruncatedStreamError
 from pqc.geom import HeightedPoint, round_set
 from pqc.morton import Config
-from pqc.reference import bitwise_decode_records
+from pqc.reference import bits_to_string, bitwise_decode_records, xor_code_strings
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
 
 
@@ -45,7 +45,7 @@ KERNELS = _kernels()
 def bitstring(writer_mod, encode):
     w = writer_mod.BitWriter()
     n = encode(w)
-    return codec.bits_to_string(w.getvalue(), w.bit_length), n
+    return bits_to_string(w.getvalue(), w.bit_length), n
 
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
@@ -255,7 +255,7 @@ class TestXorCode:
         assert s == "11"
 
     def test_figure_payload_strings(self):
-        strings = codec.xor_code_strings(FIGURE_POINTS, self.CFG)
+        strings = xor_code_strings(FIGURE_POINTS, self.CFG)
         assert strings == [
             "00101,00010",
             "0011,01",
@@ -293,7 +293,7 @@ class TestWriterReaderPrimitives:
         w = streams.BitWriter()
         w.write_bits(0b101, 3)
         w.write_bits(0b0110, 4)
-        assert codec.bits_to_string(w.getvalue(), 7) == "1010110"
+        assert bits_to_string(w.getvalue(), 7) == "1010110"
         r = streams.BitReader(w.getvalue(), 7)
         assert r.read_bits(3) == 0b101
         assert r.read_bits(4) == 0b0110

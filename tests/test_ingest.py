@@ -171,6 +171,7 @@ class TestMultiscan:
         assert stats["n"] == len(pts)
         assert stats["passes"] == cfg.w
         final = stats["final_store_bytes"]
+        assert final == len(store.to_bytes())  # the store comes back packed
         # Two live stores at once, and one height byte per point.
         assert stats["peak_interim_store_bytes"] <= 4 * final + 256
         assert stats["counter_bytes"] == len(pts)

@@ -19,9 +19,10 @@ from pqc.errors import (
     UnsortedInputError,
 )
 from pqc.geom import HeightedPoint, round_set
+from pqc.ingest import MemoryPointReader, read_multiscan
 from pqc.morton import Config, interleave
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net
-from pqc.store import LOSSLESS, LOSSY, CompressedStore
+from pqc.store import LOSSLESS, LOSSY, CompressedStore, _block_sizes
 from pqc.qtree import ArrayPointSource, restricted_voronoi, square_of, vertices
 from pqc.morton import TrieSquare
 from pqc.refine import RefineParams, refine
@@ -324,6 +325,85 @@ class TestInsert:
         st = lossless_store(FIGURE_POINTS, CFG5)
         with pytest.raises(DuplicatePointError):
             st.insert((8, 4))
+
+
+class TestPack:
+    """Every saved store is cut into blocks as build cuts the same points."""
+
+    @given(strategies.data())
+    @settings(deadline=None, max_examples=100)
+    def test_saved_bytes_are_builds(self, data):
+        mode = data.draw(strategies.sampled_from([LOSSY, LOSSLESS]), label="mode")
+        d = data.draw(strategies.sampled_from([2, 3]), label="d")
+        w = data.draw(strategies.integers(1, 8), label="w")
+        gamma = data.draw(strategies.integers(0, w), label="gamma")
+        n = data.draw(strategies.integers(0, min(90, 1 << (d * w - 1))), label="n")
+        seed = data.draw(strategies.integers(0, 2**16), label="seed")
+        cfg = Config(d=d, w=w, gamma=gamma)
+        pts = random_points(cfg, seed, n)
+        if mode == LOSSY:
+            points = round_set(pts, cfg)
+        else:
+            points = [HeightedPoint(p, 0) for p in sorted(pts, key=lambda p: interleave(p, cfg))]
+        built = CompressedStore.build(points, cfg, mode).to_bytes()
+        st = CompressedStore(cfg, mode)
+        shuffled = list(points)
+        random.Random(seed).shuffle(shuffled)
+        for hp in shuffled:
+            st.insert(hp.coords, hp.height)
+        assert st.to_bytes() == built
+        assert st.decode_all() == points
+        scanned = read_multiscan(MemoryPointReader(pts, cfg), cfg, mode)
+        assert [blk.count for blk in scanned._blocks] == _block_sizes(len(pts), w)
+        rebuilt = CompressedStore.build(scanned.decode_all(), cfg, mode)
+        assert scanned.to_bytes() == rebuilt.to_bytes()
+
+    @pytest.mark.parametrize("mode", [LOSSY, LOSSLESS])
+    def test_refine_output_bytes_are_builds(self, mode):
+        cfg = Config(d=2, w=10, gamma=3)
+        pts = jittered_net(cfg, 4, f0=64)[:60] + [(101, 203), (99, 205)]
+        if mode == LOSSY:
+            points = round_set(pts, cfg)
+        else:
+            points = [HeightedPoint(p, 0) for p in sorted(pts, key=lambda p: interleave(p, cfg))]
+        st = CompressedStore.build(points, cfg, mode)
+        out, report = refine(st, RefineParams(rho=Fraction(2), gamma=cfg.gamma))
+        assert report.steiner_count > 0
+        assert [blk.count for blk in out._blocks] == _block_sizes(out.count(), cfg.w)
+        assert report.payload_bits_after == out.payload_bits()
+        rebuilt = CompressedStore.build(out.decode_all(), cfg, mode)
+        assert out.to_bytes() == rebuilt.to_bytes()
+
+    def test_pack_keeps_every_answer(self):
+        cfg = Config(d=2, w=6, gamma=2)
+        rounded = round_set(jittered_net(cfg, 9, f0=8)[:200], cfg)
+        st = CompressedStore(cfg, LOSSY)
+        shuffled = list(rounded)
+        random.Random(9).shuffle(shuffled)
+        for hp in shuffled:
+            st.insert(hp.coords, hp.height)
+        sizes = _block_sizes(st.count(), cfg.w)
+        assert [blk.count for blk in st._blocks] != sizes
+        probes = [hp.coords for hp in rounded[::7]] + random_points(cfg, 9, 40)
+        squares = [((0, 0), 6), ((16, 16), 4), ((32, 0), 5), ((40, 40), 3)]
+
+        def answers():
+            return (
+                st.count(),
+                [st.key_at(r) for r in range(st.count())],
+                [st.heighted_at(r) for r in range(st.count())],
+                [square_of(p, st, cfg) for p in probes],
+                [vertices(TrieSquare(c, h), st) for c, h in squares],
+                restricted_voronoi(rounded[50].coords, st, cfg).polygon,
+            )
+
+        before = answers()
+        st.pack()
+        assert [blk.count for blk in st._blocks] == sizes
+        assert answers() == before
+        blocks = [id(blk) for blk in st._blocks]
+        st.pack()  # a no-op: the same Block objects stay
+        assert [id(blk) for blk in st._blocks] == blocks
 
 
 class TestPersistence:
@@ -800,9 +880,11 @@ GOLDEN_V1_HEX = (
     "018682482025c1308e0000008e00000003ef000000c108220fe0f411033c114101384b03"
     "3033508608022a1109067088484e12"
 )
-# sha256 of its bytes after inserting (1, 1) at height 0, by the same code.
+# sha256 of its bytes after inserting (1, 1) at height 0: the insert splits
+# the first block into 8 and 9 points, and the save cuts the 65 points as
+# build does, 16, 16, 16, 9 and 8 per block, in version-1 records.
 GOLDEN_V1_AFTER_INSERT = (
-    "a2c80b225e43094d5e35c02dfad6f6cef6b53e32e5378df23f80720315b89153"
+    "42b25413afdf47dbd9587490b1c1bed83ac750266a5c6360402872d153fb0b07"
 )
 
 
@@ -863,10 +945,15 @@ class TestVersion1File:
         st = self.load()
         assert st.to_bytes() == bytes.fromhex(GOLDEN_V1_HEX)
         st.insert((1, 1), 0)
+        assert [blk.count for blk in st._blocks] == [8, 9, 16, 16, 16]
+        points = st.decode_all()
         data = st.to_bytes()
         assert data[4] == 1
         assert hashlib.sha256(data).hexdigest() == GOLDEN_V1_AFTER_INSERT
-        assert CompressedStore.from_bytes(data).decode_all() == st.decode_all()
+        back = CompressedStore.from_bytes(data)
+        sizes = [blk.count for blk in back._blocks]
+        assert sizes == _block_sizes(65, 8) == [16, 16, 16, 9, 8]
+        assert back.version == 1 and back.decode_all() == points
 
     def test_refine_keeps_version_1(self):
         st = self.load()
