@@ -5,8 +5,9 @@ Times the hot paths behind store construction and queries: ``round_set``
 of the generated net (leaf-height sweep and rounding), the sweep alone
 (``ArrayPointSource.leaf_heights`` on a source built beforehand),
 ``CompressedStore.build`` of its output on the kernel ``pqc`` selected,
-``read_multiscan`` of a fixed 3,136-point net (with its count of
-``CompressedStore.successor_rank`` calls), block record encoding and
+``read_multiscan`` of a fixed 3,136-point net (with its counts of
+``CompressedStore.successor_rank`` calls, ``codec.encode_records`` calls
+and records encoded), block record encoding and
 decoding, for version-1 (gamma) and version-2 (Exp-Golomb) records on the
 pure-Python kernel and on the compiled kernel ``_bits_ext`` when it is
 built, and Morton key computation.  Every figure is the best process CPU
@@ -115,22 +116,31 @@ def check_morton(cfg, pts):
             raise SystemExit(f"wrong Morton key for {p}")
 
 
-def successor_searches(fn):
-    """``fn()`` and the number of ``CompressedStore.successor_rank`` calls
-    it made."""
-    calls = 0
-    search = CompressedStore.successor_rank
+def multiscan_work(fn):
+    """``fn()``, the number of ``CompressedStore.successor_rank`` calls it
+    made, and its ``codec.encode_records`` calls and the records they
+    encoded."""
+    searches = encodes = records = 0
+    search, encode = CompressedStore.successor_rank, codec.encode_records
 
-    def counted(self, key):
-        nonlocal calls
-        calls += 1
+    def counted_search(self, key):
+        nonlocal searches
+        searches += 1
         return search(self, key)
 
-    CompressedStore.successor_rank = counted
+    def counted_encode(writer, prev, prev_h, coords_seq, *rest):
+        nonlocal encodes, records
+        encodes += 1
+        records += len(coords_seq)
+        return encode(writer, prev, prev_h, coords_seq, *rest)
+
+    CompressedStore.successor_rank = counted_search
+    codec.encode_records = counted_encode
     try:
-        return fn(), calls
+        return fn(), searches, encodes, records
     finally:
         CompressedStore.successor_rank = search
+        codec.encode_records = encode
 
 
 def records_per_search(store, rounds=10, seed=5):
@@ -242,7 +252,7 @@ def main():
     def multiscan():
         return read_multiscan(MemoryPointReader(scan_pts, cfg), cfg, LOSSY)
 
-    scanned, searches = successor_searches(multiscan)
+    scanned, searches, encodes, records = multiscan_work(multiscan)
     built = CompressedStore.build(round_set(scan_pts, cfg), cfg, LOSSY)
     scanned_bytes, built_bytes = scanned.to_bytes(), built.to_bytes()
     if scanned_bytes != built_bytes:
@@ -262,7 +272,10 @@ def main():
     build = f"build ({KERNEL_BACKEND})"
     print(f"{build:<28}{build_s:>14.4f} ({n / build_s / 1e6:>5.2f})")
     scan = f"read_multiscan n={MULTISCAN_N}"
-    print(f"{scan:<28}{multiscan_s:>14.4f}  successor_rank calls={searches}")
+    print(
+        f"{scan:<28}{multiscan_s:>14.4f}  successor_rank calls={searches}, "
+        f"encode_records calls={encodes}, records encoded={records}"
+    )
     print(
         f"file of read_multiscan n={MULTISCAN_N}: {len(scanned_bytes)} bytes in "
         f"{scanned.block_count} blocks; build: {len(built_bytes)} bytes in "

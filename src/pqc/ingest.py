@@ -11,12 +11,21 @@ gamma)`` at height h, which stops refining at max(h - gamma, 0) cleared
 bits, so the final store decodes exactly like rounding and building in
 memory.
 
+A store holds each key once.  Before the last scan a masked position is
+stored for its first point without a height, a marker beside it (its last
+coordinate's low bit set, height 0) for the second, and nothing more.  The
+next scan tests squares of this scan's level, at least 1, which hold both,
+so it sees each square's occupancy and its count up to two: all it reads.
+No entry meets a rounded point, whose leaf square holds no point without a
+height.  Lossless scans before the last store nothing.
+
 Per-point bookkeeping is one height byte, so the peak footprint is two
 compressed stores plus n bytes, not the raw coordinates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from array import array
@@ -24,7 +33,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import DomainError, OutOfRangeError, ParseError
+from .errors import DomainError, DuplicatePointError, OutOfRangeError, ParseError
 from .geom import HeightedPoint, round_point
 from .morton import Config, Point, TrieSquare, clear_low_bits
 from .qtree import is_crowded
@@ -70,9 +79,7 @@ def parse_point_line(line: str, cfg: Config, scale: int = 1, line_number=None) -
             if scale == 1:
                 value = int(tok)
             else:
-                value = math.floor(
-                    Fraction(Decimal(tok)) * scale
-                )
+                value = math.floor(Fraction(Decimal(tok)) * scale)
         except (ValueError, InvalidOperation) as exc:
             raise ParseError(f"bad coordinate {tok!r}", line_number) from exc
         if not 0 <= value < cfg.coord_limit:
@@ -135,14 +142,11 @@ def read_multiscan(
     scan trades passes for conservatively low leaf heights (heights snap
     down to the tested levels, so extra precision is kept, never lost).
 
-    A lossy scan stores each point by one rule: once its leaf height h is
-    known (h = 0 at the last scan if no test found it), as
-    ``round_point(p, h, gamma)`` at height h; before that, masked at
-    height min(mask_bits + gamma, w).  A lossless scan stores (p, 0).
-    The crowding tests (:func:`pqc.qtree.is_crowded`) ask the previous
-    scan's store, whose masked keys may repeat; their neighbour probes
-    are successor searches, counted like :func:`pqc.qtree.square_of`'s.
-    The store is returned packed, cut into blocks as ``build`` cuts them.
+    Points without a height are stored masked at height min(mask_bits +
+    gamma, w) by the two-entry rule above; duplicate input raises
+    DuplicatePointError at the last scan.  The crowding tests make
+    successor searches, counted like :func:`pqc.qtree.square_of`'s.  The
+    store comes back packed, cut into blocks as ``build`` cuts them.
     """
     cfg = cfg or reader.cfg
     if bits_per_scan < 1:
@@ -164,7 +168,6 @@ def read_multiscan(
     for scan_index, mask_bits in enumerate(levels):
         last_scan = scan_index == len(levels) - 1
         store = CompressedStore(cfg, mode)
-        store._allow_duplicates = not last_scan
         j = -1
         for j, p in enumerate(reader.masked(mask_bits)):
             if n is None:
@@ -172,7 +175,8 @@ def read_multiscan(
             elif j >= n:
                 raise ParseError(f"input grew to more than {n} points between scans")
             if not lossy:
-                store.insert(p, 0)
+                if last_scan:
+                    store.insert(p, 0)
                 continue
             h = heights[j]
             if h == _UNSET and prev_store is not None:
@@ -181,10 +185,14 @@ def read_multiscan(
                     h = heights[j] = prev_level
             if h == _UNSET and last_scan:
                 h = 0
-            if h == _UNSET:
-                store.insert(p, min(mask_bits + gamma, cfg.w))
-            else:
+            if h != _UNSET:
                 store.insert(round_point(p, h, gamma), h)
+                continue
+            try:
+                store.insert(p, min(mask_bits + gamma, cfg.w))
+            except DuplicatePointError:  # a second copy: the marker
+                with contextlib.suppress(DuplicatePointError):
+                    store.insert(p[:-1] + (p[-1] | 1,), 0)
         if n is None:
             n = j + 1
         elif j + 1 != n:

@@ -181,15 +181,6 @@ def square_of_point(p: Point, height: int) -> TrieSquare:
     return TrieSquare(tuple(c & mask for c in p), height)
 
 
-def square_contains(s: TrieSquare, p: Point) -> bool:
-    """True iff ``p`` lies in the half-open square ``s``."""
-    side = 1 << s.height
-    for a, c in enumerate(s.corner):
-        if not c <= p[a] < c + side:
-            return False
-    return True
-
-
 def square_key_range(s: TrieSquare, cfg: Config) -> tuple[int, int]:
     """Half-open Morton-key interval covered by ``s``.
 

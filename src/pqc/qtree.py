@@ -125,7 +125,7 @@ class PointSource:
         raise NotImplementedError
 
     def successor_rank(self, key: int) -> int:
-        """Rank of the first point with Morton key >= key; keys may repeat."""
+        """Rank of the first point with Morton key >= key; keys strictly increase."""
         raise NotImplementedError
 
     def key_at(self, rank: int) -> int:

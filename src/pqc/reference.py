@@ -8,8 +8,8 @@ counting walks an x-sorted list, so no Morton machinery is involved.  The
 record decoder reads one gamma code at a time through the bit reader's own
 methods, without the kernel's string scan.  The bit-string helpers, which
 spell codes out as '0'/'1' text for golden tests, and the trie helpers at
-the end (``deinterleave``, ``neighbours``, ``child``) are for tests; the
-library itself has no use for them.
+the end (``deinterleave``, ``neighbours``, ``square_contains``, ``child``)
+are for tests; the library itself has no use for them.
 """
 
 from __future__ import annotations
@@ -553,6 +553,12 @@ def neighbours(s: TrieSquare, cfg: Config) -> Iterator[TrieSquare]:
         corner[axis] = base
 
     yield from rec(0, list(s.corner))
+
+
+def square_contains(s: TrieSquare, p: Point) -> bool:
+    """True iff ``p`` lies in the half-open square ``s``."""
+    side = 1 << s.height
+    return all(c <= x < c + side for c, x in zip(s.corner, p))
 
 
 def child(s: TrieSquare, index: int, cfg: Config) -> TrieSquare:

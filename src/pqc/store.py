@@ -18,8 +18,9 @@ touched - coordinates, heights and Morton keys in parallel lists - and
 extend it only as far as they need.  A run starts at the block's head or
 at its resume point: the decoder state at the first record boundary past
 half the payload, which the first read to decode that far from the head
-leaves on the block, in memory only.  A search for a key above the
-resume key starts there, so it decodes from the nearer of the two.
+leaves on the block, in memory only.  A search for a key at or above
+the resume key starts there, so it decodes from the nearer of the two.
+A store never holds a key twice: ``build`` and ``insert`` refuse one.
 
 Persistent format (all integers little-endian):
 
@@ -187,7 +188,6 @@ class CompressedStore(PointSource):
         self._head_keys: list[int] = []
         self._offsets: list[int] = []  # starting rank of each block
         self._n = 0
-        self._allow_duplicates = False
         # block index -> decoded run of that block; cleared on write
         self._cache: OrderedDict[int, _Run] = OrderedDict()
 
@@ -457,27 +457,22 @@ class CompressedStore(PointSource):
         return entry.keys[i - entry.start]
 
     def successor_rank(self, key: int) -> int:
-        # Search from the last block whose head is below ``key``: a run of
-        # copies of ``key`` may start at the end of that block.  For a key
-        # equal to the next head that read starts at the resume point.
-        b = bisect.bisect_left(self._head_keys, key) - 1
+        b = bisect.bisect_right(self._head_keys, key) - 1
         if b < 0:
             return 0
         block = self._blocks[b]
         entry = self._cache.get(b)
         if entry is None:
-            # Only a key strictly above the resume key starts there: copies
-            # of one key may straddle the resume point.
             at = block.resume
-            if at is None or key <= at.key:
+            if at is None or key < at.key:
                 at = self._head_state(b)
             entry = self._miss(b, at)
         else:
             self._cache.move_to_end(b)
-            if entry.start and key <= entry.keys[0]:
+            if key < entry.keys[0]:
                 self._splice(b, entry)
         keys = entry.keys
-        # Keys past the run are no smaller than its last one, so once that
+        # Keys past the run are larger than its last one, so once that
         # reaches ``key`` the answer lies in the run.
         while keys[-1] < key and entry.start + len(keys) < block.count:
             self._extend(b, entry, False)
@@ -525,7 +520,7 @@ class CompressedStore(PointSource):
         entry = self._run(b, 0, self._blocks[b].count - 1)
         keys = entry.keys
         pos = bisect.bisect_right(keys, key)
-        if not self._allow_duplicates and pos > 0 and keys[pos - 1] == key:
+        if pos > 0 and keys[pos - 1] == key:
             raise DuplicatePointError(f"point {p} already stored")
         coords, heights = entry.coords, entry.heights
         coords = coords[:pos] + [p] + coords[pos:]

@@ -132,7 +132,8 @@ def test_query_oracle_equivalence():
                 assert got == tree.leaf_of(orig)
 
             # vertices == linear scan with square_contains
-            from pqc.morton import TrieSquare, clear_low_bits, square_contains
+            from pqc.morton import TrieSquare, clear_low_bits
+            from pqc.reference import square_contains
 
             for _ in range(15):
                 h = rng.randrange(0, cfg.w + 1)

@@ -140,8 +140,10 @@ def test_scaled_decimal_input(tmp_path, capsys):
 
 
 def test_compress_repeated_key_run_matches_round_set(tmp_path, capsys):
-    # A run of one masked key crosses a block boundary in an interim store;
-    # compress once stopped here with "point (4, 8) already stored".
+    # When interim stores held one masked copy per point, a run of one
+    # masked key crossed a block boundary here, and compress stopped with
+    # "point (4, 8) already stored".  Kept as a regression for the
+    # two-entry rule that replaced the copies.
     pts = [(1, 5), (3, 1), (4, 3), (5, 8), (5, 9), (8, 2), (8, 5), (10, 9), (12, 12), (14, 5)]
     src = tmp_path / "pts.txt"
     src.write_text("".join(f"{x} {y}\n" for x, y in pts))

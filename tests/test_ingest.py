@@ -129,10 +129,14 @@ class TestMultiscan:
         assert store.decode_all()[0].height == cfg.w
 
     def test_duplicate_input_detected(self):
+        # Only the last scan's store holds every point; earlier ones keep at
+        # most two entries per masked square (lossy) or nothing (lossless).
         cfg = Config(d=2, w=8, gamma=2)
-        reader = MemoryPointReader([(10, 10), (50, 60), (10, 10)], cfg)
-        with pytest.raises(DuplicatePointError):
-            read_multiscan(reader, cfg, LOSSY)
+        for mode in (LOSSY, LOSSLESS):
+            reader = MemoryPointReader([(10, 10), (50, 60), (10, 10), (10, 10)], cfg)
+            with pytest.raises(DuplicatePointError, match=r"\(10, 10\) already stored"):
+                read_multiscan(reader, cfg, mode)
+            assert reader.passes == cfg.w
 
     def test_input_shrinking_between_scans_rejected(self):
         class ShrinkingReader(MemoryPointReader):
@@ -178,11 +182,12 @@ class TestMultiscan:
         assert stats["peak_interim_store_bytes"] < raw_bytes / 2
 
 
-# Interim stores hold repeated masked keys.  In both sets, at some scan, a
-# run of one key crosses a block boundary, so a successor search for that
-# key must start in the block before the first one whose head equals it.
-# Searched from that later block, the first set stores (3, 0) at height 0
-# instead of (2, 0) at height 1, and the second raises DuplicatePointError.
+# Regressions from when interim stores held one masked copy per point: in
+# both sets, at some scan, a run of copies of one key crossed a block
+# boundary, and a search that started at the block whose head equals the
+# key made the first set store (3, 0) at height 0 instead of (2, 0) at
+# height 1 and the second raise DuplicatePointError.  Now each masked
+# position is stored once, with one marker beside it for a second copy.
 REPEATED_KEY_RUN_W3 = [(0, 4), (3, 0), (4, 5), (5, 4), (6, 0), (6, 1), (6, 4)]
 REPEATED_KEY_RUN_W4 = [
     (1, 5), (3, 1), (4, 3), (5, 8), (5, 9), (8, 2), (8, 5), (10, 9), (12, 12), (14, 5)
@@ -209,6 +214,10 @@ class TestMultiscanOracle:
         scanned = read_multiscan(MemoryPointReader(pts, cfg), cfg, LOSSY)
         oracle = CompressedStore.build(round_set(pts, cfg), cfg, LOSSY)
         assert scanned.decode_all() == oracle.decode_all()
+        assert scanned.to_bytes() == oracle.to_bytes()
+        exact = read_multiscan(MemoryPointReader(pts, cfg), cfg, LOSSLESS)
+        ordered = sorted(pts, key=lambda p: interleave(p, cfg))
+        assert [hp.coords for hp in exact.decode_all()] == ordered
 
 
 class TestTextReader:

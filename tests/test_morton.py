@@ -13,11 +13,10 @@ from pqc.morton import (
     clear_low_bits,
     interleave,
     interleave_all,
-    square_contains,
     square_key_range,
     validate_square,
 )
-from pqc.reference import child, deinterleave, neighbours
+from pqc.reference import child, deinterleave, neighbours, square_contains
 
 CFG5 = Config(d=2, w=5, gamma=0)
 

@@ -19,7 +19,7 @@ from pqc.errors import (
     UnsortedInputError,
 )
 from pqc.geom import HeightedPoint, round_point, round_set
-from pqc.morton import Config, TrieSquare, clear_low_bits, interleave, square_contains
+from pqc.morton import Config, TrieSquare, clear_low_bits, interleave
 from pqc.qtree import (
     ArrayPointSource,
     Counters,
@@ -30,7 +30,12 @@ from pqc.qtree import (
     square_of,
     vertices,
 )
-from pqc.reference import ExplicitQuadtree, brute_voronoi, check_well_spaced
+from pqc.reference import (
+    ExplicitQuadtree,
+    brute_voronoi,
+    check_well_spaced,
+    square_contains,
+)
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]

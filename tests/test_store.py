@@ -774,20 +774,21 @@ class TestBlockCache:
             st.point_at(7)
         assert st.counters.blocks_decoded == 1
 
-    def test_repeated_keys_straddling_a_resume_point(self):
-        # Multiscan's interim stores repeat keys.  A search for a key whose
-        # copies straddle a block's resume point must still find the first
-        # copy.  The oracle is ArrayPointSource.successor_rank's rule,
-        # bisect_left over the sorted keys; ArrayPointSource itself refuses
-        # repeated keys.  With gamma == w and one height, every record is
+    def test_searches_around_every_key(self):
+        # Every stored key and its two neighbours, among them each block's
+        # head key and resume key, where a search picks its block and its
+        # starting point.  The oracle is ArrayPointSource.successor_rank's
+        # rule, bisect_left over the sorted keys.  Points come in pairs of
+        # consecutive keys, so a search that starts one key off lands on
+        # the wrong point.  With gamma == w and one height, every record is
         # 23 bits (a height bit and two 11-bit Exp-Golomb codes), so each
-        # resume point sits mid-block, most often inside a run of copies.
+        # resume point sits mid-block.
         cfg = Config(d=2, w=10, gamma=10)
         rng = random.Random(11)
-        pts = [p for p in random_points(cfg, 23, 60) for _ in range(6)]
+        evens = {(x, y & ~1) for x, y in random_points(cfg, 23, 180)}
+        pts = [(x, y | low) for x, y in sorted(evens) for low in (0, 1)]
         rng.shuffle(pts)
         st = CompressedStore(cfg, LOSSY)
-        st._allow_duplicates = True
         for p in pts:
             st.insert(p, 3)
         keys = sorted(interleave(p, cfg) for p in pts)
@@ -796,16 +797,45 @@ class TestBlockCache:
             for k in probes:
                 st._cache.clear()
                 assert st.successor_rank(k) == bisect.bisect_left(keys, k)
-        straddled = [
-            b
-            for b, blk in enumerate(st._blocks)
-            if blk.resume
-            and keys[st._offsets[b] + blk.resume.index - 1] == blk.resume.key
-        ]
-        assert len(straddled) >= 3
-        rng.shuffle(probes)  # warm runs: splices on cache hits
+        assert st.block_count >= 20
+        for b, blk in enumerate(st._blocks):
+            assert 0 < blk.resume.index < blk.count - 1
+            assert blk.resume.key == keys[st._offsets[b] + blk.resume.index]
+        # Warm, from the top down: each block's run starts at its resume
+        # point and is spliced at the key just below the resume key.
+        st._cache.clear()
+        for k in reversed(probes):
+            assert st.successor_rank(k) == bisect.bisect_left(keys, k)
+        rng.shuffle(probes)  # warm, in a seeded order
         for k in probes:
             assert st.successor_rank(k) == bisect.bisect_left(keys, k)
+
+    def test_search_for_a_head_key_decodes_nothing(self, monkeypatch):
+        # A key equal to block b's head is found at b's head: no record of
+        # b or of the block before it is decoded, with or without resume
+        # points.
+        cfg = Config(d=2, w=10, gamma=0)
+        st = lossless_store(random_points(cfg, 17, 500), cfg)
+        assert st.block_count == 25
+        keys = [interleave(hp.coords, cfg) for hp in st.decode_all()]
+        calls = []
+        decode = codec.decode_records
+
+        def counted(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(codec, "decode_records", counted)
+        for resumed in (False, True):
+            assert all((blk.resume is not None) == resumed for blk in st._blocks)
+            for b in range(st.block_count):
+                st._cache.clear()
+                calls.clear()
+                assert st.successor_rank(st._head_keys[b]) == st._offsets[b]
+                assert calls == []
+            for b in range(st.block_count):  # leave the resume points
+                st._cache.clear()
+                st.successor_rank(keys[st._offsets[b] + st._blocks[b].count - 1])
 
     def test_records_decoded_by_cold_searches(self, monkeypatch):
         # A fixed batch of cold-cache successor searches on the benchmark's
