@@ -39,8 +39,11 @@ Persistent format (all integers little-endian):
       payload      ceil(bits / 8) bytes, MSB-first, zero padded
 
 Payload records are self-delimiting, so per-block point counts are not
-stored; decoding runs until the payload bit length is exhausted.  A store
-keeps the version it was loaded with through inserts and saves.
+stored; decoding runs until the payload bit length is exhausted.  The
+blocks are cut as ``build`` cuts n points (:func:`_block_sizes`), so a
+file is fixed by its header and its points, and a load refuses any other
+cut: loading and saving a file gives back its bytes.  A store keeps the
+version it was loaded with through inserts and saves.
 """
 
 from __future__ import annotations
@@ -729,6 +732,9 @@ class CompressedStore(PointSource):
         store.counters.reset()  # a load has read nothing yet
         if store._n != n:
             raise FormatError(f"header says n={n}, blocks decode to {store._n}")
+        sizes = [blk.count for blk in store._blocks]
+        if sizes != _block_sizes(n, w):
+            raise FormatError(f"blocks are not cut as build cuts n={n} points")
         return store
 
     @classmethod

@@ -436,6 +436,24 @@ class TestPersistence:
         with pytest.raises(FormatError):
             CompressedStore.from_bytes(data[:-2])
 
+    def test_blocks_not_cut_as_build_rejected(self):
+        cfg = Config(d=2, w=8, gamma=2)
+        st = CompressedStore.build(round_set(random_points(cfg, 5, 60), cfg), cfg, LOSSY)
+        taken = {hp.coords for hp in st.decode_all()}
+        st.insert(next((x, x) for x in range(256) if (x, x) not in taken), 0)
+        assert [blk.count for blk in st._blocks] != _block_sizes(61, 8)
+        st.pack = lambda: None  # write the blocks as the insert left them
+        with pytest.raises(FormatError, match="not cut as build cuts n=61"):
+            CompressedStore.from_bytes(st.to_bytes())
+
+    def test_header_width_that_changes_the_cut_rejected(self):
+        # A w byte of 9 asks for blocks of 18 points; the file's are 16.
+        data = bytearray(FUZZ_DATA)
+        assert data[6] == 8
+        data[6] = 9
+        with pytest.raises(FormatError, match="not cut as build cuts n=60"):
+            CompressedStore.from_bytes(bytes(data))
+
     def test_nonzero_padding_rejected(self):
         st = lossless_store(FIGURE_POINTS, CFG5)
         data = bytearray(st.to_bytes())
