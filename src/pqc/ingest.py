@@ -79,7 +79,9 @@ def parse_point_line(line: str, cfg: Config, scale: int = 1, line_number=None) -
             if scale == 1:
                 value = int(tok)
             else:
-                value = math.floor(Fraction(Decimal(tok)) * scale)
+                value = math.floor(
+                    Fraction(Decimal(tok)) * scale
+                )
         except (ValueError, InvalidOperation) as exc:
             raise ParseError(f"bad coordinate {tok!r}", line_number) from exc
         if not 0 <= value < cfg.coord_limit:

@@ -558,7 +558,10 @@ def neighbours(s: TrieSquare, cfg: Config) -> Iterator[TrieSquare]:
 def square_contains(s: TrieSquare, p: Point) -> bool:
     """True iff ``p`` lies in the half-open square ``s``."""
     side = 1 << s.height
-    return all(c <= x < c + side for c, x in zip(s.corner, p))
+    for a, c in enumerate(s.corner):
+        if not c <= p[a] < c + side:
+            return False
+    return True
 
 
 def child(s: TrieSquare, index: int, cfg: Config) -> TrieSquare:

@@ -2,10 +2,13 @@
 
 Layout: the sorted sequence is split into blocks of between w and 2w
 points (a lone undersized block is allowed for tiny stores).  Inserts
-split a block that outgrows 2w into halves, but every file is cut as
+split a block that outgrows 2w into halves, but a saved file is cut as
 :meth:`CompressedStore.build` cuts the same points, whatever the
 in-memory layout: blocks of 2w points, an undersized tail balanced
-against its left neighbour (:meth:`CompressedStore.pack`).  Each block
+against its left neighbour (:meth:`CompressedStore.pack`).  A loaded
+store not written to since saves its file's cut, which older code may
+have left as inserts split it, so loading and saving gives back the
+file's bytes.  Each block
 stores its first point longhand - the head - plus one self-delimiting
 record per following point: signed-gamma height delta, then per axis
 the code of (prev ^ cur) >> max(h - gamma, 0), Exp-Golomb of order gamma
@@ -39,11 +42,8 @@ Persistent format (all integers little-endian):
       payload      ceil(bits / 8) bytes, MSB-first, zero padded
 
 Payload records are self-delimiting, so per-block point counts are not
-stored; decoding runs until the payload bit length is exhausted.  The
-blocks are cut as ``build`` cuts n points (:func:`_block_sizes`), so a
-file is fixed by its header and its points, and a load refuses any other
-cut: loading and saving a file gives back its bytes.  A store keeps the
-version it was loaded with through inserts and saves.
+stored; decoding runs until the payload bit length is exhausted.  A store
+keeps the version it was loaded with through inserts and saves.
 """
 
 from __future__ import annotations
@@ -191,6 +191,7 @@ class CompressedStore(PointSource):
         self._head_keys: list[int] = []
         self._offsets: list[int] = []  # starting rank of each block
         self._n = 0
+        self._keep_cut = False  # save as loaded: set by from_bytes, cleared on write
         # block index -> decoded run of that block; cleared on write
         self._cache: OrderedDict[int, _Run] = OrderedDict()
 
@@ -531,6 +532,7 @@ class CompressedStore(PointSource):
 
     def _rewrite_block(self, b: int, coords: list, heights: list):
         self._cache.clear()  # a split shifts the indices of later blocks
+        self._keep_cut = False
         cfg = self.cfg
         n = len(coords)
         delta = n - self._blocks[b].count
@@ -644,8 +646,11 @@ class CompressedStore(PointSource):
         self._cache.clear()
 
     def to_bytes(self) -> bytes:
-        """The file, cut as build cuts the same points (packs the store)."""
-        self.pack()
+        """The file, cut as build cuts the same points (packs the store),
+        except that a loaded store not written to since keeps its file's cut,
+        so it saves back to the bytes it was loaded from."""
+        if not self._keep_cut:
+            self.pack()
         cfg = self.cfg
         out = bytearray()
         out += MAGIC
@@ -732,9 +737,7 @@ class CompressedStore(PointSource):
         store.counters.reset()  # a load has read nothing yet
         if store._n != n:
             raise FormatError(f"header says n={n}, blocks decode to {store._n}")
-        sizes = [blk.count for blk in store._blocks]
-        if sizes != _block_sizes(n, w):
-            raise FormatError(f"blocks are not cut as build cuts n={n} points")
+        store._keep_cut = True
         return store
 
     @classmethod

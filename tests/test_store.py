@@ -436,23 +436,34 @@ class TestPersistence:
         with pytest.raises(FormatError):
             CompressedStore.from_bytes(data[:-2])
 
-    def test_blocks_not_cut_as_build_rejected(self):
+    def test_a_loaded_cut_saves_as_loaded_until_a_write(self):
+        # Older code saved the blocks as inserts split them.  Such a file
+        # still loads and saves back to its bytes; an insert then repacks.
         cfg = Config(d=2, w=8, gamma=2)
         st = CompressedStore.build(round_set(random_points(cfg, 5, 60), cfg), cfg, LOSSY)
         taken = {hp.coords for hp in st.decode_all()}
-        st.insert(next((x, x) for x in range(256) if (x, x) not in taken), 0)
+        free = ((x, x) for x in range(256) if (x, x) not in taken)
+        st.insert(next(free), 0)
         assert [blk.count for blk in st._blocks] != _block_sizes(61, 8)
         st.pack = lambda: None  # write the blocks as the insert left them
-        with pytest.raises(FormatError, match="not cut as build cuts n=61"):
-            CompressedStore.from_bytes(st.to_bytes())
+        data = st.to_bytes()
+        loaded = CompressedStore.from_bytes(data)
+        assert loaded.to_bytes() == data
+        assert loaded.decode_all() == st.decode_all()
+        loaded.insert(next(free), 0)
+        assert [blk.count for blk in loaded._blocks] != _block_sizes(62, 8)
+        repacked = CompressedStore.from_bytes(loaded.to_bytes())
+        assert [blk.count for blk in repacked._blocks] == _block_sizes(62, 8)
+        assert repacked.decode_all() == loaded.decode_all()
 
-    def test_header_width_that_changes_the_cut_rejected(self):
+    def test_header_width_that_changes_the_cut_saves_as_loaded(self):
         # A w byte of 9 asks for blocks of 18 points; the file's are 16.
         data = bytearray(FUZZ_DATA)
         assert data[6] == 8
         data[6] = 9
-        with pytest.raises(FormatError, match="not cut as build cuts n=60"):
-            CompressedStore.from_bytes(bytes(data))
+        loaded = CompressedStore.from_bytes(bytes(data))
+        assert [blk.count for blk in loaded._blocks] != _block_sizes(60, 9)
+        assert loaded.to_bytes() == bytes(data)
 
     def test_nonzero_padding_rejected(self):
         st = lossless_store(FIGURE_POINTS, CFG5)
