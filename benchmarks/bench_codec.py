@@ -7,9 +7,11 @@ of the generated net (leaf-height sweep and rounding), the sweep alone
 ``CompressedStore.build`` of its output on the kernel ``pqc`` selected,
 ``read_multiscan`` of a fixed 3,136-point net (with its counts of
 ``CompressedStore.successor_rank`` calls, ``codec.encode_records`` calls
-and records encoded), block record encoding and
-decoding, for version-1 (gamma) and version-2 (Exp-Golomb) records on the
-pure-Python kernel and on the compiled kernel ``_bits_ext`` when it is
+and records encoded, and its file's size, ``bpv_file`` and framing bits:
+``file_bits`` less ``payload_bits``, the header and the final padding),
+block record encoding and decoding, for version-1 (gamma) and version-2
+(Exp-Golomb, also the records of version 3) records on the pure-Python
+kernel and on the compiled kernel ``_bits_ext`` when it is
 built, and Morton key computation.  Every figure is the best process CPU
 time of ``--repeat`` runs.  Before timing, each record code must decode
 its own streams back to exactly the encoded points and heights, the
@@ -278,8 +280,10 @@ def main():
     )
     print(
         f"file of read_multiscan n={MULTISCAN_N}: {len(scanned_bytes)} bytes in "
-        f"{scanned.block_count} blocks; build: {len(built_bytes)} bytes in "
-        f"{built.block_count} blocks"
+        f"{scanned.block_count} blocks, bpv_file "
+        f"{scanned.file_bits() / scanned.count():.2f}, framing bits "
+        f"{scanned.file_bits() - scanned.payload_bits()}; build: "
+        f"{len(built_bytes)} bytes in {built.block_count} blocks"
     )
     print(
         f"records decoded per cold successor_rank, n={MULTISCAN_N}: "

@@ -1,15 +1,15 @@
 /* Compiled twin of the record functions of pqc._bits_py.
  *
  * encode_records, decode_records, encode_records_v2 and decode_records_v2
- * take the arguments of their _bits_py namesakes and work on
+ * take the positional arguments of their _bits_py namesakes and work on
  * _bits_py.BitWriter and BitReader objects through their _buf, _nbits and
  * _pos slots; they write the same streams and decode the same points.
  *
  * A record is signed-gamma(h_i - h_{i-1}) in lossy mode, then per axis the
  * code of (prev ^ cur) >> shift, with shift = max(h_i - gamma, 0) in lossy
  * mode and 0 in lossless mode.  The record codes differ only in that
- * per-axis code: version-2 lossy records use the Exp-Golomb code of order
- * gamma, every other record the gamma code.
+ * per-axis code: lossy records of format versions 2 and 3 use the
+ * Exp-Golomb code of order gamma, every other record the gamma code.
  *
  * The fast paths here cover coordinates below 2**32, heights below 64 and
  * well-formed streams.  Anything else - an argument out of that range, a
@@ -319,8 +319,9 @@ done:
     return result;
 }
 
-/* decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit) of
- * format ``version``; ``fallback`` is its _bits_py namesake. */
+/* decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit[, count])
+ * of format ``version``; ``fallback`` is its _bits_py namesake.  A count
+ * of None, or none given, leaves end_bit as the only bound. */
 static PyObject *
 decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
        PyObject *kwnames)
@@ -328,10 +329,10 @@ decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
     PyObject *data = NULL, *coords = NULL, *heights = NULL, *result = NULL;
     Py_buffer view = {0};
     u64 d, w, gamma, prev_h = 0, p[64];
-    Py_ssize_t nbits, pos, end_bit, a;
+    Py_ssize_t nbits, pos, end_bit, a, count = PY_SSIZE_T_MAX;
     int lossy, eg;
 
-    if (kwnames != NULL || nargs != 8)
+    if (kwnames != NULL || nargs < 8 || nargs > 9)
         goto slow;
     lossy = as_flag(args[6]);
     if (lossy < 0)
@@ -354,6 +355,15 @@ decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
         PyErr_Clear();
         goto slow;
     }
+    if (nargs == 9 && args[8] != Py_None) {
+        if (!PyLong_Check(args[8]))
+            goto slow;
+        count = PyLong_AsSsize_t(args[8]);
+        if (count == -1 && PyErr_Occurred()) {
+            PyErr_Clear();
+            goto slow;
+        }
+    }
     data = PyObject_GetAttr(args[0], s_buf);
     if (data == NULL) {
         PyErr_Clear();
@@ -375,7 +385,7 @@ decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
     {
         const unsigned char *buf = (const unsigned char *)view.buf;
         u64 one = 1ull << gamma, shift = 0, room = w;
-        while (pos < end_bit) {
+        for (; pos < end_bit && count > 0; count--) {
             Py_ssize_t j, z;
             if (lossy) {
                 /* Signed gamma of the height delta; "1" is a zero delta. */
@@ -482,10 +492,10 @@ METHOD(decode_records_v2, decode, py_decode_v2, 2)
     "_bits_py." #name ", compiled: append one version-" version " record per\n" \
     "point to writer, a _bits_py.BitWriter; returns bits written."
 #define DECODE_DOC(name, version)                                              \
-    #name "(reader, prev, prev_h, d, w, gamma, lossy, end_bit)\n\n"            \
+    #name "(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None)\n\n" \
     "_bits_py." #name ", compiled: decode version-" version " records from\n"   \
     "reader, a _bits_py.BitReader, through the first record boundary at or\n"  \
-    "after end_bit; returns (coords, heights)."
+    "after end_bit, or count records; returns (coords, heights)."
 
 static PyMethodDef methods[] = {
     {"encode_records", (PyCFunction)(void (*)(void))encode_records,

@@ -4,11 +4,15 @@ compiled kernel ``_bits_ext``.
 ``BitWriter`` and ``BitReader`` are the only bit-stream classes in the
 package.  The record functions ``encode_records`` and ``decode_records``
 (version-1 and lossless records) and ``encode_records_v2`` and
-``decode_records_v2`` (version-2 records) have compiled twins of the same
-names in ``_bits_ext``, which work on this module's streams, must produce
-bit-identical streams and hand every malformed stream back to this module
-for its exact error.  ``pqc.codec`` picks one of the two kernels at import
-time; everything else in the package goes through that selection.
+``decode_records_v2`` (lossy records of versions 2 and 3) have compiled
+twins of the same names in ``_bits_ext``, which work on this module's
+streams, must produce bit-identical streams and hand every malformed
+stream back to this module for its exact error.  Both decoders stop at
+the first record boundary at or after ``end_bit``, or after ``count``
+records when a count is given: a version-3 file stores no block lengths,
+so its loader finds each block's end by decoding the block's count.
+``pqc.codec`` picks one of the two kernels at import time; everything
+else in the package goes through that selection.
 
 Stream layout: bits are packed MSB-first within bytes.  A gamma code for a
 value v is the single bit ``1`` when v == 0, and otherwise b zero bits
@@ -229,8 +233,9 @@ def _bit_string(reader, top):
     return bin(value | (1 << (top - base)))[3:], base
 
 
-def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
-    """Decode version-1 records until the cursor reaches ``end_bit``.
+def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None):
+    """Decode version-1 records until the cursor reaches ``end_bit``, or
+    until ``count`` records are decoded when ``count`` is not None.
 
     Returns (coords_list, heights_list).  Heights are all zero in lossless
     mode.  Raises CorruptPayloadError / TruncatedStreamError on bad input,
@@ -239,48 +244,64 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
     :meth:`BitReader.read_gamma` (``reference.bitwise_decode_records``).
 
     The bits from the cursor to ``top``, the end of the longest record
-    that can start before ``end_bit``, become one '0'/'1' string; each
-    gamma code is one ``str.find`` for the end of its zero run and one
-    ``int(..., 2)`` for its value.  A record that runs past ``top`` is
-    truncated or corrupt, and its exact error needs every bit: then the
-    decode runs again over the whole stream.  The cursor is written back
-    on return and on every raise.
+    that can start before ``end_bit`` (and of the ``count``-th record at
+    the longest), become one '0'/'1' string; each gamma code is one
+    ``str.find`` for the end of its zero run and one ``int(..., 2)`` for
+    its value.  A record that runs past ``top`` is truncated or corrupt,
+    and its exact error needs every bit: then the decode runs again over
+    the whole stream.  The cursor is written back on return and on every
+    raise.
     """
     pos = reader._pos
     # A height delta of at most w, and per axis a delta below 2**w.
-    top = (end_bit if end_bit > pos else pos) + 2 * w * d
-    if lossy:
-        top += 2 * w.bit_length() + 1
+    longest = 2 * w * d + (2 * w.bit_length() + 1 if lossy else 0)
+    # The end of the last record the decode can read: one longest record
+    # past end_bit, and no further than ``count`` of them.
+    top = (end_bit if end_bit > pos else pos) + longest
+    if count is None:
+        count = reader._nbits - pos + 1  # more records than the stream holds
+    elif pos + count * longest < top:
+        top = pos + count * longest if count > 0 else pos
     if top < reader._nbits:
         try:
-            return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit)
+            return _gamma_loop(
+                reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count
+            )
         except TruncatedStreamError:
             reader._pos = pos
     top = reader._nbits
-    return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit)
+    return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count)
 
 
-def decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit):
-    """Decode version-2 records until the cursor reaches ``end_bit``; the
-    contract of :func:`decode_records`, with each lossy coordinate delta
-    read as :meth:`BitReader.read_exp_golomb` of order ``gamma`` reads it.
+def decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None):
+    """Decode version-2 records until the cursor reaches ``end_bit``, or
+    until ``count`` records are decoded; the contract of
+    :func:`decode_records`, with each lossy coordinate delta read as
+    :meth:`BitReader.read_exp_golomb` of order ``gamma`` reads it.
     Lossless records are the version-1 gamma records."""
     if not lossy:
-        return decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
+        return decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count)
     pos = reader._pos
-    top = (end_bit if end_bit > pos else pos) + 2 * w.bit_length() + 1
-    top += d * (2 * w + 1 - gamma)
+    longest = 2 * w.bit_length() + 1 + d * (2 * w + 1 - gamma)
+    top = (end_bit if end_bit > pos else pos) + longest
+    if count is None:
+        count = reader._nbits - pos + 1
+    elif pos + count * longest < top:
+        top = pos + count * longest if count > 0 else pos
     if top < reader._nbits:
         try:
-            return _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit)
+            return _exp_golomb_loop(
+                reader, top, prev, prev_h, d, w, gamma, end_bit, count
+            )
         except TruncatedStreamError:
             reader._pos = pos
     top = reader._nbits
-    return _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit)
+    return _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit, count)
 
 
-def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit):
-    # The decode of decode_records over the stream's bits below ``top``.
+def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count):
+    # The decode of decode_records over the stream's bits below ``top``,
+    # for at most ``count`` records.
     prev = list(prev)
     coords_out = []
     heights_out = []
@@ -293,7 +314,8 @@ def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit):
     shift = 0
     h = 0
     try:
-        while p < stop:
+        while p < stop and count > 0:
+            count -= 1
             if lossy:
                 # Signed gamma of the height delta; "1" is a zero delta.
                 j = find("1", p)
@@ -348,8 +370,9 @@ def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit):
     return coords_out, heights_out
 
 
-def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
-    # The decode of decode_records_v2 over the stream's bits below ``top``.
+def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit, count):
+    # The decode of decode_records_v2 over the stream's bits below
+    # ``top``, for at most ``count`` records.
     prev = list(prev)
     coords_out = []
     heights_out = []
@@ -363,7 +386,8 @@ def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit):
     tail = gamma + 1
     axes = range(d)
     try:
-        while p < stop:
+        while p < stop and count > 0:
+            count -= 1
             # Signed gamma of the height delta; "1" is a zero delta.
             j = find("1", p)
             if j < 0:

@@ -28,7 +28,7 @@ from .morton import Config, TrieSquare, validate_square
 from .qtree import restricted_voronoi, square_of, vertices
 from .refine import RefineParams, refine
 from .reference import EpsilonNetSpec, generate_epsilon_net
-from .store import LOSSLESS, LOSSY, CompressedStore
+from .store import LOSSLESS, LOSSY, VERSION, CompressedStore
 
 
 def _fmt(value) -> str:
@@ -44,7 +44,8 @@ def _emit(out, **pairs):
         print(f"{k}={_fmt(v)}", file=out)
 
 
-def _store_stat_lines(store, out):
+def _store_stat_lines(store, version, out):
+    """The store's stats; ``version`` is the format version of its file."""
     s = store.stats()
     _emit(
         out,
@@ -53,10 +54,11 @@ def _store_stat_lines(store, out):
         w=s["w"],
         gamma=s["gamma"],
         mode=s["mode"],
-        version=s["version"],
+        version=version,
         blocks=s["blocks"],
         payload_bits=s["payload_bits"],
         file_bits=s["file_bits"],
+        framing_bits=s["framing_bits"],
         bpv_payload=float(s["bpv_payload"]),
         bpv_file=float(s["bpv_file"]),
     )
@@ -115,7 +117,7 @@ def cmd_compress(args) -> int:
     )
     store.save(args.output)
     _emit(sys.stdout, passes=stats["passes"])
-    _store_stat_lines(store, sys.stdout)
+    _store_stat_lines(store, VERSION, sys.stdout)
     _emit(sys.stdout, output=args.output)
     return 0
 
@@ -137,8 +139,10 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    store = CompressedStore.load(args.input)
-    _store_stat_lines(store, sys.stdout)
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    store = CompressedStore.from_bytes(data)
+    _store_stat_lines(store, data[4], sys.stdout)
     # payload_bits by component
     _emit(sys.stdout, **store.bit_budget())
     return 0

@@ -14,24 +14,23 @@ This is the persistent payload format:
 * xor code of a point against its predecessor: per axis, in axis order,
   the code of (prev ^ cur) >> shift.  Lossless streams use shift 0; lossy
   streams derive the shift from the point's quadtree leaf height.  Format
-  version 1 codes every delta with gamma; version 2 codes lossy deltas with
-  EG_gamma, where gamma is the store's rounding precision, and keeps gamma
-  for lossless deltas and for every height delta.
+  versions 2 and 3 code lossy deltas with EG_gamma, where gamma is the
+  store's rounding precision, and keep gamma for lossless deltas and for
+  every height delta; format version 1 codes every delta with gamma, and
+  only its loader reads those records.
 
-Streams pack MSB-first within bytes and are zero-padded to a byte boundary
-only at block ends.  Every stream is a ``_bits_py`` BitWriter or BitReader.
-The record loops run in one kernel, chosen at import: the compiled
-extension ``_bits_ext`` when it is built, else its pure-Python twin
-``_bits_py``; both code every record of every format version.  Set
-``PQC_BACKEND=py`` to force the pure-Python kernel, or ``PQC_BACKEND=c`` to
-require the compiled one (raising ImportError when it was not built).
-:func:`records` picks the record codec of a format version and mode.
+Streams pack MSB-first within bytes.  Every stream is a ``_bits_py``
+BitWriter or BitReader.  The record loops run in one kernel, chosen at
+import: the compiled extension ``_bits_ext`` when it is built, else its
+pure-Python twin ``_bits_py``; both code every record of every format
+version.  Set ``PQC_BACKEND=py`` to force the pure-Python kernel, or
+``PQC_BACKEND=c`` to require the compiled one (raising ImportError when it
+was not built).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, NamedTuple
 
 from . import _bits_py
 from ._bits_py import BitReader, BitWriter
@@ -57,40 +56,26 @@ _impl = _kernel()
 KERNEL_BACKEND = _impl.BACKEND
 
 
-class Records(NamedTuple):
-    """A record codec: the kernel's ``encode_records`` and
-    ``decode_records`` of one format version and mode."""
-
-    encode_records: Callable
-    decode_records: Callable
-
-
-def records(version: int, lossy: bool) -> Records:
-    """The record codec of format ``version`` in lossy or lossless mode:
-    the selected kernel's Exp-Golomb records for version-2 lossy stores,
-    and its gamma records for every other pair."""
-    if lossy and version == 2:
-        return Records(_impl.encode_records_v2, _impl.decode_records_v2)
-    return Records(_impl.encode_records, _impl.decode_records)
-
-
-# The store calls every record codec through these two functions, so
-# wrapping them (as pqcbench's kernel counters do) sees every call.
-def encode_records(
-    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, kernel
-) -> int:
-    """Append one record per point to ``writer``, a BitWriter, with
-    ``kernel``, a :func:`records` codec; returns bits written."""
-    return kernel.encode_records(
+# The store calls the record kernel through these two functions, so
+# wrapping them (as pqcbench's kernel counters do) sees every call.  Their
+# arguments stay positional for those wrappers.
+def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy) -> int:
+    """Append one record per point to ``writer``, a BitWriter, in the
+    records of format versions 2 and 3; returns bits written."""
+    return _impl.encode_records_v2(
         writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
     )
 
 
-def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, kernel):
-    """Decode records from ``reader``, a BitReader, with ``kernel``, a
-    :func:`records` codec, through the first record boundary at or after
-    ``end_bit``: (coords, heights)."""
-    return kernel.decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit)
+def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count, version=3):
+    """Decode records from ``reader``, a BitReader, through the first
+    record boundary at or after ``end_bit`` or through the ``count``-th
+    record, whichever comes first (a count of None bounds nothing):
+    (coords, heights).  ``version`` 1 reads
+    the gamma-coded lossy deltas of format version 1; versions 2 and 3
+    share their records."""
+    decode = _impl.decode_records if version == 1 else _impl.decode_records_v2
+    return decode(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count)
 
 
 def signed_gamma_bits(value: int) -> int:

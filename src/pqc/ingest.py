@@ -17,7 +17,8 @@ coordinate's low bit set, height 0) for the second, and nothing more.  The
 next scan tests squares of this scan's level, at least 1, which hold both,
 so it sees each square's occupancy and its count up to two: all it reads.
 No entry meets a rounded point, whose leaf square holds no point without a
-height.  Lossless scans before the last store nothing.
+height.  Lossless compression tests nothing for crowding, so it reads its
+input once and stores every point in that one scan.
 
 Per-point bookkeeping is one height byte, so the peak footprint is two
 compressed stores plus n bytes, not the raw coordinates.
@@ -137,7 +138,8 @@ def read_multiscan(
     bits_per_scan: int = 1,
     stats_out: Optional[dict] = None,
 ) -> CompressedStore:
-    """Build a compressed store in ceil(w / bits_per_scan) passes.
+    """Build a compressed store in ceil(w / bits_per_scan) passes; a
+    lossless store takes one.
 
     With one bit per scan the result decodes identically to rounding the
     whole input in memory and batch-building.  Reading several bits per
@@ -155,8 +157,9 @@ def read_multiscan(
         raise DomainError(f"bits_per_scan must be at least 1, not {bits_per_scan}")
     lossy = mode == LOSSY
     gamma = cfg.gamma
-    levels = []
-    level = cfg.w
+    # Lossless mode tests no square, so its one scan stores every point.
+    levels = [] if lossy else [0]
+    level = cfg.w if lossy else 0
     while level > 0:
         level = max(level - bits_per_scan, 0)
         levels.append(level)
@@ -177,8 +180,7 @@ def read_multiscan(
             elif j >= n:
                 raise ParseError(f"input grew to more than {n} points between scans")
             if not lossy:
-                if last_scan:
-                    store.insert(p, 0)
+                store.insert(p, 0)
                 continue
             h = heights[j]
             if h == _UNSET and prev_store is not None:

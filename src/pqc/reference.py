@@ -435,11 +435,12 @@ def quadtree_superset(points: Sequence[Point], cfg: Config) -> list[Point]:
 
 
 def bitwise_decode_records(
-    reader, prev, prev_h, d, w, gamma, lossy, end_bit, version=1
+    reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None, version=1
 ):
     """Decode records one code at a time until the cursor reaches
-    ``end_bit``; same contract as the kernels' ``decode_records`` (version
-    1) and ``decode_records_v2`` (version 2).
+    ``end_bit``, or until ``count`` records are decoded when ``count`` is
+    not None; same contract as the kernels' ``decode_records`` (version 1)
+    and ``decode_records_v2`` (versions 2 and 3).
 
     Every bit goes through ``reader.read_signed_gamma`` / ``read_gamma``,
     or ``read_exp_golomb`` of order ``gamma`` for the coordinate deltas of
@@ -455,7 +456,7 @@ def bitwise_decode_records(
         read_delta = lambda: reader.read_exp_golomb(gamma)  # noqa: E731
     else:
         read_delta = reader.read_gamma
-    while reader.tell() < end_bit:
+    while reader.tell() < end_bit and (count is None or len(coords_out) < count):
         if lossy:
             h = prev_h + reader.read_signed_gamma()
             if h < 0 or h > w:

@@ -2,48 +2,56 @@
 
 Layout: the sorted sequence is split into blocks of between w and 2w
 points (a lone undersized block is allowed for tiny stores).  Inserts
-split a block that outgrows 2w into halves, but a saved file is cut as
-:meth:`CompressedStore.build` cuts the same points, whatever the
+split a block that outgrows 2w into halves, but a saved file is always cut
+as :meth:`CompressedStore.build` cuts the same points, whatever the
 in-memory layout: blocks of 2w points, an undersized tail balanced
-against its left neighbour (:meth:`CompressedStore.pack`).  A loaded
-store not written to since saves its file's cut, which older code may
-have left as inserts split it, so loading and saving gives back the
-file's bytes.  Each block
-stores its first point longhand - the head - plus one self-delimiting
-record per following point: signed-gamma height delta, then per axis
-the code of (prev ^ cur) >> max(h - gamma, 0), Exp-Golomb of order gamma
-in format version 2 and gamma in version 1.  Lossless blocks fix every
-height at zero, omit the height delta and gamma-code the deltas in both
-versions.  An ordered list of head keys serves as the search index;
-finding a key costs one bisection plus the decode of the block's records
-up to that key.  Reads keep a decoded run of the last few blocks they
-touched - coordinates, heights and Morton keys in parallel lists - and
-extend it only as far as they need.  A run starts at the block's head or
-at its resume point: the decoder state at the first record boundary past
-half the payload, which the first read to decode that far from the head
-leaves on the block, in memory only.  A search for a key at or above
-the resume key starts there, so it decodes from the nearer of the two.
-A store never holds a key twice: ``build`` and ``insert`` refuse one.
+against its left neighbour (:func:`_block_sizes`,
+:meth:`CompressedStore.pack`).  So n and w fix every block's point count,
+and the file stores none.  Each block stores its first point longhand -
+the head - plus one self-delimiting record per following point:
+signed-gamma height delta, then per axis the Exp-Golomb code of order
+gamma of (prev ^ cur) >> max(h - gamma, 0).  Lossless blocks fix every
+height at zero, omit the height delta and gamma-code the deltas.  An
+ordered list of head keys serves as the search index; finding a key costs
+one bisection plus the decode of the block's records up to that key.
+Reads keep a decoded run of the last few blocks they touched -
+coordinates, heights and Morton keys in parallel lists - and extend it
+only as far as they need.  A run starts at the block's head or at its
+resume point: the decoder state at the first record boundary past half
+the payload, which the first read to decode that far from the head leaves
+on the block, in memory only.  A search for a key at or above the resume
+key starts there, so it decodes from the nearer of the two.  A store never
+holds a key twice: ``build`` and ``insert`` refuse one.
 
-Persistent format (all integers little-endian):
+Persistent format, version 3 (header integers little-endian):
 
     magic   4 bytes  b"PQC1"
-    version u8       2 for every new store; 1 still loads
+    version u8       3, written on every save; 1 and 2 still load
     d       u8
     w       u8
     gamma   u8
     mode    u8       0 lossless, 1 lossy
     n       u64      total point count
-    blocks  u32      block count
-    per block:
-      head coords  d x u32 (low w bits significant)
-      head height  u8
-      payload bits u32
-      payload      ceil(bits / 8) bytes, MSB-first, zero padded
+    blocks  u32      block count, len(_block_sizes(n, w))
+    then one MSB-first bit stream, per block in order:
+      head coords  d x w bits
+      head height  ceil(log2(w + 1)) bits, lossy mode only
+      records      one per point after the head
+    zero bits to the next byte boundary, and nothing after them
 
-Payload records are self-delimiting, so per-block point counts are not
-stored; decoding runs until the payload bit length is exhausted.  A store
-keeps the version it was loaded with through inserts and saves.
+The stream has no block lengths and no padding between blocks.  The loader
+takes each block's point count from :func:`_block_sizes` and finds where
+the block ends by decoding exactly that many records, in the same pass
+that validates them; each block's records are then copied into a
+byte-aligned payload of its own, which is how a store holds them in
+memory.
+
+Versions 1 and 2 store, per block, d x u32 head coordinates, a u8 head
+height, a u32 payload bit length and the payload zero-padded to a byte,
+and may hold blocks cut as inserts split them.  Version 1 codes lossy
+coordinate deltas with gamma; its lossy records are re-encoded at load.
+Either loads into the same in-memory store as version 3 and saves as
+version 3, in build's cut.
 """
 
 from __future__ import annotations
@@ -79,8 +87,10 @@ from .morton import (
 from .qtree import Counters, PointSource
 
 MAGIC = b"PQC1"
-VERSION = 2  # written for every new store
-VERSIONS = (1, 2)  # loadable
+VERSION = 3  # written on every save
+VERSIONS = (1, 2, 3)  # loadable
+_HEADER = struct.Struct("<BBBBBQL")  # the fields after the magic
+_HEADER_BYTES = len(MAGIC) + _HEADER.size
 LOSSLESS = "lossless"
 LOSSY = "lossy"
 _MODE_CODE = {LOSSLESS: 0, LOSSY: 1}
@@ -168,6 +178,23 @@ def _block_sizes(n: int, w: int) -> list[int]:
     return sizes
 
 
+def _ordered_keys(b: int, coords: list, cfg: Config, prev_key: int) -> list[int]:
+    """The Morton keys of block ``b``'s decoded points, head first, once
+    they are checked to rise within the block and from ``prev_key``, the
+    previous block's last key (-1 for the first block)."""
+    keys = interleave_all(coords, cfg)
+    if keys[0] <= prev_key or any(map(operator.ge, keys, keys[1:])):
+        raise FormatError(f"block {b}: points out of Morton order")
+    return keys
+
+
+def _bits_at(data: bytes, start: int, stop: int) -> int:
+    """Bits ``start`` to ``stop`` of ``data``, MSB first, as an int."""
+    first, last = start >> 3, (stop + 7) >> 3
+    value = int.from_bytes(data[first:last], "big") >> (8 * last - stop)
+    return value & ((1 << (stop - start)) - 1)
+
+
 class CompressedStore(PointSource):
     """PointSource over xor-coded blocks; supports dynamic insertion.
 
@@ -185,13 +212,11 @@ class CompressedStore(PointSource):
             raise PqcError(f"mode must be {LOSSLESS!r} or {LOSSY!r}")
         self.cfg = cfg
         self.mode = mode
-        self._set_version(VERSION)  # from_bytes sets the version of the file
         self.counters = Counters()
         self._blocks: list[Block] = []
         self._head_keys: list[int] = []
         self._offsets: list[int] = []  # starting rank of each block
         self._n = 0
-        self._keep_cut = False  # save as loaded: set by from_bytes, cleared on write
         # block index -> decoded run of that block; cleared on write
         self._cache: OrderedDict[int, _Run] = OrderedDict()
 
@@ -243,10 +268,6 @@ class CompressedStore(PointSource):
             pos = end
         return store
 
-    def _set_version(self, version: int):
-        self.version = version
-        self._records = codec.records(version, self.mode == LOSSY)
-
     def _encode_block(self, coords: Sequence[Point], heights: Sequence[int]) -> Block:
         writer = BitWriter()
         codec.encode_records(
@@ -257,7 +278,6 @@ class CompressedStore(PointSource):
             heights[1:],
             self.cfg.gamma,
             self.mode == LOSSY,
-            self._records,
         )
         head = HeightedPoint(coords[0], heights[0])
         return Block(head, len(coords), writer.getvalue(), writer.bit_length)
@@ -271,11 +291,20 @@ class CompressedStore(PointSource):
 
     # -- decoding ---------------------------------------------------------
 
-    def _decode(self, index: int, reader, prev: Point, prev_h: int, end_bit: int):
+    def _decode(
+        self,
+        index: int,
+        reader,
+        prev: Point,
+        prev_h: int,
+        end_bit: int,
+        version: int = VERSION,
+    ):
         """Records of block ``index`` from ``reader``'s cursor, which sits
         after the point ``prev`` of height ``prev_h``, through the first
-        record boundary at or after ``end_bit``: (coords, heights).
-        Raises CorruptPayloadError with the block id and bit offset on any
+        record boundary at or after ``end_bit``: (coords, heights), in the
+        records of format ``version``.  Raises
+        CorruptPayloadError with the block id and bit offset on any
         malformed payload."""
         cfg = self.cfg
         lossy = self.mode == LOSSY
@@ -289,7 +318,8 @@ class CompressedStore(PointSource):
                 cfg.gamma,
                 lossy,
                 end_bit,
-                self._records,
+                None,
+                version,
             )
         except (TruncatedStreamError, CorruptPayloadError) as exc:
             raise CorruptPayloadError(
@@ -532,7 +562,6 @@ class CompressedStore(PointSource):
 
     def _rewrite_block(self, b: int, coords: list, heights: list):
         self._cache.clear()  # a split shifts the indices of later blocks
-        self._keep_cut = False
         cfg = self.cfg
         n = len(coords)
         delta = n - self._blocks[b].count
@@ -567,7 +596,8 @@ class CompressedStore(PointSource):
     def payload_bits(self) -> int:
         """Structural cost in bits: per block, the longhand head (d*w bits,
         plus ceil(log2(w + 1)) height bits in lossy mode) and the record
-        stream.  File framing is excluded; see file_bits()."""
+        stream.  The header and the final padding are excluded; see
+        file_bits()."""
         return sum(self._head_bits() + blk.bit_len for blk in self._blocks)
 
     def bit_budget(self) -> dict:
@@ -588,13 +618,11 @@ class CompressedStore(PointSource):
         }
 
     def file_bits(self) -> int:
-        """Size of the current block layout's serialization, in bits: the
-        size of to_bytes() once the store is packed."""
-        per_block = 4 * self.cfg.d + 1 + 4
-        total = 21 + sum(
-            per_block + (blk.bit_len + 7) // 8 for blk in self._blocks
-        )
-        return 8 * total
+        """Size in bits of the version-3 file of the current block layout:
+        the header, then payload_bits() padded to a byte boundary.  Once
+        the store is packed, as to_bytes() leaves it, this is
+        8 * len(to_bytes())."""
+        return 8 * (_HEADER_BYTES + (self.payload_bits() + 7) // 8)
 
     def stats(self) -> dict:
         hist: dict[int, int] = {}
@@ -609,10 +637,10 @@ class CompressedStore(PointSource):
             "w": self.cfg.w,
             "gamma": self.cfg.gamma,
             "mode": self.mode,
-            "version": self.version,
             "blocks": len(self._blocks),
             "payload_bits": payload,
             "file_bits": fbits,
+            "framing_bits": fbits - payload,
             "bpv_payload": payload / n if n else 0.0,
             "bpv_file": fbits / n if n else 0.0,
             "block_histogram": dict(sorted(hist.items())),
@@ -624,8 +652,8 @@ class CompressedStore(PointSource):
         """Re-cut the blocks in place as :meth:`build` cuts the same points;
         a no-op when they already are.  One walk over the blocks feeds the
         new ones, whose sizes come from n alone, so at most about 4w decoded
-        points are held at once.  The records keep the store's format
-        version; the new blocks start without resume points."""
+        points are held at once.  The new blocks start without resume
+        points."""
         cfg = self.cfg
         sizes = _block_sizes(self._n, cfg.w)
         if sizes == [block.count for block in self._blocks]:
@@ -646,29 +674,35 @@ class CompressedStore(PointSource):
         self._cache.clear()
 
     def to_bytes(self) -> bytes:
-        """The file, cut as build cuts the same points (packs the store),
-        except that a loaded store not written to since keeps its file's cut,
-        so it saves back to the bytes it was loaded from."""
-        if not self._keep_cut:
-            self.pack()
+        """The version-3 file, cut as build cuts the same points (packs the
+        store first): the header, then every block's head and records in
+        one bit stream, zero-padded to a byte at its end only."""
+        self.pack()
         cfg = self.cfg
-        out = bytearray()
-        out += MAGIC
-        out += struct.pack(
-            "<BBBBBQL",
-            self.version,
-            cfg.d,
-            cfg.w,
-            cfg.gamma,
-            _MODE_CODE[self.mode],
-            self._n,
+        head_bits = self._head_bits()
+        height_bits = head_bits - cfg.d * cfg.w
+        out = bytearray(MAGIC)
+        out += _HEADER.pack(
+            VERSION, cfg.d, cfg.w, cfg.gamma, _MODE_CODE[self.mode], self._n,
             len(self._blocks),
         )
+        # The stream's bits not yet written out: fewer than 8 between blocks.
+        acc = acc_bits = 0
         for blk in self._blocks:
+            head = 0
             for c in blk.head.coords:
-                out += struct.pack("<L", c)
-            out += struct.pack("<BL", blk.head.height, blk.bit_len)
-            out += blk.payload[: (blk.bit_len + 7) // 8]
+                head = head << cfg.w | c
+            head = head << height_bits | blk.head.height
+            nbytes = (blk.bit_len + 7) >> 3
+            records = int.from_bytes(blk.payload[:nbytes], "big") >> (-blk.bit_len & 7)
+            acc = (acc << head_bits | head) << blk.bit_len | records
+            acc_bits += head_bits + blk.bit_len
+            whole = acc_bits >> 3
+            acc_bits &= 7
+            out += (acc >> acc_bits).to_bytes(whole, "big")
+            acc &= (1 << acc_bits) - 1
+        if acc_bits:
+            out.append(acc << (8 - acc_bits))
         return bytes(out)
 
     def save(self, path):
@@ -677,11 +711,14 @@ class CompressedStore(PointSource):
 
     @classmethod
     def from_bytes(cls, data: bytes, rho=None) -> "CompressedStore":
+        """Load a file of any version in VERSIONS, validating every block:
+        Morton order within and across blocks, head heights, the point
+        count, and (version 3) the block count, padding and length."""
         if data[:4] != MAGIC:
             raise FormatError("bad magic; not a PQC1 file")
         try:
-            version, d, w, gamma, mode_code, n, nblocks = struct.unpack_from(
-                "<BBBBBQL", data, 4
+            version, d, w, gamma, mode_code, n, nblocks = _HEADER.unpack_from(
+                data, len(MAGIC)
             )
         except struct.error as exc:
             raise FormatError(f"truncated header: {exc}") from exc
@@ -695,8 +732,93 @@ class CompressedStore(PointSource):
         except DomainError as exc:
             raise FormatError(f"invalid header fields: {exc}") from exc
         store = cls(cfg, _MODE_NAME[mode_code])
-        store._set_version(version)
-        pos = 21  # 4 magic bytes + 17 header bytes
+        if version == VERSION:
+            store._load_stream(data, n, nblocks)
+        else:
+            store._load_blocks(data, nblocks, version)
+        store.counters.reset()  # a load has read nothing yet
+        if store._n != n:
+            raise FormatError(f"header says n={n}, blocks decode to {store._n}")
+        return store
+
+    def _load_stream(self, data: bytes, n: int, nblocks: int):
+        """Blocks of a version-3 file: one bit stream after the header, in
+        which each block's count, from :func:`_block_sizes`, bounds the one
+        decode that finds the block's end and validates its records."""
+        cfg = self.cfg
+        d, w = cfg.d, cfg.w
+        lossy = self.mode == LOSSY
+        stream_bits = 8 * (len(data) - _HEADER_BYTES)
+        # Every point costs at least one bit, so a larger n cannot be the
+        # file's, and this bounds the size list below by the file's size.
+        if n > stream_bits:
+            raise FormatError(
+                f"header says n={n}, more than the file's {stream_bits} bits"
+            )
+        sizes = _block_sizes(n, w)
+        if nblocks != len(sizes):
+            raise FormatError(
+                f"header says {nblocks} blocks; n={n} and w={w} make {len(sizes)}"
+            )
+        head_bits = self._head_bits()
+        height_bits = head_bits - d * w
+        # Where each head coordinate sits in the head's bits, first axis
+        # highest.
+        shifts = [height_bits + w * (d - 1 - a) for a in range(d)]
+        coord_mask = (1 << w) - 1
+        reader = BitReader(data)
+        end = reader.bit_length
+        pos = 8 * _HEADER_BYTES
+        prev_key = -1
+        for b, size in enumerate(sizes):
+            start = pos + head_bits
+            if start > end:
+                raise FormatError(f"truncated block {b} head")
+            packed = _bits_at(data, pos, start)
+            head = tuple([packed >> shift & coord_mask for shift in shifts])
+            height = packed & ((1 << height_bits) - 1)
+            if height > w:
+                raise FormatError(f"block {b}: head height {height}")
+            reader.seek(start)
+            try:
+                coords, heights = codec.decode_records(
+                    reader, head, height, d, w, cfg.gamma, lossy, end, size - 1
+                )
+            except TruncatedStreamError as exc:
+                raise FormatError(f"truncated block {b}: {exc}") from exc
+            except CorruptPayloadError as exc:
+                raise CorruptPayloadError(
+                    str(exc), block_index=b, bit_offset=reader.tell()
+                ) from exc
+            if len(coords) < size - 1:
+                raise FormatError(
+                    f"truncated block {b}: {len(coords) + 1} of {size} points"
+                )
+            coords.insert(0, head)
+            keys = _ordered_keys(b, coords, cfg, prev_key)
+            prev_key = keys[-1]
+            pos = reader.tell()
+            nbits = pos - start
+            records = _bits_at(data, start, pos) << (-nbits & 7)
+            payload = records.to_bytes((nbits + 7) >> 3, "big")
+            self._append_block(
+                Block(HeightedPoint(head, height), size, payload, nbits), keys[0]
+            )
+        if end - pos >= 8:
+            raise FormatError(f"{(end - pos) // 8} trailing bytes")
+        if _bits_at(data, pos, end):
+            raise FormatError("nonzero padding bits")
+
+    def _load_blocks(self, data: bytes, nblocks: int, version: int):
+        """Blocks of a version-1 or version-2 file, each with its own
+        header and byte-padded payload, whose count one validating decode
+        derives; version-1 lossy records are re-encoded in the records of
+        versions 2 and 3."""
+        cfg = self.cfg
+        d, w = cfg.d, cfg.w
+        reencode = self.mode == LOSSY and version == 1
+        pos = _HEADER_BYTES
+        prev_key = -1
         for b in range(nblocks):
             need = 4 * d + 5
             if pos + need > len(data):
@@ -720,25 +842,21 @@ class CompressedStore(PointSource):
                 raise FormatError(f"block {b}: {exc}") from exc
             if not 0 <= height <= w:
                 raise FormatError(f"block {b}: head height {height}")
-            store._blocks.append(Block(head, 0, payload, bit_len))
+            reader = BitReader(payload, bit_len)
+            coords, heights = self._decode(
+                b, reader, head.coords, height, bit_len, version
+            )
+            coords.insert(0, head.coords)
+            heights.insert(0, height)
+            keys = _ordered_keys(b, coords, cfg, prev_key)
+            prev_key = keys[-1]
+            if reencode:
+                block = self._encode_block(coords, heights)
+            else:
+                block = Block(head, len(coords), payload, bit_len)
+            self._append_block(block, keys[0])
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
-        # Counts are not in the file; one validating walk derives them.
-        prev_key = -1
-        for b, (coords, _) in enumerate(store._walk()):
-            keys = interleave_all(coords, cfg)
-            if keys[0] <= prev_key or any(map(operator.ge, keys, keys[1:])):
-                raise FormatError(f"block {b}: points out of Morton order")
-            prev_key = keys[-1]
-            store._head_keys.append(keys[0])
-            store._offsets.append(store._n)
-            store._blocks[b].count = len(keys)
-            store._n += len(keys)
-        store.counters.reset()  # a load has read nothing yet
-        if store._n != n:
-            raise FormatError(f"header says n={n}, blocks decode to {store._n}")
-        store._keep_cut = True
-        return store
 
     @classmethod
     def load(cls, path, rho=None) -> "CompressedStore":

@@ -20,6 +20,13 @@ from pqc.reference import EpsilonNetSpec, generate_epsilon_net
 KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "pqc" / "_bits_ext.c"
 _kernel = {"module": None, "dir": None}
 
+# A lossy version-2 file (d=2, w=8, gamma=2; 72 points) that older code
+# saved after inserts, with its blocks cut as the inserts split them: 9,
+# 11, 9, 11, 8, 11 and 13 points where build cuts 16, 16, 16, 16 and 8.
+V2_SPLIT_DATA = bytes.fromhex(
+    (Path(__file__).resolve().parent / "data" / "v2_split_blocks.hex").read_text()
+)
+
 
 def pytest_sessionstart(session):
     """Compile KERNEL_SOURCE into a temporary directory and load it as

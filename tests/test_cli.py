@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import V2_SPLIT_DATA
 from pqc.cli import main
 from pqc.geom import round_set
 from pqc.morton import Config
@@ -34,7 +35,8 @@ def test_compress_figure_file(tmp_path, capsys):
     )
     assert code == 0
     assert pairs["n"] == ["5"]
-    assert pairs["passes"] == ["5"]
+    assert pairs["passes"] == ["1"]  # lossless: one read of the input
+    assert pairs["version"] == ["3"]
     assert pairs["payload_bits"] == ["41"]
     assert pairs["blocks"] == ["1"]
     assert out.exists()
@@ -51,7 +53,10 @@ def test_stats_on_figure_store(tmp_path, capsys):
     assert pairs["blocks"] == ["1"]
     assert pairs["block_hist_5"] == ["1"]
     assert pairs["mode"] == ["lossless"]
-    assert pairs["version"] == ["2"]
+    assert pairs["version"] == ["3"]
+    # The 21-byte header, and the 41 payload bits padded to 6 bytes.
+    assert pairs["file_bits"] == [str(8 * 27)]
+    assert pairs["framing_bits"] == [str(8 * 27 - 41)]
     # The bit budget: a 10-bit head and 31 bits of coordinate codes.
     assert pairs["payload_bits"] == ["41"]
     assert (pairs["head_bits"], pairs["height_bits"], pairs["coord_bits"]) == (
@@ -68,7 +73,7 @@ def test_stats_bit_budget_of_a_lossy_store(tmp_path, capsys):
     run(["compress", str(src), "-o", str(out)], capsys)
     code, pairs, _ = run(["stats", str(out)], capsys)
     assert code == 0
-    assert pairs["mode"] == ["lossy"] and pairs["version"] == ["2"]
+    assert pairs["mode"] == ["lossy"] and pairs["version"] == ["3"]
     n, blocks = int(pairs["n"][0]), int(pairs["blocks"][0])
     head, height, coord = (
         int(pairs[k][0]) for k in ("head_bits", "height_bits", "coord_bits")
@@ -77,6 +82,21 @@ def test_stats_bit_budget_of_a_lossy_store(tmp_path, capsys):
     assert head == blocks * (2 * 12 + 4)
     assert height >= n - blocks  # at least one bit per record
     assert coord > height
+
+
+def test_stats_prints_the_version_of_the_file_it_read(tmp_path, capsys):
+    # An older file loads into the same store as a new one; stats names the
+    # file's version, and a save of that store writes version 3.
+    old = tmp_path / "old.pqc"
+    old.write_bytes(V2_SPLIT_DATA)
+    code, pairs, _ = run(["stats", str(old)], capsys)
+    assert code == 0 and pairs["version"] == ["2"]
+    new = tmp_path / "new.pqc"
+    CompressedStore.load(old).save(new)
+    code, again, _ = run(["stats", str(new)], capsys)
+    assert code == 0 and again["version"] == ["3"]
+    assert again["n"] == pairs["n"] == ["72"]
+    assert int(again["file_bits"][0]) == 8 * new.stat().st_size
 
 
 def test_decompress_round_trip(tmp_path, capsys):
@@ -112,7 +132,7 @@ def test_header_supplies_defaults(tmp_path, capsys):
     code, pairs, _ = run(["compress", str(src), "-o", str(out), "--lossless"], capsys)
     assert code == 0
     assert pairs["w"] == ["5"]
-    assert pairs["passes"] == ["5"]
+    assert pairs["passes"] == ["1"]
 
 
 def test_scaled_decimal_input(tmp_path, capsys):

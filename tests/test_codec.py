@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compiled_kernel, random_points
+from conftest import V2_SPLIT_DATA, compiled_kernel, random_points
 from pqc import _bits_py, codec
 from pqc.errors import CorruptPayloadError, TruncatedStreamError
 from pqc.geom import HeightedPoint, round_set
@@ -358,14 +358,15 @@ def _oracle(version):
     return lambda reader, *args: bitwise_decode_records(reader, *args, version=version)
 
 
-def _decode_outcome(decode, data, nbits, start, args, end_bit):
+def _decode_outcome(decode, data, nbits, start, args, end_bit, count=None):
     """decode's result, or its exception class and message, plus the
-    final cursor."""
+    final cursor; ``count`` is passed on when it is not None."""
     reader = _bits_py.BitReader(data, nbits)
     if start:
-        reader.read_bits(start)
+        reader.seek(start)
+    bound = () if count is None else (count,)
     try:
-        out = decode(reader, *args, end_bit)
+        out = decode(reader, *args, end_bit, *bound)
     except (CorruptPayloadError, TruncatedStreamError) as exc:
         out = (type(exc), str(exc))
     return out, reader.tell()
@@ -409,13 +410,14 @@ class TestRecordDecodeOracle:
         end_bit = data.draw(
             st.one_of(st.just(nbits), st.integers(start, nbits)), label="end_bit"
         )
+        count = data.draw(st.one_of(st.none(), st.integers(0, 26)), label="count")
         args = (head, head_h, d, w, gamma, lossy)
-        fast = _decode_outcome(decode, bytes(buf), nbits, start, args, end_bit)
+        fast = _decode_outcome(decode, bytes(buf), nbits, start, args, end_bit, count)
         slow = _decode_outcome(
-            _oracle(version), bytes(buf), nbits, start, args, end_bit
+            _oracle(version), bytes(buf), nbits, start, args, end_bit, count
         )
         assert fast == slow
-        if damage == "none" and end_bit == nbits:
+        if damage == "none" and end_bit == nbits and (count or 0) >= len(coords):
             assert fast == ((list(coords), list(heights)), nbits)
 
     @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
@@ -631,10 +633,10 @@ class TestBackendParity:
 
 
 class TestVersion2UnderEveryKernel:
-    """``codec.records`` gives version-2 lossy records to the selected
-    kernel's Exp-Golomb functions and lossless and version-1 records to its
-    gamma functions, all over ``_bits_py`` streams.  Every kernel writes
-    the same files."""
+    """Every kernel reads a version-2 file, written by older code, and
+    writes its points as the same version-3 file; the records of versions
+    2 and 3 are the kernels' ``*_v2`` functions, all over ``_bits_py``
+    streams."""
 
     @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     def test_every_kernel_round_trips_a_version_2_store(self, monkeypatch):
@@ -645,16 +647,12 @@ class TestVersion2UnderEveryKernel:
         files = {}
         for kern in KERNELS:
             monkeypatch.setattr(codec, "_impl", kern)
-            assert codec.records(2, True) == (
-                kern.encode_records_v2,
-                kern.decode_records_v2,
-            )
-            gamma_records = (kern.encode_records, kern.decode_records)
-            assert codec.records(2, False) == codec.records(1, True) == gamma_records
+            old = CompressedStore.from_bytes(V2_SPLIT_DATA)
+            files.setdefault("version 2", set()).add(old.to_bytes())
             for mode, pts in ((LOSSY, lossy_pts), (LOSSLESS, plain_pts)):
                 st = CompressedStore.build(pts, cfg, mode)
                 data = st.to_bytes()
-                assert data[4] == 2
+                assert data[4] == 3
                 back = CompressedStore.from_bytes(data)
                 assert back.decode_all() == pts
                 for p in extra:
@@ -663,7 +661,7 @@ class TestVersion2UnderEveryKernel:
                 again = CompressedStore.from_bytes(back.to_bytes())
                 assert again.decode_all() == back.decode_all()
                 files.setdefault(mode, set()).add((data, back.to_bytes()))
-        assert all(len(pairs) == 1 for pairs in files.values())
+        assert all(len(seen) == 1 for seen in files.values())
 
     @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     @given(record_streams())
@@ -675,6 +673,88 @@ class TestVersion2UnderEveryKernel:
         ]
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][3] == (list(stream[6]), list(stream[7]))
+
+
+def _stream_blocks(store):
+    """(record start bit, head, head height, record count) of each block in
+    the bit stream of ``store``'s version-3 file."""
+    cfg = store.cfg
+    height_bits = cfg.w.bit_length() if store.mode == LOSSY else 0
+    data = store.to_bytes()
+    reader = _bits_py.BitReader(data)
+    reader.seek(8 * 21)
+    out = []
+    for blk in store._blocks:
+        head = tuple(reader.read_bits(cfg.w) for _ in range(cfg.d))
+        height = reader.read_bits(height_bits)
+        out.append((reader.tell(), head, height, blk.count - 1))
+        reader.seek(reader.tell() + blk.bit_len)
+    return data, out
+
+
+def _version_3_file(mode, d):
+    cfg = Config(d=d, w=12, gamma=3)
+    pts = random_points(cfg, 40 + d, 130)
+    if mode == LOSSY:
+        points = round_set(pts, cfg)
+    else:
+        points = [HeightedPoint(hp.coords, 0) for hp in round_set(pts, cfg)]
+    return CompressedStore.build(points, cfg, mode)
+
+
+VERSION_3_FILES = [_version_3_file(m, d) for m in (LOSSY, LOSSLESS) for d in (2, 3)]
+
+
+class TestCountBoundedDecode:
+    """The count bound that finds a block's end in a version-3 file, where
+    nothing else marks it: both kernels return the same coords, heights,
+    cursor and errors as the bit-serial oracle."""
+
+    def _outcomes(self, data, nbits, start, args, end_bit, count):
+        got = [
+            _decode_outcome(k.decode_records_v2, data, nbits, start, args, end_bit, count)
+            for k in KERNELS
+        ]
+        got.append(_decode_outcome(_oracle(2), data, nbits, start, args, end_bit, count))
+        assert all(g == got[0] for g in got)
+        return got[0]
+
+    @pytest.mark.parametrize("store", VERSION_3_FILES, ids=lambda s: f"{s.mode}-d{s.cfg.d}")
+    def test_every_block_of_a_version_3_file(self, store):
+        cfg = store.cfg
+        lossy = store.mode == LOSSY
+        data, blocks = _stream_blocks(store)
+        nbits = 8 * len(data)
+        points = store.decode_all()
+        rank = 0
+        for b, (start, head, height, count) in enumerate(blocks):
+            args = (head, height, cfg.d, cfg.w, cfg.gamma, lossy)
+            (coords, heights), end = self._outcomes(data, nbits, start, args, nbits, count)
+            assert end == start + store._blocks[b].bit_len
+            block = points[rank : rank + count + 1]
+            assert block[0] == HeightedPoint(head, height)
+            assert list(map(HeightedPoint, coords, heights)) == block[1:]
+            rank += count + 1
+        assert rank == len(points)
+
+    @pytest.mark.parametrize("store", VERSION_3_FILES, ids=lambda s: f"{s.mode}-d{s.cfg.d}")
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_truncated_and_overlong_streams(self, store, data):
+        cfg = store.cfg
+        lossy = store.mode == LOSSY
+        stream, blocks = _stream_blocks(store)
+        start, head, height, count = data.draw(st.sampled_from(blocks), label="block")
+        buf = bytearray(stream)
+        nbits = 8 * len(buf)
+        if data.draw(st.booleans(), label="truncate"):
+            nbits = data.draw(st.integers(start, nbits), label="nbits")
+        else:
+            buf += data.draw(st.binary(min_size=1, max_size=8), label="tail")
+            nbits = 8 * len(buf)
+        count = data.draw(st.integers(0, count + 3), label="count")
+        args = (head, height, cfg.d, cfg.w, cfg.gamma, lossy)
+        self._outcomes(bytes(buf), nbits, start, args, nbits, count)
 
 
 class TestKernelSelection:

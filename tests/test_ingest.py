@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import jittered_net, random_points
 from pqc.errors import DuplicatePointError, OutOfRangeError, ParseError
-from pqc.geom import round_set
+from pqc.geom import HeightedPoint, round_set
 from pqc.ingest import (
     MemoryPointReader,
     TextPointReader,
@@ -113,6 +113,32 @@ class TestMultiscan:
         ordered = sorted(pts, key=lambda p: interleave(p, cfg))
         assert [hp.coords for hp in scanned.decode_all()] == ordered
 
+    @pytest.mark.parametrize("source", ["text", "memory"])
+    def test_lossless_reads_its_input_once(self, tmp_path, source):
+        # Lossless mode tests no square for crowding, so one scan stores
+        # every point, and that scan meets a duplicate.
+        cfg = Config(d=2, w=10, gamma=0)
+        pts = random_points(cfg, 78, 150)
+
+        def reader_of(points):
+            if source == "memory":
+                return MemoryPointReader(points, cfg)
+            path = tmp_path / "pts.txt"
+            write_points(path, points)
+            return TextPointReader(path, cfg)
+
+        reader = reader_of(pts)
+        stats = {}
+        scanned = read_multiscan(reader, cfg, LOSSLESS, stats_out=stats)
+        assert reader.passes == stats["passes"] == 1
+        ordered = sorted(pts, key=lambda p: interleave(p, cfg))
+        built = CompressedStore.build([HeightedPoint(p, 0) for p in ordered], cfg, LOSSLESS)
+        assert scanned.to_bytes() == built.to_bytes()
+        reader = reader_of(pts[:90] + [pts[40]] + pts[90:])
+        with pytest.raises(DuplicatePointError):
+            read_multiscan(reader, cfg, LOSSLESS)
+        assert reader.passes == 1
+
     def test_empty_input(self):
         cfg = Config(d=2, w=6, gamma=1)
         reader = MemoryPointReader([], cfg)
@@ -130,7 +156,7 @@ class TestMultiscan:
 
     def test_duplicate_input_detected(self):
         # Only the last scan's store holds every point; earlier ones keep at
-        # most two entries per masked square (lossy) or nothing (lossless).
+        # most two entries per masked square.  Lossless mode has one scan.
         cfg = Config(d=2, w=8, gamma=2)
         for mode in (LOSSY, LOSSLESS):
             reader = MemoryPointReader([(10, 10), (50, 60), (10, 10), (10, 10)], cfg)

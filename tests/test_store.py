@@ -3,12 +3,13 @@
 import bisect
 import hashlib
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import jittered_net, random_points
+from conftest import V2_SPLIT_DATA, jittered_net, random_points
 from pqc import codec
 from pqc.errors import (
     CorruptPayloadError,
@@ -158,24 +159,25 @@ def _net(f0, seed):
 
 
 class TestBuildPinned:
-    """round_set + build output bytes and the leaf-height sweep's work,
-    pinned on the benchmark's 196- and 784-point nets and a d=3 set."""
+    """round_set + build output bytes (a version-3 file) and the
+    leaf-height sweep's work, pinned on the benchmark's 196- and 784-point
+    nets and a d=3 set."""
 
     @pytest.mark.parametrize(
         "cfg, make, n, digest, probes",
         [
             (
                 Config(d=2, w=16, gamma=5), lambda: _net(4096, 11), 196,
-                "9ca6c6789b9c8281d1e26e85bc5927670fdceb852cfc08e793422eb62b03d27b", 1596,
+                "273a555307821e1e36b36ede6fd680c8be1cc4fafdceae725f4aaba323060e85", 1596,
             ),
             (
                 Config(d=2, w=16, gamma=5), lambda: _net(2048, 11), 784,
-                "26a0eff1d80e7d6b554af1fc90032435253f133605b41333fa88234b4f61cffd", 6417,
+                "6c635147386f360fc6dfd45bc3c2a1b9c29ece38ba2c1df7dd762cd07b52f6d4", 6417,
             ),
             (
                 Config(d=3, w=10, gamma=2),
                 lambda: random_points(Config(d=3, w=10, gamma=2), 7, 500), 500,
-                "e3afaf1fdd72b073de20c6615637e5b19f369948c8f1bd255087efee1b07526e", 20899,
+                "901d2f4fab92538c00e74396cf1dc7407dd3995185d7edeb5dd4c76669249fcd", 20899,
             ),
         ],
         ids=["net-196", "net-784", "random-d3"],
@@ -437,38 +439,62 @@ class TestPersistence:
             CompressedStore.from_bytes(data[:-2])
 
     def test_a_loaded_cut_saves_as_loaded_until_a_write(self):
-        # Older code saved the blocks as inserts split them.  Such a file
-        # still loads and saves back to its bytes; an insert then repacks.
+        # A version-3 file is always build's cut, so loading and saving it
+        # gives back its bytes.  An insert that splits a block leaves the
+        # store unpacked in memory; the next save re-cuts it as build does.
         cfg = Config(d=2, w=8, gamma=2)
         st = CompressedStore.build(round_set(random_points(cfg, 5, 60), cfg), cfg, LOSSY)
-        taken = {hp.coords for hp in st.decode_all()}
-        free = ((x, x) for x in range(256) if (x, x) not in taken)
-        st.insert(next(free), 0)
-        assert [blk.count for blk in st._blocks] != _block_sizes(61, 8)
-        st.pack = lambda: None  # write the blocks as the insert left them
         data = st.to_bytes()
         loaded = CompressedStore.from_bytes(data)
+        assert [blk.count for blk in loaded._blocks] == _block_sizes(60, 8)
         assert loaded.to_bytes() == data
-        assert loaded.decode_all() == st.decode_all()
+        taken = {hp.coords for hp in st.decode_all()}
+        free = ((x, x) for x in range(256) if (x, x) not in taken)
         loaded.insert(next(free), 0)
-        assert [blk.count for blk in loaded._blocks] != _block_sizes(62, 8)
-        repacked = CompressedStore.from_bytes(loaded.to_bytes())
-        assert [blk.count for blk in repacked._blocks] == _block_sizes(62, 8)
-        assert repacked.decode_all() == loaded.decode_all()
+        assert [blk.count for blk in loaded._blocks] != _block_sizes(61, 8)
+        points = loaded.decode_all()
+        saved = loaded.to_bytes()
+        assert saved == CompressedStore.build(points, cfg, LOSSY).to_bytes()
+        repacked = CompressedStore.from_bytes(saved)
+        assert [blk.count for blk in repacked._blocks] == _block_sizes(61, 8)
+        assert repacked.decode_all() == points
 
     def test_header_width_that_changes_the_cut_saves_as_loaded(self):
-        # A w byte of 9 asks for blocks of 18 points; the file's are 16.
+        # A w byte of 9 reads 9-bit head coordinates and asks for blocks
+        # of 18 points where the file's are 16.  Such a file must fail to
+        # load, or load and, as every loaded version-3 file, save back to
+        # its bytes.
         data = bytearray(FUZZ_DATA)
         assert data[6] == 8
         data[6] = 9
-        loaded = CompressedStore.from_bytes(bytes(data))
-        assert [blk.count for blk in loaded._blocks] != _block_sizes(60, 9)
-        assert loaded.to_bytes() == bytes(data)
+        with pytest.raises(PqcError):
+            CompressedStore.from_bytes(bytes(data))
+
+    def test_block_count_other_than_the_cut_rejected(self):
+        data = bytearray(FUZZ_DATA)
+        assert struct.unpack_from("<L", data, 17) == (len(_block_sizes(60, 8)),)
+        for blocks in (3, 5, 2**32 - 1):
+            struct.pack_into("<L", data, 17, blocks)
+            with pytest.raises(FormatError, match="blocks"):
+                CompressedStore.from_bytes(bytes(data))
+
+    def test_count_past_the_file_rejected_before_cutting(self):
+        # n is checked against the file's size before the cut is made, so
+        # a huge n costs no memory.
+        data = bytearray(FUZZ_DATA)
+        struct.pack_into("<Q", data, 9, 2**63)
+        with pytest.raises(FormatError, match="n="):
+            CompressedStore.from_bytes(bytes(data))
+
+    def test_trailing_bytes_rejected(self):
+        for extra in (b"\x00", b"\x00" * 9, b"\x80"):
+            with pytest.raises(FormatError, match="trailing"):
+                CompressedStore.from_bytes(FUZZ_DATA + extra)
 
     def test_nonzero_padding_rejected(self):
         st = lossless_store(FIGURE_POINTS, CFG5)
         data = bytearray(st.to_bytes())
-        data[-1] |= 0x01  # payload is 31 bits; bit 32 is padding
+        data[-1] |= 0x01  # a 41-bit stream: its last byte ends in 7 padding bits
         with pytest.raises(FormatError):
             CompressedStore.from_bytes(bytes(data))
 
@@ -526,26 +552,69 @@ class TestPersistence:
 
 
 def _fuzz_store_bytes():
-    """A small lossy store's file, in format version 2, with the byte spans
-    of its header, its block headers and its block payloads."""
+    """A small lossy store's file, in format version 3, with the byte spans
+    of its header, of its block heads and of its blocks' records; a span
+    holds every byte that holds one of its bits."""
     cfg = Config(d=2, w=8, gamma=2)
     store = CompressedStore.build(
         round_set(random_points(cfg, 5, 60), cfg), cfg, LOSSY
     )
     data = store.to_bytes()
-    assert data[4] == 2
-    header, tables, payloads = [(0, 21)], [], []
-    pos = 21
+    assert data[4] == 3
+    head_bits = cfg.d * cfg.w + cfg.w.bit_length()
+    heads, records = [], []
+    bit = 8 * 21
     for blk in store._blocks:
-        tables.append((pos, pos + 4 * cfg.d + 5))
-        pos = tables[-1][1]
-        payloads.append((pos, pos + (blk.bit_len + 7) // 8))
-        pos = payloads[-1][1]
-    assert pos == len(data) and len(payloads) >= 3
-    return data, {"header": header, "table": tables, "payload": payloads}
+        heads.append((bit >> 3, (bit + head_bits + 7) >> 3))
+        bit += head_bits
+        records.append((bit >> 3, (bit + blk.bit_len + 7) >> 3))
+        bit += blk.bit_len
+    assert (bit + 7) >> 3 == len(data) and len(records) >= 3
+    return data, {"header": [(0, 21)], "head": heads, "records": records}
 
 
 FUZZ_DATA, FUZZ_SPANS = _fuzz_store_bytes()
+
+
+def _legacy_blocks(data: bytes):
+    """(block header span, payload span, payload bits) of each block of a
+    version-1 or version-2 file."""
+    d, nblocks = data[5], struct.unpack_from("<L", data, 17)[0]
+    out, pos = [], 21
+    for _ in range(nblocks):
+        table = (pos, pos + 4 * d + 5)
+        bits = struct.unpack_from("<L", data, table[1] - 4)[0]
+        out.append((table, (table[1], table[1] + (bits + 7) // 8), bits))
+        pos = out[-1][1][1]
+    assert pos == len(data)
+    return out
+
+
+def _legacy_bytes(store: CompressedStore, version: int) -> bytes:
+    """``store``'s blocks in the layout of format versions 1 and 2: per
+    block d x u32 head coordinates, a u8 head height, a u32 payload bit
+    length and the byte-padded payload.  The records are the store's, so
+    a version-1 file of them is right for lossless stores only."""
+    cfg = store.cfg
+    out = bytearray(store.to_bytes()[:21])
+    out[4] = version
+    for blk in store._blocks:
+        out += struct.pack(f"<{cfg.d}LBL", *blk.head.coords, blk.head.height, blk.bit_len)
+        out += blk.payload
+    return bytes(out)
+
+
+V2_SPLIT_SPANS = {
+    "header": [(0, 21)],
+    "table": [table for table, _, _ in _legacy_blocks(V2_SPLIT_DATA)],
+    "payload": [payload for _, payload, _ in _legacy_blocks(V2_SPLIT_DATA)],
+}
+
+
+def _points_digest(store: CompressedStore) -> str:
+    """sha256 of the repr of the store's decoded (coords, height) pairs."""
+    pairs = [(hp.coords, hp.height) for hp in store.decode_all()]
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
 
 
 def _load_or_pqc_error(data: bytes):
@@ -556,6 +625,19 @@ def _load_or_pqc_error(data: bytes):
     except PqcError:
         return
     assert store.to_bytes() == data
+
+
+def _load_version_2_or_pqc_error(data: bytes):
+    """Loading an older file either fails with a PqcError or yields a store
+    that saves as version 3 and reloads to the same points."""
+    try:
+        store = CompressedStore.from_bytes(data)
+    except PqcError:
+        return
+    points = store.decode_all()
+    saved = store.to_bytes()
+    assert saved[4] == 3
+    assert CompressedStore.from_bytes(saved).decode_all() == points
 
 
 class TestFromBytesFuzz:
@@ -585,6 +667,24 @@ class TestFromBytesFuzz:
     def test_spliced(self, at, extra):
         _load_or_pqc_error(FUZZ_DATA[:at] + extra + FUZZ_DATA[at:])
 
+    @given(strategies.integers(0, len(V2_SPLIT_DATA) - 1))
+    @settings(deadline=None, max_examples=150)
+    def test_truncated_version_2(self, cut):
+        _load_version_2_or_pqc_error(V2_SPLIT_DATA[:cut])
+
+    @given(
+        strategies.sampled_from(sorted(V2_SPLIT_SPANS)),
+        strategies.data(),
+        strategies.lists(strategies.integers(0, 255), min_size=1, max_size=4),
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_mutated_version_2(self, region, data, values):
+        lo, hi = data.draw(strategies.sampled_from(V2_SPLIT_SPANS[region]))
+        at = data.draw(strategies.integers(lo, hi - 1))
+        mutated = bytearray(V2_SPLIT_DATA)
+        mutated[at : at + len(values)] = bytes(values)
+        _load_version_2_or_pqc_error(bytes(mutated))
+
 
 class TestAccounting:
     def test_stats_keys(self):
@@ -594,8 +694,12 @@ class TestAccounting:
         assert s["blocks"] == 1
         assert s["payload_bits"] == 41
         assert s["block_histogram"] == {5: 1}
-        assert s["file_bits"] == st.file_bits()
-        assert s["version"] == 2
+        # The 21-byte header, then the 41 bits padded to 6 bytes.
+        assert s["file_bits"] == st.file_bits() == 8 * len(st.to_bytes()) == 8 * 27
+        assert s["framing_bits"] == 8 * 27 - 41
+        assert s["bpv_file"] == 8 * 27 / 5
+        # A store has no version: it is the file's, which pqc stats reads.
+        assert "version" not in s
 
     def test_bit_budget_of_the_figure(self):
         # A 10-bit head and the figure's 31 bits of coordinate gamma codes.
@@ -901,18 +1005,21 @@ class TestBlockCache:
 
 
 class TestFormatVersions:
-    def test_new_stores_write_version_2(self):
+    def test_new_stores_write_version_3(self):
         cfg = Config(d=2, w=8, gamma=2)
         for mode in (LOSSY, LOSSLESS):
             pts = round_set(random_points(cfg, 3, 40), cfg)
             if mode == LOSSLESS:
                 pts = [HeightedPoint(hp.coords, 0) for hp in pts]
             st = CompressedStore.build(pts, cfg, mode)
-            assert st.version == 2 and st.to_bytes()[4] == 2
-            back = CompressedStore.from_bytes(st.to_bytes())
-            assert back.version == 2 and back.decode_all() == pts
+            data = st.to_bytes()
+            assert data[4] == 3
+            # One bit stream of every head and record, padded once.
+            assert len(data) == 21 + (st.payload_bits() + 7) // 8
+            back = CompressedStore.from_bytes(data)
+            assert back.decode_all() == pts and back.to_bytes() == data
 
-    @pytest.mark.parametrize("version", [0, 3, 255])
+    @pytest.mark.parametrize("version", [0, 4, 255])
     def test_unknown_version_rejected(self, version):
         data = bytearray(lossless_store(FIGURE_POINTS, CFG5).to_bytes())
         data[4] = version
@@ -920,12 +1027,14 @@ class TestFormatVersions:
             CompressedStore.from_bytes(bytes(data))
 
     def test_lossless_records_are_the_same_in_both_versions(self):
-        # Only the version byte differs: lossless deltas stay gamma codes.
-        data = lossless_store(FIGURE_POINTS, CFG5).to_bytes()
-        old = data[:4] + b"\x01" + data[5:]
-        st = CompressedStore.from_bytes(old)
-        assert st.version == 1 and st.payload_bits() == 41
-        assert st.to_bytes() == old
+        # Lossless deltas are gamma codes in every version, so the figure's
+        # version-1 and version-2 files load to the same 41-bit store and
+        # save as the same version-3 file.
+        st = lossless_store(FIGURE_POINTS, CFG5)
+        for version in (1, 2):
+            back = CompressedStore.from_bytes(_legacy_bytes(st, version))
+            assert back.payload_bits() == 41
+            assert back.to_bytes() == st.to_bytes()
 
 
 # A lossy store (d=2, w=8, gamma=2; 64 points of a jittered net in 4
@@ -939,21 +1048,25 @@ GOLDEN_V1_HEX = (
     "018682482025c1308e0000008e00000003ef000000c108220fe0f411033c114101384b03"
     "3033508608022a1109067088484e12"
 )
-# sha256 of its bytes after inserting (1, 1) at height 0: the insert splits
-# the first block into 8 and 9 points, and the save cuts the 65 points as
-# build does, 16, 16, 16, 9 and 8 per block, in version-1 records.
-GOLDEN_V1_AFTER_INSERT = (
-    "42b25413afdf47dbd9587490b1c1bed83ac750266a5c6360402872d153fb0b07"
-)
+# _points_digest of the store as that code decoded it.
+GOLDEN_V1_POINTS = "bb714822c6627f02858364f632efe66549eb58a3c0522ecbc47cf574fcb027b4"
+# sha256 of its version-3 file after inserting (1, 1) at height 0: the
+# insert splits the first block into 8 and 9 points, and the save cuts the
+# 65 points as build does, 16, 16, 16, 9 and 8 per block.
+GOLDEN_V1_AFTER_INSERT = "994f5915de3ed1e401e3a4e422dd95bc8b7577e86e6d8a984b8a9e501c42c833"
 
 
 class TestVersion1File:
     def load(self):
-        st = CompressedStore.from_bytes(bytes.fromhex(GOLDEN_V1_HEX))
-        assert st.version == 1 and st.mode == LOSSY
+        data = bytes.fromhex(GOLDEN_V1_HEX)
+        st = CompressedStore.from_bytes(data)
+        assert data[4] == 1 and st.mode == LOSSY
         assert st.cfg == Config(d=2, w=8, gamma=2)
         assert (st.count(), st.block_count) == (64, 4)
         return st
+
+    def test_decodes_as_when_written(self):
+        assert _points_digest(self.load()) == GOLDEN_V1_POINTS
 
     def test_answers_as_when_written(self):
         st = self.load()
@@ -1000,36 +1113,132 @@ class TestVersion1File:
             (F(2069, 16), 0),
         ]
 
-    def test_saves_back_as_version_1_after_an_insert(self):
+    def test_saves_as_version_3_after_an_insert(self):
         st = self.load()
-        assert st.to_bytes() == bytes.fromhex(GOLDEN_V1_HEX)
+        data = st.to_bytes()
+        assert data[4] == 3
+        assert data == CompressedStore.build(st.decode_all(), st.cfg, LOSSY).to_bytes()
         st.insert((1, 1), 0)
         assert [blk.count for blk in st._blocks] == [8, 9, 16, 16, 16]
         points = st.decode_all()
         data = st.to_bytes()
-        assert data[4] == 1
         assert hashlib.sha256(data).hexdigest() == GOLDEN_V1_AFTER_INSERT
         back = CompressedStore.from_bytes(data)
         sizes = [blk.count for blk in back._blocks]
         assert sizes == _block_sizes(65, 8) == [16, 16, 16, 9, 8]
-        assert back.version == 1 and back.decode_all() == points
+        assert back.decode_all() == points
 
-    def test_refine_keeps_version_1(self):
+    def test_refine_saves_version_3(self):
         st = self.load()
         st.insert((115, 21), 0)  # a defect next to (112, 20)
         before = {hp.coords for hp in st.decode_all()}
         out, report = refine(st, RefineParams(rho=Fraction(2), gamma=2))
         assert report.steiner_count > 0
-        assert out.version == 1 and out.to_bytes()[4] == 1
-        back = CompressedStore.from_bytes(out.to_bytes())
+        data = out.to_bytes()
+        assert data[4] == 3
+        assert data == CompressedStore.build(out.decode_all(), out.cfg, LOSSY).to_bytes()
+        back = CompressedStore.from_bytes(data)
         assert back.decode_all() == out.decode_all()
         assert before <= {hp.coords for hp in back.decode_all()}
 
     def test_version_2_store_of_the_same_points(self):
+        # The load re-encodes the file's gamma-coded deltas in the
+        # Exp-Golomb records of versions 2 and 3, so the loaded store holds
+        # the blocks that build makes of the same points, in fewer record
+        # bits than the file.
         st = self.load()
         points = st.decode_all()
         v2 = CompressedStore.build(points, st.cfg, LOSSY)
-        assert v2.version == 2 and v2.decode_all() == points
-        assert v2.bit_budget()["head_bits"] == st.bit_budget()["head_bits"]
-        assert v2.bit_budget()["height_bits"] == st.bit_budget()["height_bits"]
-        assert v2.bit_budget()["coord_bits"] < st.bit_budget()["coord_bits"]
+        assert v2.decode_all() == points
+        assert [blk.payload for blk in v2._blocks] == [blk.payload for blk in st._blocks]
+        assert v2.bit_budget() == st.bit_budget()
+        budget = st.bit_budget()
+        file_records = sum(bits for _, _, bits in _legacy_blocks(bytes.fromhex(GOLDEN_V1_HEX)))
+        assert budget["height_bits"] + budget["coord_bits"] < file_records
+
+
+# _points_digest of V2_SPLIT_DATA as the code that wrote it decoded it.
+V2_SPLIT_POINTS = "f37f2e1db7d61124f9fa0fbcf1c7eef69075d03bea4c27388e8552efcdf11a99"
+
+
+class TestVersion2File:
+    def load(self):
+        st = CompressedStore.from_bytes(V2_SPLIT_DATA)
+        assert V2_SPLIT_DATA[4] == 2 and st.mode == LOSSY
+        assert st.cfg == Config(d=2, w=8, gamma=2)
+        assert [blk.count for blk in st._blocks] == [9, 11, 9, 11, 8, 11, 13]
+        return st
+
+    def test_decodes_and_answers_as_when_written(self):
+        st = self.load()
+        cfg = st.cfg
+        assert _points_digest(st) == V2_SPLIT_POINTS
+        hp = st.decode_all()
+        queries = [hp[0].coords, hp[30].coords, hp[-1].coords, (100, 37), (3, 250)]
+        queries.append((200, 128))
+        got = [(s.corner, s.height) for s in (square_of(q, st, cfg) for q in queries)]
+        assert got == [
+            ((0, 0), 3),
+            ((12, 236), 2),
+            ((224, 224), 5),
+            ((96, 32), 4),
+            ((0, 240), 4),
+            ((192, 128), 4),
+        ]
+        squares = [((0, 0), 8), ((64, 64), 6), ((128, 0), 7), ((96, 160), 5)]
+        squares.append(((48, 48), 4))
+        ranges = [vertices(TrieSquare(c, h), st) for c, h in squares]
+        assert [(v.lo, v.hi) for v in ranges] == [
+            (0, 72),
+            (15, 23),
+            (41, 55),
+            (33, 35),
+            (3, 3),
+        ]
+
+    def test_saves_as_version_3_in_builds_cut(self):
+        st = self.load()
+        points = st.decode_all()
+        data = st.to_bytes()
+        assert data[4] == 3
+        assert data == CompressedStore.build(points, st.cfg, LOSSY).to_bytes()
+        back = CompressedStore.from_bytes(data)
+        sizes = [blk.count for blk in back._blocks]
+        assert sizes == _block_sizes(72, 8) == [16, 16, 16, 16, 8]
+        assert back.decode_all() == points
+        assert back.to_bytes() == data
+
+
+class TestVersion3Files:
+    """Every saved file is one bit stream of build's cut, as long as
+    file_bits() says, and loads and saves back to its bytes."""
+
+    @given(strategies.data())
+    @settings(deadline=None, max_examples=60)
+    def test_bytes_are_builds_and_file_bits(self, data):
+        mode = data.draw(strategies.sampled_from([LOSSY, LOSSLESS]), label="mode")
+        d = data.draw(strategies.sampled_from([2, 3]), label="d")
+        w = data.draw(strategies.sampled_from([4, 8, 16, 32]), label="w")
+        gamma = data.draw(strategies.integers(0, min(w, 6)), label="gamma")
+        n = data.draw(strategies.integers(0, min(300, 1 << (d * w - 1))), label="n")
+        inserts = data.draw(strategies.sampled_from([0, 1, 40, n]), label="inserts")
+        seed = data.draw(strategies.integers(0, 2**16), label="seed")
+        cfg = Config(d=d, w=w, gamma=gamma)
+        pts = random_points(cfg, seed, n)
+        if mode == LOSSY:
+            points = round_set(pts, cfg)
+        else:
+            points = [HeightedPoint(p, 0) for p in sorted(pts, key=lambda p: interleave(p, cfg))]
+        # Build from some of the points, then insert the rest in random order.
+        late = list(points)
+        random.Random(seed).shuffle(late)
+        late = late[: min(inserts, n)]
+        early = set(points) - set(late)
+        st = CompressedStore.build([hp for hp in points if hp in early], cfg, mode)
+        for hp in late:
+            st.insert(hp.coords, hp.height)
+        saved = st.to_bytes()
+        assert 8 * len(saved) == st.file_bits()
+        assert CompressedStore.from_bytes(saved).to_bytes() == saved
+        assert saved == CompressedStore.build(st.decode_all(), cfg, mode).to_bytes()
+        assert st.decode_all() == points
