@@ -12,8 +12,12 @@ and records encoded, and its file's size, ``bpv_file`` and framing bits:
 block record encoding and decoding, for version-1 (gamma) and version-2
 (Exp-Golomb, also the records of version 3) records on the pure-Python
 kernel and on the compiled kernel ``_bits_ext`` when it is
-built, and Morton key computation.  Every figure is the best process CPU
-time of ``--repeat`` runs.  Before timing, each record code must decode
+built, one ``encode_records_v2`` call over all the records on each kernel
+(a call whose time grows faster than its records shows up there), and
+Morton key computation.  Every figure is the best process CPU
+time of ``--repeat`` runs.  Before timing, every kernel's encoders must
+write the pure-Python kernel's bytes from a writer that starts mid-byte,
+each record code must decode
 its own streams back to exactly the encoded points and heights, the
 Morton keys must match the bit-by-bit definition, and the multiscan must
 save the bytes of ``round_set`` + ``build``, whose sizes it prints; a
@@ -96,6 +100,21 @@ def make_blocks(cfg, n, block_size):
             )
         )
     return pts, heighted, blocks
+
+
+def check_kernels_agree(mods, args):
+    """Exit unless every kernel's record encoders, called with ``args``
+    after a writer that already holds 3 bits, write ``_bits_py``'s
+    bytes."""
+    for name in ("encode_records", "encode_records_v2"):
+        streams = set()
+        for m in mods:
+            w = _bits_py.BitWriter()
+            w.write_bits(0b101, 3)
+            bits = getattr(m, name)(w, *args)
+            streams.add((w.getvalue(), w.bit_length, bits))
+        if len(streams) != 1:
+            raise SystemExit(f"{name}: the kernels write different streams")
 
 
 def check_code(name, decode, cfg, blocks, payloads):
@@ -203,9 +222,21 @@ def main():
     print(f"building {args.n} rounded points (d=2, w={args.w}, gamma={args.gamma})...")
     pts, heighted, blocks = make_blocks(cfg, args.n, 2 * cfg.w)
     n = sum(1 + len(b[2]) for b in blocks)
+    mods = load_kernels()
+    # One encoder call's arguments: every record after the first point.
+    head = heighted[0]
+    one_call_args = (
+        head.coords,
+        head.height,
+        [hp.coords for hp in heighted[1:]],
+        [hp.height for hp in heighted[1:]],
+        cfg.gamma,
+        True,
+    )
+    check_kernels_agree(mods, one_call_args)
     codes = {}
 
-    for name, encode, decode in record_codes(load_kernels()):
+    for name, encode, decode in record_codes(mods):
 
         def encode_all():
             total = 0
@@ -235,6 +266,14 @@ def main():
             "encode": bench(encode_all, args.repeat),
             "decode": bench(decode_all, args.repeat),
         }
+
+    one_call = {}
+    for m in mods:
+
+        def encode_one_call():
+            m.encode_records_v2(_bits_py.BitWriter(), *one_call_args)
+
+        one_call[f"v2-{m.BACKEND}, 1 call"] = bench(encode_one_call, args.repeat)
 
     check_morton(cfg, pts)
 
@@ -268,6 +307,8 @@ def main():
     for name, row in codes.items():
         cells = "".join(f"{row[k]:>14.4f} ({n / row[k] / 1e6:>5.2f})" for k in sides)
         print(f"{name:<16}{row['bits_per_record']:>12.2f}{cells}")
+    for name, t in one_call.items():
+        print(f"{name:<28}{t:>14.4f} ({n / t / 1e6:>5.2f})")
     print(f"{'morton':<28}{morton:>14.4f} ({n / morton / 1e6:>5.2f})")
     print(f"{'round_set':<28}{round_s:>14.4f} ({n / round_s / 1e6:>5.2f})")
     print(f"{'leaf_heights':<28}{sweep_s:>14.4f} ({n / sweep_s / 1e6:>5.2f})")

@@ -21,15 +21,36 @@ terminates the zero run).  A signed gamma code appends one sign bit
 (0 nonnegative, 1 negative) when v != 0.  The Exp-Golomb code of order k
 of v writes u = v + 2**k as bit_length(u) - 1 - k zero bits followed by the
 bits of u, for 2 * bit_length(u) - 1 - k bits in all.
+
+Each of these codes is one field: an int whose bits, leading zeros
+included, are the code.  The encoders shift the fields of up to
+``_RECORDS_PER_APPEND`` records into one int, which starts as a 1 bit so
+that its bit length less one counts the fields' bits, and append the int
+below that 1 with one :meth:`BitWriter.write_bits`, which writes a field
+of any width with one ``int.to_bytes``.  The compiled encoders write the
+same bits through the writer's ``_buf`` and ``_nbits`` slots (see
+:class:`BitWriter`).
 """
 
 from .errors import CorruptPayloadError, TruncatedStreamError
 
 BACKEND = "python"
 
+# The records an encoder shifts into one int before it appends the int to
+# the writer.  Each shift costs time in the int's length, so one int per
+# call would make a call quadratic in its records; a bounded count keeps
+# it linear, and at 32 a block of build's cut at w = 16 is one append.
+_RECORDS_PER_APPEND = 32
+
 
 class BitWriter:
-    """Append-only MSB-first bit buffer."""
+    """Append-only MSB-first bit buffer.
+
+    ``_buf`` holds exactly ceil(``_nbits`` / 8) bytes, and its bits past
+    ``_nbits`` are zero.  The compiled kernel writes these two slots
+    directly: it grows ``_buf`` and ORs its codes into those zero bits, so
+    every writer of a stream keeps both invariants.
+    """
 
     __slots__ = ("_buf", "_nbits")
 
@@ -42,26 +63,21 @@ class BitWriter:
         return self._nbits
 
     def write_bits(self, value, nbits):
-        """Append the low ``nbits`` bits of ``value``, most significant first."""
+        """Append the low ``nbits`` bits of ``value``, most significant
+        first, for any ``nbits``: the partial last byte comes off the
+        buffer and leads the field, and the two go back on in one
+        ``int.to_bytes``, zero-padded to a byte."""
         if nbits < 0 or value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         buf = self._buf
         pos = self._nbits
-        total = pos + nbits
-        need = (total + 7) >> 3
-        if len(buf) < need:
-            buf.extend(b"\x00" * (need - len(buf)))
-        remaining = nbits
-        while remaining:
-            used = pos & 7
-            take = 8 - used
-            if take > remaining:
-                take = remaining
-            chunk = (value >> (remaining - take)) & ((1 << take) - 1)
-            buf[pos >> 3] |= chunk << (8 - used - take)
-            pos += take
-            remaining -= take
-        self._nbits = total
+        used = pos & 7
+        width = used + nbits
+        if used:
+            value |= buf.pop() >> (8 - used) << nbits
+        pad = -width & 7
+        buf += (value << pad).to_bytes((width + pad) >> 3, "big")
+        self._nbits = pos + nbits
 
     def write_gamma(self, value):
         """Append the gamma code of a nonnegative value; return bits written."""
@@ -80,9 +96,11 @@ class BitWriter:
         if value == 0:
             self.write_bits(1, 1)
             return 1
-        n = self.write_gamma(-value if value < 0 else value)
-        self.write_bits(1 if value < 0 else 0, 1)
-        return n + 1
+        magnitude = -value if value < 0 else value
+        # b leading zeros, the b bits of |value| and the sign, in one field.
+        n = 2 * magnitude.bit_length() + 1
+        self.write_bits(magnitude << 1 | (value < 0), n)
+        return n
 
     def getvalue(self):
         """Return the stream as bytes, zero-padded to a byte boundary."""
@@ -173,19 +191,30 @@ def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
     gamma((prev ^ cur) >> shift) with shift = max(h_i - gamma, 0).  Lossless
     records fix shift = 0 and omit the height delta.
     """
-    d = len(prev)
-    prev = list(prev)
     bits = 0
     shift = 0
-    for i, cur in enumerate(coords_seq):
-        if lossy:
-            h = heights_seq[i]
-            bits += writer.write_signed_gamma(h - prev_h)
-            shift = h - gamma if h > gamma else 0
-            prev_h = h
-        for a in range(d):
-            bits += writer.write_gamma((prev[a] ^ cur[a]) >> shift)
-            prev[a] = cur[a]
+    for start in range(0, len(coords_seq), _RECORDS_PER_APPEND):
+        stop = start + _RECORDS_PER_APPEND
+        acc = 1
+        for i, cur in enumerate(coords_seq[start:stop], start):
+            if lossy:
+                h = heights_seq[i]
+                dh = h - prev_h
+                if dh:
+                    m = dh if dh > 0 else -dh
+                    acc = acc << 2 * m.bit_length() + 1 | m << 1 | (dh < 0)
+                else:
+                    acc = acc << 1 | 1
+                shift = h - gamma if h > gamma else 0
+                prev_h = h
+            for p, c in zip(prev, cur):
+                x = (p ^ c) >> shift
+                # b zeros then the b bits of x; the single bit 1 for zero.
+                acc = acc << 2 * x.bit_length() | x if x else acc << 1 | 1
+            prev = cur
+        n = acc.bit_length() - 1
+        writer.write_bits(acc ^ 1 << n, n)
+        bits += n
     return bits
 
 
@@ -202,23 +231,31 @@ def encode_records_v2(writer, prev, prev_h, coords_seq, heights_seq, gamma, loss
         return encode_records(
             writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
         )
-    d = len(prev)
-    prev = list(prev)
     bits = 0
     one = 1 << gamma
-    write_bits = writer.write_bits
-    for cur, h in zip(coords_seq, heights_seq):
-        bits += writer.write_signed_gamma(h - prev_h)
-        shift = h - gamma if h > gamma else 0
-        prev_h = h
-        for a in range(d):
-            # Exp-Golomb of order gamma: the zeros and the bits of u, in
-            # one field.
-            u = ((prev[a] ^ cur[a]) >> shift) + one
-            n = 2 * u.bit_length() - 1 - gamma
-            write_bits(u, n)
-            bits += n
-            prev[a] = cur[a]
+    k = gamma + 1
+    for start in range(0, len(coords_seq), _RECORDS_PER_APPEND):
+        stop = start + _RECORDS_PER_APPEND
+        acc = 1
+        for cur, h in zip(coords_seq[start:stop], heights_seq[start:stop]):
+            # Signed gamma of the height delta: b zeros, the b bits of its
+            # magnitude and the sign, in one field; "1" for zero.
+            dh = h - prev_h
+            if dh:
+                m = dh if dh > 0 else -dh
+                acc = acc << 2 * m.bit_length() + 1 | m << 1 | (dh < 0)
+            else:
+                acc = acc << 1 | 1
+            shift = h - gamma if h > gamma else 0
+            prev_h = h
+            for p, c in zip(prev, cur):
+                # Exp-Golomb of order gamma: the zeros and the bits of u.
+                u = ((p ^ c) >> shift) + one
+                acc = acc << 2 * u.bit_length() - k | u
+            prev = cur
+        n = acc.bit_length() - 1
+        writer.write_bits(acc ^ 1 << n, n)
+        bits += n
     return bits
 
 

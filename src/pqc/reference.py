@@ -6,10 +6,12 @@ quadtree below is materialised by actually splitting squares, and the
 Voronoi cells are cut with a locally written clipper.  Point-in-square
 counting walks an x-sorted list, so no Morton machinery is involved.  The
 record decoder reads one gamma code at a time through the bit reader's own
-methods, without the kernel's string scan.  The bit-string helpers, which
-spell codes out as '0'/'1' text for golden tests, and the trie helpers at
-the end (``deinterleave``, ``neighbours``, ``square_contains``, ``child``)
-are for tests; the library itself has no use for them.
+methods, without the kernel's string scan, and the record encoder writes
+one bit at a time, without the kernel's field accumulation.  The
+bit-string helpers, which spell codes out as '0'/'1' text for golden
+tests, and the trie helpers at the end (``deinterleave``, ``neighbours``,
+``square_contains``, ``child``) are for tests; the library itself has no
+use for them.
 """
 
 from __future__ import annotations
@@ -431,7 +433,7 @@ def quadtree_superset(points: Sequence[Point], cfg: Config) -> list[Point]:
     return sorted(out)
 
 
-# --- bit-serial record decoder ------------------------------------------
+# --- bit-serial record decoder and encoder ------------------------------
 
 
 def bitwise_decode_records(
@@ -473,6 +475,48 @@ def bitwise_decode_records(
         coords_out.append(tuple(prev))
         heights_out.append(h)
     return coords_out, heights_out
+
+
+def bitwise_encode_records(
+    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, version=1
+):
+    """Append one record per point one bit at a time; returns bits
+    written.  Same contract as the kernels' ``encode_records`` (version 1)
+    and ``encode_records_v2`` (versions 2 and 3).
+
+    Each record is spelt out as a '0'/'1' string from the codes' definitions
+    in :mod:`pqc.codec`, and each of its characters is one
+    ``writer.write_bits(bit, 1)``.
+    """
+
+    def gamma_code(v):
+        return "1" if v == 0 else "0" * v.bit_length() + format(v, "b")
+
+    def exp_golomb(v):
+        u = v + (1 << gamma)
+        return "0" * (u.bit_length() - 1 - gamma) + format(u, "b")
+
+    def signed_gamma(v):
+        return gamma_code(abs(v)) + ("" if v == 0 else "1" if v < 0 else "0")
+
+    delta_code = exp_golomb if lossy and version >= 2 else gamma_code
+    prev = list(prev)
+    bits = 0
+    for i, cur in enumerate(coords_seq):
+        record = ""
+        shift = 0
+        if lossy:
+            h = heights_seq[i]
+            record += signed_gamma(h - prev_h)
+            shift = max(h - gamma, 0)
+            prev_h = h
+        for a in range(len(prev)):
+            record += delta_code((prev[a] ^ cur[a]) >> shift)
+            prev[a] = cur[a]
+        for bit in record:
+            writer.write_bits(int(bit), 1)
+        bits += len(record)
+    return bits
 
 
 # --- bit strings for golden tests -----------------------------------------

@@ -9,6 +9,7 @@ same cases and must produce identical streams.
 import importlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,12 @@ from pqc import _bits_py, codec
 from pqc.errors import CorruptPayloadError, TruncatedStreamError
 from pqc.geom import HeightedPoint, round_set
 from pqc.morton import Config
-from pqc.reference import bits_to_string, bitwise_decode_records, xor_code_strings
+from pqc.reference import (
+    bits_to_string,
+    bitwise_decode_records,
+    bitwise_encode_records,
+    xor_code_strings,
+)
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
 
 
@@ -299,13 +305,37 @@ class TestWriterReaderPrimitives:
         assert r.read_bits(4) == 0b0110
 
     def test_write_bits_rejects_oversized_value(self, streams):
-        with pytest.raises(ValueError):
-            streams.BitWriter().write_bits(8, 3)
+        # Also negative values and widths; each leaves the writer as it was.
+        for value, nbits in [(8, 3), (-1, 3), (1, 0), (0, -1), (1 << 200, 200)]:
+            w = streams.BitWriter()
+            w.write_bits(0b101, 3)
+            with pytest.raises(ValueError):
+                w.write_bits(value, nbits)
+            assert (w.getvalue(), w.bit_length) == (b"\xa0", 3)
 
     def test_padding_is_zero(self, streams):
         w = streams.BitWriter()
         w.write_bits(0b1, 1)
         assert w.getvalue() == b"\x80"
+
+    def test_write_bits_every_width_at_every_start_offset(self):
+        # Against the '0'/'1' string of the stream, zero-padded to a byte.
+        def field(value, nbits):
+            return f"{value:0{nbits}b}" if nbits else ""
+
+        rng = random.Random(5)
+        for start in range(16):
+            for width in range(201):
+                for value in (rng.getrandbits(width), (1 << width) - 1):
+                    prefix = rng.getrandbits(start)
+                    w = _bits_py.BitWriter()
+                    w.write_bits(prefix, start)
+                    w.write_bits(value, width)
+                    bits = field(prefix, start) + field(value, width)
+                    bits += "0" * (-len(bits) % 8)
+                    expect = [int(bits[i : i + 8], 2) for i in range(0, len(bits), 8)]
+                    assert w.bit_length == start + width
+                    assert w.getvalue() == bytes(expect)
 
     @given(st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(1, 32))))
     @settings(deadline=None, max_examples=150)
@@ -370,6 +400,91 @@ def _decode_outcome(decode, data, nbits, start, args, end_bit, count=None):
     except (CorruptPayloadError, TruncatedStreamError) as exc:
         out = (type(exc), str(exc))
     return out, reader.tell()
+
+
+@st.composite
+def encode_cases(draw):
+    """Arguments of a record encoder: (d, w, gamma, lossy, head, head
+    height, coords, heights), with enough records to fill several of the
+    pure-Python encoder's appends."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    w = draw(st.sampled_from([4, 8, 16, 32]))
+    gamma = draw(st.integers(0, w))
+    lossy = draw(st.booleans())
+    coord = st.integers(0, (1 << w) - 1)
+    n = draw(st.integers(0, 3 * _bits_py._RECORDS_PER_APPEND))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=n + 1, max_size=n + 1))
+    if lossy:
+        hs = draw(st.lists(st.integers(0, w), min_size=n + 1, max_size=n + 1))
+    else:
+        hs = [0] * (n + 1)
+    return d, w, gamma, lossy, pts[0], hs[0], pts[1:], hs[1:]
+
+
+# (version, encoder) of every record code on every kernel.
+ENCODERS = [(1, k.encode_records) for k in KERNELS] + [
+    (2, k.encode_records_v2) for k in KERNELS
+]
+
+
+class TestRecordEncodeOracle:
+    """Each kernel's ``encode_records`` and ``encode_records_v2`` against
+    the bit-serial oracle ``reference.bitwise_encode_records``."""
+
+    @given(encode_cases(), st.integers(0, 3), st.integers(0, 7), st.randoms())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_bitwise_encoder(self, case, nbytes, extra, rnd):
+        d, w, gamma, lossy, head, head_h, coords, heights = case
+        # A writer that already holds 0-3 bytes and 0-7 bits past them.
+        start = 8 * nbytes + extra
+        prefix = rnd.getrandbits(start) if start else 0
+        args = (head, head_h, coords, heights, gamma, lossy)
+        for version, encode in ENCODERS:
+            outcomes = []
+            for enc in (encode, lambda *a: bitwise_encode_records(*a, version=version)):
+                writer = _bits_py.BitWriter()
+                writer.write_bits(prefix, start)
+                bits = enc(writer, *args)
+                outcomes.append((writer.getvalue(), writer.bit_length, bits))
+            assert outcomes[0] == outcomes[1], (version, encode)
+            assert outcomes[0][1] == start + outcomes[0][2]
+
+    @pytest.mark.parametrize("version, lossy", [(1, False), (1, True), (2, True)])
+    def test_appends_are_bounded_in_records(self, version, lossy):
+        """A long call hands the writer one int per few dozen records, not
+        one per code and not one for the whole call (which would make the
+        call quadratic in its records).  Every record here is the same
+        length, so each append's width counts its records."""
+
+        class CountingWriter(_bits_py.BitWriter):
+            __slots__ = ("widths",)
+
+            def __init__(self):
+                super().__init__()
+                self.widths = []
+
+            def write_bits(self, value, nbits):
+                self.widths.append(nbits)
+                super().write_bits(value, nbits)
+
+        n, gamma = 5000, 3
+        coords = [((5, 9), (0, 0))[i % 2] for i in range(n)]
+        heights = [4] * n
+        encode = PY_RECORDS[version][0]
+        writer = CountingWriter()
+        bits = encode(writer, (0, 0), 4, coords, heights, gamma, lossy)
+        record = bits // n
+        assert bits == record * n
+        assert all(width % record == 0 for width in writer.widths)
+        per_append = [width // record for width in writer.widths]
+        assert sum(per_append) == n
+        assert max(per_append) <= 64
+        assert len(per_append) <= n // 16 + 1
+        oracle = _bits_py.BitWriter()
+        bitwise_encode_records(
+            oracle, (0, 0), 4, coords, heights, gamma, lossy, version=version
+        )
+        assert writer.getvalue() == oracle.getvalue()
 
 
 class TestRecordDecodeOracle:
