@@ -9,19 +9,21 @@ of the generated net (leaf-height sweep and rounding), the sweep alone
 ``CompressedStore.successor_rank`` calls, ``codec.encode_records`` calls
 and records encoded, and its file's size, ``bpv_file`` and framing bits:
 ``file_bits`` less ``payload_bits``, the header and the final padding),
-block record encoding and decoding, for version-1 (gamma) and version-2
-(Exp-Golomb, also the records of version 3) records on the pure-Python
-kernel and on the compiled kernel ``_bits_ext`` when it is
-built, one ``encode_records_v2`` call over all the records on each kernel
-(a call whose time grows faster than its records shows up there), and
-Morton key computation.  Every figure is the best process CPU
-time of ``--repeat`` runs.  Before timing, every kernel's encoders must
-write the pure-Python kernel's bytes from a writer that starts mid-byte,
-each record code must decode
-its own streams back to exactly the encoded points and heights, the
-Morton keys must match the bit-by-bit definition, and the multiscan must
-save the bytes of ``round_set`` + ``build``, whose sizes it prints; a
-failed check stops the script.
+the loads of that net's store from its version-3 file and from a
+version-1 file written by the bit-serial oracle (whose gamma-coded lossy
+records only the pure-Python kernel reads, whichever kernel is selected),
+lossy block record encoding and decoding (the Exp-Golomb records of
+versions 2 and 3) on the pure-Python kernel and on the compiled kernel
+``_bits_ext`` when it is built, one ``encode_records`` call over all the
+records on each kernel (a call whose time grows faster than its records
+shows up there), and Morton key computation.  Every figure is the best
+process CPU time of ``--repeat`` runs.  Before timing, every kernel's
+encoder must write the pure-Python kernel's bytes from a writer that
+starts mid-byte, each kernel must decode its own streams back to exactly
+the encoded points and heights, the Morton keys must match the
+bit-by-bit definition, the multiscan must save the bytes of
+``round_set`` + ``build``, whose sizes it prints, and the version-1 file
+must load to the same points; a failed check stops the script.
 It also counts the records a cold-cache ``successor_rank`` decodes on the
 store of that fixed net, for one key in each block: a first pass on a
 fresh store, which has no resume points, and a second pass over the same
@@ -35,6 +37,7 @@ import argparse
 import importlib
 import math
 import random
+import struct
 import sys
 import time
 from pathlib import Path
@@ -46,7 +49,11 @@ from pqc.geom import round_set  # noqa: E402
 from pqc.ingest import MemoryPointReader, read_multiscan  # noqa: E402
 from pqc.morton import Config, interleave  # noqa: E402
 from pqc.qtree import ArrayPointSource  # noqa: E402
-from pqc.reference import EpsilonNetSpec, generate_epsilon_net  # noqa: E402
+from pqc.reference import (  # noqa: E402
+    EpsilonNetSpec,
+    bitwise_encode_records,
+    generate_epsilon_net,
+)
 from pqc.store import LOSSY, CompressedStore  # noqa: E402
 
 MULTISCAN_N = 3136  # points of the multiscan net, whatever --n is
@@ -63,12 +70,9 @@ def load_kernels():
 
 
 def record_codes(mods):
-    """(name, encode, decode) of every lossy record code: version 1 (gamma)
-    and version 2 (Exp-Golomb of order gamma) on each kernel."""
-    codes = [(f"v1-{m.BACKEND}", m.encode_records, m.decode_records) for m in mods]
-    for m in mods:
-        codes.append((f"v2-{m.BACKEND}", m.encode_records_v2, m.decode_records_v2))
-    return codes
+    """(name, encode, decode) of each kernel's record code: the records of
+    versions 2 and 3, Exp-Golomb of order gamma when lossy."""
+    return [(m.BACKEND, m.encode_records, m.decode_records) for m in mods]
 
 
 def make_net(cfg, n):
@@ -103,18 +107,38 @@ def make_blocks(cfg, n, block_size):
 
 
 def check_kernels_agree(mods, args):
-    """Exit unless every kernel's record encoders, called with ``args``
-    after a writer that already holds 3 bits, write ``_bits_py``'s
+    """Exit unless every kernel's record encoder, called with ``args``
+    after a writer that already holds 3 bits, writes ``_bits_py``'s
     bytes."""
-    for name in ("encode_records", "encode_records_v2"):
-        streams = set()
-        for m in mods:
-            w = _bits_py.BitWriter()
-            w.write_bits(0b101, 3)
-            bits = getattr(m, name)(w, *args)
-            streams.add((w.getvalue(), w.bit_length, bits))
-        if len(streams) != 1:
-            raise SystemExit(f"{name}: the kernels write different streams")
+    streams = set()
+    for m in mods:
+        w = _bits_py.BitWriter()
+        w.write_bits(0b101, 3)
+        bits = m.encode_records(w, *args)
+        streams.add((w.getvalue(), w.bit_length, bits))
+    if len(streams) != 1:
+        raise SystemExit("encode_records: the kernels write different streams")
+
+
+def version_1_file(store):
+    """``store``'s points as a lossy file of format version 1: per block
+    d x u32 head coordinates, a u8 head height, a u32 record bit length
+    and the byte-padded gamma-coded records of the bit-serial oracle."""
+    cfg = store.cfg
+    out = bytearray(store.to_bytes()[:21])
+    out[4] = 1
+    points = iter(store.decode_all())
+    for blk in store._blocks:
+        head, *rest = [next(points) for _ in range(blk.count)]
+        w = _bits_py.BitWriter()
+        coords = [hp.coords for hp in rest]
+        heights = [hp.height for hp in rest]
+        bitwise_encode_records(
+            w, head.coords, head.height, coords, heights, cfg.gamma, True, version=1
+        )
+        out += struct.pack(f"<{cfg.d}LBL", *head.coords, head.height, w.bit_length)
+        out += w.getvalue()
+    return bytes(out)
 
 
 def check_code(name, decode, cfg, blocks, payloads):
@@ -271,9 +295,9 @@ def main():
     for m in mods:
 
         def encode_one_call():
-            m.encode_records_v2(_bits_py.BitWriter(), *one_call_args)
+            m.encode_records(_bits_py.BitWriter(), *one_call_args)
 
-        one_call[f"v2-{m.BACKEND}, 1 call"] = bench(encode_one_call, args.repeat)
+        one_call[f"{m.BACKEND}, 1 call"] = bench(encode_one_call, args.repeat)
 
     check_morton(cfg, pts)
 
@@ -300,6 +324,13 @@ def main():
         raise SystemExit("read_multiscan does not save round_set + build's bytes")
     multiscan_s = bench(multiscan, args.repeat)
     first, second = records_per_search(built)
+    v1_bytes = version_1_file(built)
+    if CompressedStore.from_bytes(v1_bytes).to_bytes() != built_bytes:
+        raise SystemExit("the version-1 file does not load to build's points")
+    loads = {
+        version: bench(lambda: CompressedStore.from_bytes(data), args.repeat)
+        for version, data in ((1, v1_bytes), (3, built_bytes))
+    }
 
     print(f"\n{n} points, best of {args.repeat} runs (CPU seconds; Mpts/s in parens)")
     sides = ("encode", "decode")
@@ -330,6 +361,9 @@ def main():
         f"records decoded per cold successor_rank, n={MULTISCAN_N}: "
         f"first pass {first:.2f}, second pass {second:.2f}"
     )
+    for version, t in loads.items():
+        load = f"load version {version} n={MULTISCAN_N}"
+        print(f"{load:<28}{t:>14.4f} ({MULTISCAN_N / t / 1e6:>5.2f})")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 /* Compiled twin of the record functions of pqc._bits_py.
  *
- * encode_records, decode_records, encode_records_v2 and decode_records_v2
- * take the positional arguments of their _bits_py namesakes and work on
- * _bits_py.BitWriter and BitReader objects through their _buf, _nbits and
- * _pos slots; they write the same streams and decode the same points.
+ * encode_records and decode_records take the positional arguments of their
+ * _bits_py namesakes and work on _bits_py.BitWriter and BitReader objects
+ * through their _buf, _nbits and _pos slots; they write the same streams
+ * and decode the same points.  They code the records of format versions 2
+ * and 3, the only records a save writes.
  *
  * A record is signed-gamma(h_i - h_{i-1}) in lossy mode, then per axis the
  * code of (prev ^ cur) >> shift, with shift = max(h_i - gamma, 0) in lossy
- * mode and 0 in lossless mode.  The record codes differ only in that
- * per-axis code: lossy records of format versions 2 and 3 use the
- * Exp-Golomb code of order gamma, every other record the gamma code.
+ * mode and 0 in lossless mode.  That per-axis code is the Exp-Golomb code
+ * of order gamma in lossy mode and the gamma code in lossless mode.
  *
  * The fast paths here cover coordinates below 2**32, heights below 64 and
  * well-formed streams.  Anything else - an argument out of that range, a
@@ -31,7 +31,7 @@
 typedef unsigned long long u64;
 
 /* The _bits_py namesakes: the slow path of each function here. */
-static PyObject *py_encode, *py_decode, *py_encode_v2, *py_decode_v2;
+static PyObject *py_encode, *py_decode;
 static PyObject *s_buf, *s_nbits, *s_pos;
 
 static int
@@ -102,12 +102,13 @@ next_one(const unsigned char *buf, Py_ssize_t pos, Py_ssize_t nbits)
 }
 
 /* The code of coordinate delta v: the returned number of zeros, then the
- * *b bits of *u.  Exp-Golomb of order gamma writes u = v + 2**gamma after
- * b - 1 - gamma zeros; gamma writes v after b zeros, and 0 as a lone 1. */
+ * *b bits of *u.  Lossy records write Exp-Golomb of order gamma, u = v +
+ * 2**gamma after b - 1 - gamma zeros; lossless records write gamma, v
+ * after b zeros, and 0 as a lone 1. */
 static int
-axis_code(u64 v, int eg, u64 gamma, u64 *u, int *b)
+axis_code(u64 v, int lossy, u64 gamma, u64 *u, int *b)
 {
-    if (eg) {
+    if (lossy) {
         *u = v + (1ull << gamma);
         *b = bitlen(*u);
         return *b - 1 - (int)gamma;
@@ -177,24 +178,23 @@ as_flag(PyObject *obj)
 #define MAX_HEIGHT 63
 
 /* encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma,
- * lossy) of format ``version``; ``fallback`` is its _bits_py namesake. */
+ * lossy) */
 static PyObject *
-encode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
-       PyObject *kwnames)
+encode_records(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
 {
     PyObject *coords_fast = NULL, *heights_fast = NULL, *buf = NULL;
     u64 *vals = NULL; /* per point: d coordinates, then its height */
     PyObject *result = NULL;
     Py_ssize_t d, n, i, a, total = 0, start;
     u64 gamma = 0, prev_h = 0;
-    int lossy, eg;
+    int lossy;
 
     if (kwnames != NULL || nargs != 7)
         goto slow;
     lossy = as_flag(args[6]);
     if (lossy < 0)
         goto slow;
-    eg = lossy && version == 2;
     if (lossy && (as_u64(args[5], 32, &gamma) || as_u64(args[2], MAX_HEIGHT, &prev_h)))
         goto slow;
     if (!PyTuple_Check(args[1]) && !PyList_Check(args[1]))
@@ -259,7 +259,7 @@ encode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
         for (a = 0; a < d; a++) {
             u64 u;
             int b;
-            total += axis_code((prev[a] ^ cur[a]) >> shift, eg, gamma, &u, &b) + b;
+            total += axis_code((prev[a] ^ cur[a]) >> shift, lossy, gamma, &u, &b) + b;
         }
     }
     {
@@ -295,7 +295,7 @@ encode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
             for (a = 0; a < d; a++) {
                 u64 u;
                 int b;
-                pos += axis_code((prev[a] ^ cur[a]) >> shift, eg, gamma, &u, &b);
+                pos += axis_code((prev[a] ^ cur[a]) >> shift, lossy, gamma, &u, &b);
                 put_bits(out, pos, u, b);
                 pos += b;
             }
@@ -307,7 +307,7 @@ encode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
     goto done;
 
 slow:
-    result = PyObject_Vectorcall(fallback, args, nargs, kwnames);
+    result = PyObject_Vectorcall(py_encode, args, nargs, kwnames);
     goto done;
 error:
     result = NULL;
@@ -320,24 +320,22 @@ done:
 }
 
 /* decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit[, count])
- * of format ``version``; ``fallback`` is its _bits_py namesake.  A count
- * of None, or none given, leaves end_bit as the only bound. */
+ * A count of None, or none given, leaves end_bit as the only bound. */
 static PyObject *
-decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
-       PyObject *kwnames)
+decode_records(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
 {
     PyObject *data = NULL, *coords = NULL, *heights = NULL, *result = NULL;
     Py_buffer view = {0};
     u64 d, w, gamma, prev_h = 0, p[64];
     Py_ssize_t nbits, pos, end_bit, a, count = PY_SSIZE_T_MAX;
-    int lossy, eg;
+    int lossy;
 
     if (kwnames != NULL || nargs < 8 || nargs > 9)
         goto slow;
     lossy = as_flag(args[6]);
     if (lossy < 0)
         goto slow;
-    eg = lossy && version == 2;
     if (as_u64(args[3], 64, &d) || d == 0 || as_u64(args[4], 32, &w)
         || as_u64(args[5], w, &gamma) || (lossy && as_u64(args[2], w, &prev_h)))
         goto slow;
@@ -414,18 +412,19 @@ decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
             }
             for (a = 0; a < (Py_ssize_t)d; a++) {
                 /* z zeros, then the bits of the code's value: z + gamma + 1
-                 * bits of delta + 2**gamma (Exp-Golomb), or z bits of
-                 * delta (gamma), where z = 0 leaves the lone 1 of 0. */
+                 * bits of delta + 2**gamma (Exp-Golomb, lossy), or z bits
+                 * of delta (gamma, lossless), where z = 0 leaves the lone
+                 * 1 of 0. */
                 Py_ssize_t bits;
                 u64 delta;
                 j = next_one(buf, pos, nbits);
                 if (j < 0)
                     goto slow;
                 z = j - pos;
-                bits = eg ? z + (Py_ssize_t)gamma + 1 : (z ? z : 1);
+                bits = lossy ? z + (Py_ssize_t)gamma + 1 : (z ? z : 1);
                 if (bits > 64 || j + bits > nbits)
                     goto slow;
-                delta = get_bits(buf, j, (int)bits) - (eg ? one : (u64)(z == 0));
+                delta = get_bits(buf, j, (int)bits) - (lossy ? one : (u64)(z == 0));
                 if (delta >> room)
                     goto slow;
                 p[a] = ((p[a] >> shift) ^ delta) << shift;
@@ -462,7 +461,7 @@ decode(PyObject *fallback, int version, PyObject *const *args, Py_ssize_t nargs,
 
 slow:
     /* The reader's cursor has not moved. */
-    result = PyObject_Vectorcall(fallback, args, nargs, kwnames);
+    result = PyObject_Vectorcall(py_decode, args, nargs, kwnames);
     goto done;
 error:
     result = NULL;
@@ -475,37 +474,18 @@ done:
     return result;
 }
 
-#define METHOD(name, body, fallback, version)                                   \
-    static PyObject *name(PyObject *self, PyObject *const *args,               \
-                          Py_ssize_t nargs, PyObject *kwnames)                 \
-    {                                                                          \
-        return body(fallback, version, args, nargs, kwnames);                  \
-    }
-
-METHOD(encode_records, encode, py_encode, 1)
-METHOD(decode_records, decode, py_decode, 1)
-METHOD(encode_records_v2, encode, py_encode_v2, 2)
-METHOD(decode_records_v2, decode, py_decode_v2, 2)
-
-#define ENCODE_DOC(name, version)                                              \
-    #name "(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy)\n\n"   \
-    "_bits_py." #name ", compiled: append one version-" version " record per\n" \
-    "point to writer, a _bits_py.BitWriter; returns bits written."
-#define DECODE_DOC(name, version)                                              \
-    #name "(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None)\n\n" \
-    "_bits_py." #name ", compiled: decode version-" version " records from\n"   \
-    "reader, a _bits_py.BitReader, through the first record boundary at or\n"  \
-    "after end_bit, or count records; returns (coords, heights)."
-
 static PyMethodDef methods[] = {
     {"encode_records", (PyCFunction)(void (*)(void))encode_records,
-     METH_FASTCALL | METH_KEYWORDS, ENCODE_DOC(encode_records, "1")},
+     METH_FASTCALL | METH_KEYWORDS,
+     "encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy)\n\n"
+     "_bits_py.encode_records, compiled: append one record of format versions\n"
+     "2 and 3 per point to writer, a _bits_py.BitWriter; returns bits written."},
     {"decode_records", (PyCFunction)(void (*)(void))decode_records,
-     METH_FASTCALL | METH_KEYWORDS, DECODE_DOC(decode_records, "1")},
-    {"encode_records_v2", (PyCFunction)(void (*)(void))encode_records_v2,
-     METH_FASTCALL | METH_KEYWORDS, ENCODE_DOC(encode_records_v2, "2")},
-    {"decode_records_v2", (PyCFunction)(void (*)(void))decode_records_v2,
-     METH_FASTCALL | METH_KEYWORDS, DECODE_DOC(decode_records_v2, "2")},
+     METH_FASTCALL | METH_KEYWORDS,
+     "decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None)\n\n"
+     "_bits_py.decode_records, compiled: decode records of format versions 2\n"
+     "and 3 from reader, a _bits_py.BitReader, through the first record\n"
+     "boundary at or after end_bit, or count records; returns (coords, heights)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -529,14 +509,11 @@ PyInit__bits_ext(void)
         return NULL;
     py_encode = PyObject_GetAttrString(py, "encode_records");
     py_decode = PyObject_GetAttrString(py, "decode_records");
-    py_encode_v2 = PyObject_GetAttrString(py, "encode_records_v2");
-    py_decode_v2 = PyObject_GetAttrString(py, "decode_records_v2");
     Py_DECREF(py);
     s_buf = PyUnicode_InternFromString("_buf");
     s_nbits = PyUnicode_InternFromString("_nbits");
     s_pos = PyUnicode_InternFromString("_pos");
-    if (!py_encode || !py_decode || !py_encode_v2 || !py_decode_v2 || !s_buf
-        || !s_nbits || !s_pos)
+    if (!py_encode || !py_decode || !s_buf || !s_nbits || !s_pos)
         return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0) {

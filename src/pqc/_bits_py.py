@@ -2,17 +2,21 @@
 compiled kernel ``_bits_ext``.
 
 ``BitWriter`` and ``BitReader`` are the only bit-stream classes in the
-package.  The record functions ``encode_records`` and ``decode_records``
-(version-1 and lossless records) and ``encode_records_v2`` and
-``decode_records_v2`` (lossy records of versions 2 and 3) have compiled
+package.  ``encode_records`` and ``decode_records`` code the records that
+every save writes, those of format versions 2 and 3: Exp-Golomb deltas
+for lossy stores and gamma deltas for lossless ones.  They have compiled
 twins of the same names in ``_bits_ext``, which work on this module's
 streams, must produce bit-identical streams and hand every malformed
-stream back to this module for its exact error.  Both decoders stop at
-the first record boundary at or after ``end_bit``, or after ``count``
-records when a count is given: a version-3 file stores no block lengths,
-so its loader finds each block's end by decoding the block's count.
-``pqc.codec`` picks one of the two kernels at import time; everything
-else in the package goes through that selection.
+stream back to this module for its exact error.  ``decode_gamma_records``
+reads gamma records; with ``lossy`` it reads the lossy records of format
+version 1, which only the load of a version-1 file needs, and it has no
+compiled twin.  The decoders stop at the first record boundary at or
+after ``end_bit``, or after ``count`` records when a count is given: a
+version-3 file stores no block lengths, so its loader finds each block's
+end by decoding the block's count.  ``pqc.codec`` picks one of the two
+kernels at import time; everything else in the package goes through that
+selection.  The bit-serial readers and writers of single codes live with
+the oracles, in ``pqc.reference``.
 
 Stream layout: bits are packed MSB-first within bytes.  A gamma code for a
 value v is the single bit ``1`` when v == 0, and otherwise b zero bits
@@ -23,11 +27,11 @@ of v writes u = v + 2**k as bit_length(u) - 1 - k zero bits followed by the
 bits of u, for 2 * bit_length(u) - 1 - k bits in all.
 
 Each of these codes is one field: an int whose bits, leading zeros
-included, are the code.  The encoders shift the fields of up to
+included, are the code.  The encoder shifts the fields of up to
 ``_RECORDS_PER_APPEND`` records into one int, which starts as a 1 bit so
-that its bit length less one counts the fields' bits, and append the int
+that its bit length less one counts the fields' bits, and appends the int
 below that 1 with one :meth:`BitWriter.write_bits`, which writes a field
-of any width with one ``int.to_bytes``.  The compiled encoders write the
+of any width with one ``int.to_bytes``.  The compiled encoder writes the
 same bits through the writer's ``_buf`` and ``_nbits`` slots (see
 :class:`BitWriter`).
 """
@@ -79,36 +83,14 @@ class BitWriter:
         buf += (value << pad).to_bytes((width + pad) >> 3, "big")
         self._nbits = pos + nbits
 
-    def write_gamma(self, value):
-        """Append the gamma code of a nonnegative value; return bits written."""
-        if value < 0:
-            raise ValueError("gamma code is defined for nonnegative values")
-        if value == 0:
-            self.write_bits(1, 1)
-            return 1
-        b = value.bit_length()
-        # b leading zeros then the b bits of value, in one field of width 2b.
-        self.write_bits(value, 2 * b)
-        return 2 * b
-
-    def write_signed_gamma(self, value):
-        """Append gamma(|value|) plus a sign bit when value != 0."""
-        if value == 0:
-            self.write_bits(1, 1)
-            return 1
-        magnitude = -value if value < 0 else value
-        # b leading zeros, the b bits of |value| and the sign, in one field.
-        n = 2 * magnitude.bit_length() + 1
-        self.write_bits(magnitude << 1 | (value < 0), n)
-        return n
-
     def getvalue(self):
         """Return the stream as bytes, zero-padded to a byte boundary."""
         return bytes(self._buf)
 
 
 def _need(nbits, pos, total):
-    # The message of a read past the end of the stream.
+    # The message of a read past the end of the stream, for the decoders
+    # here and the bit-serial readers of ``pqc.reference`` alike.
     return f"need {nbits} bits at offset {pos} of {total}"
 
 
@@ -140,65 +122,26 @@ class BitReader:
             raise ValueError(f"bit offset {pos} outside [0, {self._nbits}]")
         self._pos = pos
 
-    def read_bits(self, nbits):
-        if self._pos + nbits > self._nbits:
-            raise TruncatedStreamError(_need(nbits, self._pos, self._nbits))
-        buf = self._buf
-        pos = self._pos
-        value = 0
-        remaining = nbits
-        while remaining:
-            used = pos & 7
-            take = 8 - used
-            if take > remaining:
-                take = remaining
-            chunk = (buf[pos >> 3] >> (8 - used - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            pos += take
-            remaining -= take
-        self._pos = pos
-        return value
-
-    def read_gamma(self):
-        zeros = 0
-        while self.read_bits(1) == 0:
-            zeros += 1
-        if zeros == 0:
-            return 0
-        if zeros == 1:
-            return 1
-        return (1 << (zeros - 1)) | self.read_bits(zeros - 1)
-
-    def read_signed_gamma(self):
-        magnitude = self.read_gamma()
-        if magnitude == 0:
-            return 0
-        return -magnitude if self.read_bits(1) else magnitude
-
-    def read_exp_golomb(self, order):
-        zeros = 0
-        while self.read_bits(1) == 0:
-            zeros += 1
-        n = zeros + order
-        return ((1 << n) | self.read_bits(n)) - (1 << order)
-
 
 def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
-    """Append one version-1 record per point to ``writer``; returns bits
-    written.
+    """Append one record of format versions 2 and 3 per point to
+    ``writer``; returns bits written.
 
-    A record is signed-gamma(h_i - h_{i-1}) when ``lossy``, then per axis
-    gamma((prev ^ cur) >> shift) with shift = max(h_i - gamma, 0).  Lossless
-    records fix shift = 0 and omit the height delta.
+    A lossy record is signed-gamma(h_i - h_{i-1}), then per axis the
+    Exp-Golomb code of order ``gamma`` of (prev ^ cur) >> shift, with
+    shift = max(h_i - gamma, 0): at most 2w + 1 - gamma bits per axis.  A
+    lossless record is per axis the gamma code of prev ^ cur.
     """
     bits = 0
-    shift = 0
+    one = 1 << gamma
+    k = gamma + 1
     for start in range(0, len(coords_seq), _RECORDS_PER_APPEND):
         stop = start + _RECORDS_PER_APPEND
         acc = 1
-        for i, cur in enumerate(coords_seq[start:stop], start):
-            if lossy:
-                h = heights_seq[i]
+        if lossy:
+            for cur, h in zip(coords_seq[start:stop], heights_seq[start:stop]):
+                # Signed gamma of the height delta: b zeros, the b bits of
+                # its magnitude and the sign, in one field; "1" for zero.
                 dh = h - prev_h
                 if dh:
                     m = dh if dh > 0 else -dh
@@ -207,52 +150,18 @@ def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
                     acc = acc << 1 | 1
                 shift = h - gamma if h > gamma else 0
                 prev_h = h
-            for p, c in zip(prev, cur):
-                x = (p ^ c) >> shift
-                # b zeros then the b bits of x; the single bit 1 for zero.
-                acc = acc << 2 * x.bit_length() | x if x else acc << 1 | 1
-            prev = cur
-        n = acc.bit_length() - 1
-        writer.write_bits(acc ^ 1 << n, n)
-        bits += n
-    return bits
-
-
-def encode_records_v2(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy):
-    """Append one version-2 record per point to ``writer``; returns bits
-    written.
-
-    A lossy record is signed-gamma(h_i - h_{i-1}), then per axis the
-    Exp-Golomb code of order ``gamma`` of (prev ^ cur) >> shift, with
-    shift = max(h_i - gamma, 0): at most 2w + 1 - gamma bits per axis.
-    Lossless records are the version-1 gamma records.
-    """
-    if not lossy:
-        return encode_records(
-            writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
-        )
-    bits = 0
-    one = 1 << gamma
-    k = gamma + 1
-    for start in range(0, len(coords_seq), _RECORDS_PER_APPEND):
-        stop = start + _RECORDS_PER_APPEND
-        acc = 1
-        for cur, h in zip(coords_seq[start:stop], heights_seq[start:stop]):
-            # Signed gamma of the height delta: b zeros, the b bits of its
-            # magnitude and the sign, in one field; "1" for zero.
-            dh = h - prev_h
-            if dh:
-                m = dh if dh > 0 else -dh
-                acc = acc << 2 * m.bit_length() + 1 | m << 1 | (dh < 0)
-            else:
-                acc = acc << 1 | 1
-            shift = h - gamma if h > gamma else 0
-            prev_h = h
-            for p, c in zip(prev, cur):
-                # Exp-Golomb of order gamma: the zeros and the bits of u.
-                u = ((p ^ c) >> shift) + one
-                acc = acc << 2 * u.bit_length() - k | u
-            prev = cur
+                for p, c in zip(prev, cur):
+                    # Exp-Golomb of order gamma: the zeros and the bits of u.
+                    u = ((p ^ c) >> shift) + one
+                    acc = acc << 2 * u.bit_length() - k | u
+                prev = cur
+        else:
+            for cur in coords_seq[start:stop]:
+                for p, c in zip(prev, cur):
+                    # Gamma: b zeros then the b bits of x; "1" for zero.
+                    x = p ^ c
+                    acc = acc << 2 * x.bit_length() | x if x else acc << 1 | 1
+                prev = cur
         n = acc.bit_length() - 1
         writer.write_bits(acc ^ 1 << n, n)
         bits += n
@@ -271,58 +180,36 @@ def _bit_string(reader, top):
 
 
 def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None):
-    """Decode version-1 records until the cursor reaches ``end_bit``, or
-    until ``count`` records are decoded when ``count`` is not None.
+    """Decode records of format versions 2 and 3 until the cursor reaches
+    ``end_bit``, or until ``count`` records are decoded when ``count`` is
+    not None.
 
     Returns (coords_list, heights_list).  Heights are all zero in lossless
     mode.  Raises CorruptPayloadError / TruncatedStreamError on bad input,
     with the same messages and the same final ``reader.tell()`` as reading
-    each record through :meth:`BitReader.read_signed_gamma` and
-    :meth:`BitReader.read_gamma` (``reference.bitwise_decode_records``).
+    each record one code at a time (``reference.bitwise_decode_records``).
 
     The bits from the cursor to ``top``, the end of the longest record
     that can start before ``end_bit`` (and of the ``count``-th record at
-    the longest), become one '0'/'1' string; each gamma code is one
+    the longest), become one '0'/'1' string; each code is one
     ``str.find`` for the end of its zero run and one ``int(..., 2)`` for
     its value.  A record that runs past ``top`` is truncated or corrupt,
     and its exact error needs every bit: then the decode runs again over
     the whole stream.  The cursor is written back on return and on every
     raise.
     """
+    if not lossy:
+        return decode_gamma_records(
+            reader, prev, prev_h, d, w, gamma, lossy, end_bit, count
+        )
     pos = reader._pos
     # A height delta of at most w, and per axis a delta below 2**w.
-    longest = 2 * w * d + (2 * w.bit_length() + 1 if lossy else 0)
+    longest = 2 * w.bit_length() + 1 + d * (2 * w + 1 - gamma)
     # The end of the last record the decode can read: one longest record
     # past end_bit, and no further than ``count`` of them.
     top = (end_bit if end_bit > pos else pos) + longest
     if count is None:
         count = reader._nbits - pos + 1  # more records than the stream holds
-    elif pos + count * longest < top:
-        top = pos + count * longest if count > 0 else pos
-    if top < reader._nbits:
-        try:
-            return _gamma_loop(
-                reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count
-            )
-        except TruncatedStreamError:
-            reader._pos = pos
-    top = reader._nbits
-    return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count)
-
-
-def decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None):
-    """Decode version-2 records until the cursor reaches ``end_bit``, or
-    until ``count`` records are decoded; the contract of
-    :func:`decode_records`, with each lossy coordinate delta read as
-    :meth:`BitReader.read_exp_golomb` of order ``gamma`` reads it.
-    Lossless records are the version-1 gamma records."""
-    if not lossy:
-        return decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count)
-    pos = reader._pos
-    longest = 2 * w.bit_length() + 1 + d * (2 * w + 1 - gamma)
-    top = (end_bit if end_bit > pos else pos) + longest
-    if count is None:
-        count = reader._nbits - pos + 1
     elif pos + count * longest < top:
         top = pos + count * longest if count > 0 else pos
     if top < reader._nbits:
@@ -336,9 +223,32 @@ def decode_records_v2(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=N
     return _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit, count)
 
 
+def decode_gamma_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None):
+    """Decode records whose every delta is a gamma code: the lossless
+    records of every format version, and with ``lossy`` the lossy records
+    of version 1, which only the load of a version-1 file reads.  The
+    contract of :func:`decode_records`; no compiled twin."""
+    pos = reader._pos
+    longest = 2 * w * d + (2 * w.bit_length() + 1 if lossy else 0)
+    top = (end_bit if end_bit > pos else pos) + longest
+    if count is None:
+        count = reader._nbits - pos + 1
+    elif pos + count * longest < top:
+        top = pos + count * longest if count > 0 else pos
+    if top < reader._nbits:
+        try:
+            return _gamma_loop(
+                reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count
+            )
+        except TruncatedStreamError:
+            reader._pos = pos
+    top = reader._nbits
+    return _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count)
+
+
 def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count):
-    # The decode of decode_records over the stream's bits below ``top``,
-    # for at most ``count`` records.
+    # The decode of decode_gamma_records over the stream's bits below
+    # ``top``, for at most ``count`` records.
     prev = list(prev)
     coords_out = []
     heights_out = []
@@ -408,7 +318,7 @@ def _gamma_loop(reader, top, prev, prev_h, d, w, gamma, lossy, end_bit, count):
 
 
 def _exp_golomb_loop(reader, top, prev, prev_h, d, w, gamma, end_bit, count):
-    # The decode of decode_records_v2 over the stream's bits below
+    # The decode of lossy decode_records over the stream's bits below
     # ``top``, for at most ``count`` records.
     prev = list(prev)
     coords_out = []

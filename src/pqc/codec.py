@@ -16,14 +16,15 @@ This is the persistent payload format:
   streams derive the shift from the point's quadtree leaf height.  Format
   versions 2 and 3 code lossy deltas with EG_gamma, where gamma is the
   store's rounding precision, and keep gamma for lossless deltas and for
-  every height delta; format version 1 codes every delta with gamma, and
-  only its loader reads those records.
+  every height delta; format version 1 codes every delta with gamma.
 
 Streams pack MSB-first within bytes.  Every stream is a ``_bits_py``
 BitWriter or BitReader.  The record loops run in one kernel, chosen at
 import: the compiled extension ``_bits_ext`` when it is built, else its
-pure-Python twin ``_bits_py``; both code every record of every format
-version.  Set ``PQC_BACKEND=py`` to force the pure-Python kernel, or
+pure-Python twin ``_bits_py``; both code the records of versions 2 and 3,
+the only records a save writes.  The lossy records of version 1 are read
+by ``_bits_py.decode_gamma_records`` alone, once, when a version-1 file
+loads.  Set ``PQC_BACKEND=py`` to force the pure-Python kernel, or
 ``PQC_BACKEND=c`` to require the compiled one (raising ImportError when it
 was not built).
 """
@@ -62,7 +63,7 @@ KERNEL_BACKEND = _impl.BACKEND
 def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy) -> int:
     """Append one record per point to ``writer``, a BitWriter, in the
     records of format versions 2 and 3; returns bits written."""
-    return _impl.encode_records_v2(
+    return _impl.encode_records(
         writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy
     )
 
@@ -71,10 +72,13 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count, ver
     """Decode records from ``reader``, a BitReader, through the first
     record boundary at or after ``end_bit`` or through the ``count``-th
     record, whichever comes first (a count of None bounds nothing):
-    (coords, heights).  ``version`` 1 reads
-    the gamma-coded lossy deltas of format version 1; versions 2 and 3
-    share their records."""
-    decode = _impl.decode_records if version == 1 else _impl.decode_records_v2
+    (coords, heights).  Versions 2 and 3 share their records, and their
+    lossless records are those of version 1; ``version`` 1 with ``lossy``
+    reads the gamma-coded lossy deltas of version 1, in pure Python."""
+    if version == 1 and lossy:
+        decode = _bits_py.decode_gamma_records
+    else:
+        decode = _impl.decode_records
     return decode(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count)
 
 

@@ -68,10 +68,11 @@ class Counters:
                      per block-cache miss, however far into the block
                      the read then decodes and whether it starts at the
                      head or at the resume point, and one per block of
-                     a whole-block walk (decode_block, decode_all,
-                     bit_budget, pack); cache hits count nothing, nor
-                     does the decode of a cached run's head part, nor a
-                     load's validating walk.
+                     the whole-block walk ``_walk``, the one whole-block
+                     reader (decode_all, bit_budget and pack read through
+                     it); cache hits count nothing, nor does the decode
+                     of a cached run's head part, nor a load's
+                     validating walk.
     squares_scanned  equal-size neighbour squares probed by crowding tests
                      and height searches, plus the squares the Voronoi
                      gather visits.

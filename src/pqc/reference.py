@@ -5,13 +5,13 @@ of it shares search or clipping code with the query modules it checks: the
 quadtree below is materialised by actually splitting squares, and the
 Voronoi cells are cut with a locally written clipper.  Point-in-square
 counting walks an x-sorted list, so no Morton machinery is involved.  The
-record decoder reads one gamma code at a time through the bit reader's own
-methods, without the kernel's string scan, and the record encoder writes
-one bit at a time, without the kernel's field accumulation.  The
-bit-string helpers, which spell codes out as '0'/'1' text for golden
-tests, and the trie helpers at the end (``deinterleave``, ``neighbours``,
-``square_contains``, ``child``) are for tests; the library itself has no
-use for them.
+record decoder reads one code at a time, bit by bit, through the
+bit-serial readers below, without the kernels' string scan, and the record
+encoder writes one bit at a time, without the kernels' field
+accumulation.  The bit-string helpers, which spell codes out as '0'/'1'
+text for golden tests, and the trie helpers at the end
+(``deinterleave``, ``neighbours``, ``square_contains``, ``child``) are for
+tests; the library itself has no use for them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from .errors import (
     DomainError,
     DuplicatePointError,
     GenerationError,
+    TruncatedStreamError,
 )
+from ._bits_py import _need
 from .codec import BitWriter
 from .morton import Config, Point, TrieSquare
 
@@ -433,21 +435,93 @@ def quadtree_superset(points: Sequence[Point], cfg: Config) -> list[Point]:
     return sorted(out)
 
 
-# --- bit-serial record decoder and encoder ------------------------------
+# --- bit-serial codes, record decoder and encoder ------------------------
+#
+# Each code is read or written one bit at a time, on the kernels' own
+# ``BitReader`` and ``BitWriter``.  A read past the end raises the
+# TruncatedStreamError that the kernels raise, from the same ``_need``.
+
+
+def read_bits(reader, nbits):
+    """The next ``nbits`` bits of ``reader``, MSB first, one byte's share
+    at a time."""
+    pos = reader.tell()
+    if pos + nbits > reader.bit_length:
+        raise TruncatedStreamError(_need(nbits, pos, reader.bit_length))
+    buf = reader._buf
+    value = 0
+    remaining = nbits
+    while remaining:
+        used = pos & 7
+        take = min(8 - used, remaining)
+        chunk = (buf[pos >> 3] >> (8 - used - take)) & ((1 << take) - 1)
+        value = (value << take) | chunk
+        pos += take
+        remaining -= take
+    reader.seek(pos)
+    return value
+
+
+def read_gamma(reader):
+    zeros = 0
+    while read_bits(reader, 1) == 0:
+        zeros += 1
+    if zeros == 0:
+        return 0
+    return (1 << (zeros - 1)) | read_bits(reader, zeros - 1)
+
+
+def read_signed_gamma(reader):
+    magnitude = read_gamma(reader)
+    if magnitude == 0:
+        return 0
+    return -magnitude if read_bits(reader, 1) else magnitude
+
+
+def read_exp_golomb(reader, order):
+    zeros = 0
+    while read_bits(reader, 1) == 0:
+        zeros += 1
+    n = zeros + order
+    return ((1 << n) | read_bits(reader, n)) - (1 << order)
+
+
+def write_gamma(writer, value):
+    """Append the gamma code of a nonnegative value; return bits written."""
+    if value < 0:
+        raise ValueError("gamma code is defined for nonnegative values")
+    if value == 0:
+        writer.write_bits(1, 1)
+        return 1
+    # b leading zeros then the b bits of value, in one field of width 2b.
+    n = 2 * value.bit_length()
+    writer.write_bits(value, n)
+    return n
+
+
+def write_signed_gamma(writer, value):
+    """Append gamma(|value|) plus a sign bit when value != 0; return bits
+    written."""
+    n = write_gamma(writer, abs(value))
+    if value:
+        writer.write_bits(int(value < 0), 1)
+        n += 1
+    return n
 
 
 def bitwise_decode_records(
-    reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None, version=1
+    reader, prev, prev_h, d, w, gamma, lossy, end_bit, count=None, version=3
 ):
     """Decode records one code at a time until the cursor reaches
     ``end_bit``, or until ``count`` records are decoded when ``count`` is
-    not None; same contract as the kernels' ``decode_records`` (version 1)
-    and ``decode_records_v2`` (versions 2 and 3).
+    not None; same contract as the kernels' ``decode_records`` (versions 2
+    and 3) and ``_bits_py.decode_gamma_records`` (lossy version 1).
 
-    Every bit goes through ``reader.read_signed_gamma`` / ``read_gamma``,
-    or ``read_exp_golomb`` of order ``gamma`` for the coordinate deltas of
-    version-2 lossy records, so a truncated stream raises the reader's own
-    TruncatedStreamError and leaves the cursor where that read stopped.
+    Every bit goes through :func:`read_signed_gamma` / :func:`read_gamma`,
+    or :func:`read_exp_golomb` of order ``gamma`` for the coordinate
+    deltas of lossy records of versions 2 and 3, so a truncated stream
+    raises the reader's TruncatedStreamError and leaves the cursor where
+    that read stopped.
     """
     prev = list(prev)
     coords_out = []
@@ -455,12 +529,12 @@ def bitwise_decode_records(
     shift = 0
     h = 0
     if lossy and version >= 2:
-        read_delta = lambda: reader.read_exp_golomb(gamma)  # noqa: E731
+        read_delta = lambda: read_exp_golomb(reader, gamma)  # noqa: E731
     else:
-        read_delta = reader.read_gamma
+        read_delta = lambda: read_gamma(reader)  # noqa: E731
     while reader.tell() < end_bit and (count is None or len(coords_out) < count):
         if lossy:
-            h = prev_h + reader.read_signed_gamma()
+            h = prev_h + read_signed_gamma(reader)
             if h < 0 or h > w:
                 raise CorruptPayloadError(f"decoded height {h} outside [0, {w}]")
             shift = h - gamma if h > gamma else 0
@@ -478,11 +552,12 @@ def bitwise_decode_records(
 
 
 def bitwise_encode_records(
-    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, version=1
+    writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy, version=3
 ):
     """Append one record per point one bit at a time; returns bits
-    written.  Same contract as the kernels' ``encode_records`` (version 1)
-    and ``encode_records_v2`` (versions 2 and 3).
+    written.  Same contract as the kernels' ``encode_records`` (versions 2
+    and 3); ``version`` 1 writes the gamma-coded lossy records of format
+    version 1, which no kernel writes.
 
     Each record is spelt out as a '0'/'1' string from the codes' definitions
     in :mod:`pqc.codec`, and each of its characters is one
@@ -532,7 +607,7 @@ def bits_to_string(data: bytes, nbits: int) -> str:
 
 def gamma_bitstring(value: int) -> str:
     w = BitWriter()
-    n = w.write_gamma(value)
+    n = write_gamma(w, value)
     return bits_to_string(w.getvalue(), n)
 
 

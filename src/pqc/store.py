@@ -298,13 +298,14 @@ class CompressedStore(PointSource):
         prev: Point,
         prev_h: int,
         end_bit: int,
+        count: int | None = None,
         version: int = VERSION,
     ):
         """Records of block ``index`` from ``reader``'s cursor, which sits
         after the point ``prev`` of height ``prev_h``, through the first
-        record boundary at or after ``end_bit``: (coords, heights), in the
-        records of format ``version``.  Raises
-        CorruptPayloadError with the block id and bit offset on any
+        record boundary at or after ``end_bit`` and no more than ``count``
+        of them: (coords, heights), in the records of format ``version``.
+        Raises CorruptPayloadError with the block id and bit offset on any
         malformed payload."""
         cfg = self.cfg
         lossy = self.mode == LOSSY
@@ -318,7 +319,7 @@ class CompressedStore(PointSource):
                 cfg.gamma,
                 lossy,
                 end_bit,
-                None,
+                count,
                 version,
             )
         except (TruncatedStreamError, CorruptPayloadError) as exc:
@@ -395,11 +396,10 @@ class CompressedStore(PointSource):
         block = self._blocks[b]
         head = block.head
         reader = BitReader(block.payload, block.bit_len)
+        # The records between the head and the run's first point.
         coords, heights = self._decode(
-            b, reader, head.coords, head.height, block.resume.bit
+            b, reader, head.coords, head.height, block.resume.bit, entry.start - 1
         )
-        # The last record decoded is the run's first point.
-        del coords[-1], heights[-1]
         entry.coords[:0] = [head.coords, *coords]
         entry.heights[:0] = [head.height, *heights]
         entry.keys[:0] = [self._head_keys[b], *interleave_all(coords, self.cfg)]
@@ -465,12 +465,6 @@ class CompressedStore(PointSource):
             raise IndexError(f"rank {rank} outside [0, {self._n})")
         b = bisect.bisect_right(self._offsets, rank) - 1
         return b, rank - self._offsets[b]
-
-    def heighted_at(self, rank: int) -> HeightedPoint:
-        b, i = self._locate(rank)
-        entry = self._run(b, i, i)
-        i -= entry.start
-        return HeightedPoint(entry.coords[i], entry.heights[i])
 
     def point_at(self, rank: int) -> Point:
         b, i = self._locate(rank)
@@ -844,7 +838,7 @@ class CompressedStore(PointSource):
                 raise FormatError(f"block {b}: head height {height}")
             reader = BitReader(payload, bit_len)
             coords, heights = self._decode(
-                b, reader, head.coords, height, bit_len, version
+                b, reader, head.coords, height, bit_len, None, version
             )
             coords.insert(0, head.coords)
             heights.insert(0, height)

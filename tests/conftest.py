@@ -20,12 +20,19 @@ from pqc.reference import EpsilonNetSpec, generate_epsilon_net
 KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "pqc" / "_bits_ext.c"
 _kernel = {"module": None, "dir": None}
 
+DATA = Path(__file__).resolve().parent / "data"
+
 # A lossy version-2 file (d=2, w=8, gamma=2; 72 points) that older code
 # saved after inserts, with its blocks cut as the inserts split them: 9,
 # 11, 9, 11, 8, 11 and 13 points where build cuts 16, 16, 16, 16 and 8.
-V2_SPLIT_DATA = bytes.fromhex(
-    (Path(__file__).resolve().parent / "data" / "v2_split_blocks.hex").read_text()
-)
+V2_SPLIT_DATA = bytes.fromhex((DATA / "v2_split_blocks.hex").read_text())
+
+# Version-3 files of the 64-point net jittered_net(Config(d=2, w=8,
+# gamma=2), 36, f0=28), in 4 blocks, as build saves them: round_set's
+# points, lossy, and the points themselves at height 0, lossless.  Kept
+# so that the loads of later format versions are checked against them.
+V3_LOSSY_DATA = bytes.fromhex((DATA / "v3_lossy.hex").read_text())
+V3_LOSSLESS_DATA = bytes.fromhex((DATA / "v3_lossless.hex").read_text())
 
 
 def pytest_sessionstart(session):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import jittered_net, random_points
-from pqc.geom import HeightedPoint, round_set
+from pqc.geom import HeightedPoint, round_point, round_set
 from pqc.ingest import MemoryPointReader, read_multiscan
 from pqc.morton import Config, interleave
 from pqc.qtree import ArrayPointSource, restricted_voronoi, square_of, vertices
@@ -160,6 +160,27 @@ def test_query_oracle_equivalence():
                 assert cell.aspect_sq == ref.aspect_sq
             sets_checked += 1
         assert sets_checked == 50
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_query_oracle_equivalence_after_inserts():
+    # The benchmark's insert stream: every tenth point of a net, in Morton
+    # order, is withheld from the store and then inserted at the height
+    # square_of answers for it, rounded for that height.  A stored point's
+    # square must still be its leaf in the set the inserts left.
+    with criterion("square_of vs a source over the same points, after inserts"):
+        cfg = Config(d=2, w=12, gamma=4)
+        pts = sorted(jittered_net(cfg, 1, f0=64), key=lambda p: interleave(p, cfg))
+        assert len(pts) == 3136
+        kept = [p for i, p in enumerate(pts) if i % 10]
+        store = CompressedStore.build(round_set(kept, cfg), cfg, LOSSY)
+        for p in pts[::10]:
+            h = square_of(p, store, cfg).height
+            store.insert(round_point(p, h, cfg.gamma), h)
+        decoded = [hp.coords for hp in store.decode_all()]
+        oracle = ArrayPointSource(decoded, cfg, presorted=True)
+        for q in decoded:
+            assert square_of(q, store, cfg) == square_of(q, oracle, cfg)
 
 
 def test_round_trip_exactness():

@@ -3,7 +3,8 @@ codes.
 
 The bit streams are ``_bits_py``'s.  Both kernels' record functions (pure
 Python and the compiled extension, when built) are exercised through the
-same cases and must produce identical streams.
+same cases and must produce identical streams.  Single codes are read and
+written by the bit-serial oracles of ``pqc.reference``.
 """
 
 import importlib
@@ -18,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V2_SPLIT_DATA, compiled_kernel, random_points
+from conftest import (
+    V2_SPLIT_DATA,
+    V3_LOSSLESS_DATA,
+    V3_LOSSY_DATA,
+    compiled_kernel,
+    random_points,
+)
 from pqc import _bits_py, codec
 from pqc.errors import CorruptPayloadError, TruncatedStreamError
 from pqc.geom import HeightedPoint, round_set
@@ -27,9 +34,16 @@ from pqc.reference import (
     bits_to_string,
     bitwise_decode_records,
     bitwise_encode_records,
+    read_bits,
+    read_exp_golomb,
+    read_gamma,
+    read_signed_gamma,
+    write_gamma,
+    write_signed_gamma,
     xor_code_strings,
 )
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
+from test_store import GOLDEN_V1_HEX, GOLDEN_V1_POINTS, V2_SPLIT_POINTS, _points_digest
 
 
 def _kernels():
@@ -76,7 +90,7 @@ def _gamma_record(kern, writer, value):
 
 class TestGamma:
     """Gamma codes, as each kernel's lossless ``encode_records`` writes
-    them and ``BitReader.read_gamma``, the reader of the bit-serial oracle,
+    them and ``reference.read_gamma``, the reader of the bit-serial oracle,
     and the kernel's ``decode_records`` read them back."""
 
     # Golden values straight off the worked 5-point example.
@@ -95,7 +109,7 @@ class TestGamma:
         assert s == bits
         assert n == len(bits)
         r = _bits_py.BitReader(*_written(bits))
-        assert r.read_gamma() == value
+        assert read_gamma(r) == value
         assert r.tell() == len(bits)
 
     def test_length_formula(self, kern):
@@ -112,7 +126,7 @@ class TestGamma:
         kern.encode_records(w, (0,), 0, pts, [0] * len(pts), 0, False)
         r = _bits_py.BitReader(w.getvalue(), w.bit_length)
         for v in range(1 << 16):
-            assert r.read_gamma() == v
+            assert read_gamma(r) == v
         assert r.tell() == w.bit_length
         r = _bits_py.BitReader(w.getvalue(), w.bit_length)
         got = kern.decode_records(r, (0,), 0, 1, 16, 0, False, w.bit_length)
@@ -133,33 +147,33 @@ class TestGamma:
 
 class TestSignedGamma:
     def test_zero_has_no_sign_bit(self, streams):
-        s, _ = bitstring(streams, lambda w: w.write_signed_gamma(0))
+        s, _ = bitstring(streams, lambda w: write_signed_gamma(w, 0))
         assert s == "1"
 
     def test_plus_minus_one(self, streams):
-        assert bitstring(streams, lambda w: w.write_signed_gamma(1))[0] == "010"
-        assert bitstring(streams, lambda w: w.write_signed_gamma(-1))[0] == "011"
+        assert bitstring(streams, lambda w: write_signed_gamma(w, 1))[0] == "010"
+        assert bitstring(streams, lambda w: write_signed_gamma(w, -1))[0] == "011"
 
     def test_length_formula(self, streams):
         for v in list(range(-300, 0)) + list(range(1, 300)):
             w = streams.BitWriter()
-            assert w.write_signed_gamma(v) == 2 * abs(v).bit_length() + 1
+            assert write_signed_gamma(w, v) == 2 * abs(v).bit_length() + 1
 
     def test_round_trip(self, streams):
         values = list(range(-(1 << 12), (1 << 12) + 1))
         w = streams.BitWriter()
         for v in values:
-            w.write_signed_gamma(v)
+            write_signed_gamma(w, v)
         r = streams.BitReader(w.getvalue(), w.bit_length)
         for v in values:
-            assert r.read_signed_gamma() == v
+            assert read_signed_gamma(r) == v
 
 
 class TestExpGolomb:
     """Exp-Golomb codes of order k: u = v + 2**k as bit_length(u) - 1 - k
-    zeros, then the bits of u.  Written by each version-2 kernel's
-    ``encode_records_v2`` and read back by ``BitReader.read_exp_golomb``,
-    the reader of the bit-serial oracle."""
+    zeros, then the bits of u.  Written by each kernel's lossy
+    ``encode_records`` and read back by ``reference.read_exp_golomb``, the
+    reader of the bit-serial oracle."""
 
     # (order, value, bits) at v = 0, 1, 2**k - 1, 2**k and 2**(k+1).
     GOLDEN = [
@@ -182,25 +196,25 @@ class TestExpGolomb:
         (3, 16, "011000"),
     ]
 
-    @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
+    @pytest.mark.parametrize("kern", KERNELS, ids=lambda m: m.BACKEND)
     @pytest.mark.parametrize("order,value,bits", GOLDEN)
-    def test_golden_encodings(self, v2, order, value, bits):
+    def test_golden_encodings(self, kern, order, value, bits):
         # A one-axis record at height 0: a zero height delta, "1", then
         # the code of the unshifted coordinate delta.
         s, n = bitstring(
             _bits_py,
-            lambda w: v2.encode_records_v2(w, (0,), 0, [(value,)], [0], order, True),
+            lambda w: kern.encode_records(w, (0,), 0, [(value,)], [0], order, True),
         )
         assert s == "1" + bits
         assert n == 1 + len(bits)
         r = _bits_py.BitReader(*_written(bits))
-        assert r.read_exp_golomb(order) == value
+        assert read_exp_golomb(r, order) == value
         assert r.tell() == len(bits)
 
-    @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
+    @pytest.mark.parametrize("kern", KERNELS, ids=lambda m: m.BACKEND)
     @given(st.integers(1, 32), st.data())
     @settings(deadline=None, max_examples=200)
-    def test_round_trip_and_worst_case_length(self, v2, w, data):
+    def test_round_trip_and_worst_case_length(self, kern, w, data):
         order = data.draw(st.integers(0, w), label="order")
         values = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=40))
         values.append((1 << w) - 1)
@@ -209,15 +223,15 @@ class TestExpGolomb:
         for v in values:
             # One one-axis record at height 0: "1", then the code of v.
             cur = prev ^ v
-            n = v2.encode_records_v2(writer, (prev,), 0, [(cur,)], [0], order, True)
+            n = kern.encode_records(writer, (prev,), 0, [(cur,)], [0], order, True)
             assert n - 1 <= 2 * w + 1 - order
             assert n - 1 == 2 * (v + (1 << order)).bit_length() - 1 - order
             prev = cur
         reader = _bits_py.BitReader(writer.getvalue(), writer.bit_length)
         got = []
         for _ in values:
-            assert reader.read_signed_gamma() == 0
-            got.append(reader.read_exp_golomb(order))
+            assert read_signed_gamma(reader) == 0
+            got.append(read_exp_golomb(reader, order))
         assert got == values
         assert reader.tell() == writer.bit_length
 
@@ -225,7 +239,7 @@ class TestExpGolomb:
         data, _ = _written("0110")
         r = _bits_py.BitReader(data, 3)  # cut inside the code word
         with pytest.raises(TruncatedStreamError):
-            r.read_exp_golomb(1)
+            read_exp_golomb(r, 1)
 
 
 def _written(bits):
@@ -279,9 +293,9 @@ class TestPrefixFreeness:
     def test_concatenated_stream_decodes_exactly(self, values):
         w = _bits_py.BitWriter()
         for v in values:
-            w.write_gamma(v)
+            write_gamma(w, v)
         r = _bits_py.BitReader(w.getvalue(), w.bit_length)
-        assert [r.read_gamma() for _ in values] == values
+        assert [read_gamma(r) for _ in values] == values
         assert r.tell() == w.bit_length
 
     @given(st.lists(st.integers(-(2**16), 2**16), max_size=60))
@@ -289,9 +303,9 @@ class TestPrefixFreeness:
     def test_signed_stream_decodes_exactly(self, values):
         w = _bits_py.BitWriter()
         for v in values:
-            w.write_signed_gamma(v)
+            write_signed_gamma(w, v)
         r = _bits_py.BitReader(w.getvalue(), w.bit_length)
-        assert [r.read_signed_gamma() for _ in values] == values
+        assert [read_signed_gamma(r) for _ in values] == values
 
 
 class TestWriterReaderPrimitives:
@@ -301,8 +315,8 @@ class TestWriterReaderPrimitives:
         w.write_bits(0b0110, 4)
         assert bits_to_string(w.getvalue(), 7) == "1010110"
         r = streams.BitReader(w.getvalue(), 7)
-        assert r.read_bits(3) == 0b101
-        assert r.read_bits(4) == 0b0110
+        assert read_bits(r, 3) == 0b101
+        assert read_bits(r, 4) == 0b0110
 
     def test_write_bits_rejects_oversized_value(self, streams):
         # Also negative values and widths; each leaves the writer as it was.
@@ -345,7 +359,7 @@ class TestWriterReaderPrimitives:
         for v, n in chunks:
             w.write_bits(v, n)
         r = _bits_py.BitReader(w.getvalue(), w.bit_length)
-        assert [(r.read_bits(n), n) for _, n in chunks] == chunks
+        assert [(read_bits(r, n), n) for _, n in chunks] == chunks
 
 
 @st.composite
@@ -371,17 +385,17 @@ def record_streams(draw):
     return d, w, gamma, lossy, pts[0], hs[0], pts[1:], hs[1:]
 
 
-# (encode, decode) of the pure-Python kernel's records, by format version.
-PY_RECORDS = {
-    1: (_bits_py.encode_records, _bits_py.decode_records),
-    2: (_bits_py.encode_records_v2, _bits_py.decode_records_v2),
-}
+# (encode, decode) of every kernel: the records of format versions 2 and 3.
+RECORD_CODES = [(k.encode_records, k.decode_records) for k in KERNELS]
+
+# The pure-Python decoder of the lossy records of each format version:
+# version 1's gamma records, which only the load of a version-1 file reads
+# and no kernel writes, and the Exp-Golomb records of versions 2 and 3.
+LOSSY_DECODERS = {1: _bits_py.decode_gamma_records, 2: _bits_py.decode_records}
 
 
-# (version, encode, decode) of every record code on every kernel.
-RECORD_CODES = [(1, k.encode_records, k.decode_records) for k in KERNELS] + [
-    (2, k.encode_records_v2, k.decode_records_v2) for k in KERNELS
-]
+def _oracle_encoder(version):
+    return lambda writer, *args: bitwise_encode_records(writer, *args, version=version)
 
 
 def _oracle(version):
@@ -421,15 +435,9 @@ def encode_cases(draw):
     return d, w, gamma, lossy, pts[0], hs[0], pts[1:], hs[1:]
 
 
-# (version, encoder) of every record code on every kernel.
-ENCODERS = [(1, k.encode_records) for k in KERNELS] + [
-    (2, k.encode_records_v2) for k in KERNELS
-]
-
-
 class TestRecordEncodeOracle:
-    """Each kernel's ``encode_records`` and ``encode_records_v2`` against
-    the bit-serial oracle ``reference.bitwise_encode_records``."""
+    """Each kernel's ``encode_records`` against the bit-serial oracle
+    ``reference.bitwise_encode_records``."""
 
     @given(encode_cases(), st.integers(0, 3), st.integers(0, 7), st.randoms())
     @settings(deadline=None, max_examples=300)
@@ -439,18 +447,18 @@ class TestRecordEncodeOracle:
         start = 8 * nbytes + extra
         prefix = rnd.getrandbits(start) if start else 0
         args = (head, head_h, coords, heights, gamma, lossy)
-        for version, encode in ENCODERS:
+        for encode, _ in RECORD_CODES:
             outcomes = []
-            for enc in (encode, lambda *a: bitwise_encode_records(*a, version=version)):
+            for enc in (encode, bitwise_encode_records):
                 writer = _bits_py.BitWriter()
                 writer.write_bits(prefix, start)
                 bits = enc(writer, *args)
                 outcomes.append((writer.getvalue(), writer.bit_length, bits))
-            assert outcomes[0] == outcomes[1], (version, encode)
+            assert outcomes[0] == outcomes[1], encode
             assert outcomes[0][1] == start + outcomes[0][2]
 
-    @pytest.mark.parametrize("version, lossy", [(1, False), (1, True), (2, True)])
-    def test_appends_are_bounded_in_records(self, version, lossy):
+    @pytest.mark.parametrize("lossy", [False, True], ids=[LOSSLESS, LOSSY])
+    def test_appends_are_bounded_in_records(self, lossy):
         """A long call hands the writer one int per few dozen records, not
         one per code and not one for the whole call (which would make the
         call quadratic in its records).  Every record here is the same
@@ -470,9 +478,8 @@ class TestRecordEncodeOracle:
         n, gamma = 5000, 3
         coords = [((5, 9), (0, 0))[i % 2] for i in range(n)]
         heights = [4] * n
-        encode = PY_RECORDS[version][0]
         writer = CountingWriter()
-        bits = encode(writer, (0, 0), 4, coords, heights, gamma, lossy)
+        bits = _bits_py.encode_records(writer, (0, 0), 4, coords, heights, gamma, lossy)
         record = bits // n
         assert bits == record * n
         assert all(width % record == 0 for width in writer.widths)
@@ -481,73 +488,84 @@ class TestRecordEncodeOracle:
         assert max(per_append) <= 64
         assert len(per_append) <= n // 16 + 1
         oracle = _bits_py.BitWriter()
-        bitwise_encode_records(
-            oracle, (0, 0), 4, coords, heights, gamma, lossy, version=version
-        )
+        bitwise_encode_records(oracle, (0, 0), 4, coords, heights, gamma, lossy)
         assert writer.getvalue() == oracle.getvalue()
 
 
+def _check_against_oracle(stream, data, encode, decode, version):
+    """Write ``stream`` with ``encode`` after a prefix, damage it as
+    ``data`` draws, and check that ``decode`` returns, raises and leaves
+    the cursor as the bit-serial oracle of format ``version`` does."""
+    d, w, gamma, lossy, head, head_h, coords, heights = stream
+    writer = _bits_py.BitWriter()
+    start = data.draw(st.integers(0, 19), label="start")
+    if start:
+        writer.write_bits(data.draw(st.integers(0, (1 << start) - 1)), start)
+    encode(writer, head, head_h, coords, heights, gamma, lossy)
+    buf, nbits = bytearray(writer.getvalue()), writer.bit_length
+    damage = data.draw(
+        st.sampled_from(["none", "truncate", "mutate", "zero run", "overlong"]),
+        label="damage",
+    )
+    if damage == "truncate":
+        nbits = data.draw(st.integers(start, nbits))
+    elif damage == "mutate" and buf:
+        for _ in range(data.draw(st.integers(1, 3))):
+            buf[data.draw(st.integers(0, len(buf) - 1))] = data.draw(
+                st.integers(0, 255)
+            )
+    elif damage == "zero run" and buf:
+        # 8 to 16 zero bytes: a zero run longer than a 64-bit word and
+        # than any code of a valid record.
+        lo = data.draw(st.integers(0, len(buf) - 1))
+        hi = min(len(buf), lo + data.draw(st.integers(8, 16)))
+        buf[lo:hi] = bytes(hi - lo)
+    elif damage == "overlong":
+        buf += data.draw(st.binary(min_size=1, max_size=6))
+        nbits = data.draw(st.integers(nbits, 8 * len(buf)))
+    end_bit = data.draw(
+        st.one_of(st.just(nbits), st.integers(start, nbits)), label="end_bit"
+    )
+    count = data.draw(st.one_of(st.none(), st.integers(0, 26)), label="count")
+    args = (head, head_h, d, w, gamma, lossy)
+    fast = _decode_outcome(decode, bytes(buf), nbits, start, args, end_bit, count)
+    slow = _decode_outcome(
+        _oracle(version), bytes(buf), nbits, start, args, end_bit, count
+    )
+    assert fast == slow
+    if damage == "none" and end_bit == nbits and (count or 0) >= len(coords):
+        assert fast == ((list(coords), list(heights)), nbits)
+
+
 class TestRecordDecodeOracle:
-    """Each kernel's ``decode_records`` and ``decode_records_v2`` against
-    the bit-serial oracle."""
+    """Each kernel's ``decode_records``, and the pure-Python decoder of
+    version-1 lossy records, against the bit-serial oracle."""
 
     @given(record_streams(), st.data())
     @settings(deadline=None, max_examples=400)
     def test_matches_bitwise_decoder(self, stream, data):
-        d, w, gamma, lossy, head, head_h, coords, heights = stream
-        version, encode, decode = data.draw(st.sampled_from(RECORD_CODES), label="code")
-        writer = _bits_py.BitWriter()
-        start = data.draw(st.integers(0, 19), label="start")
-        if start:
-            writer.write_bits(data.draw(st.integers(0, (1 << start) - 1)), start)
-        encode(writer, head, head_h, coords, heights, gamma, lossy)
-        buf, nbits = bytearray(writer.getvalue()), writer.bit_length
-        damage = data.draw(
-            st.sampled_from(["none", "truncate", "mutate", "zero run", "overlong"]),
-            label="damage",
-        )
-        if damage == "truncate":
-            nbits = data.draw(st.integers(start, nbits))
-        elif damage == "mutate" and buf:
-            for _ in range(data.draw(st.integers(1, 3))):
-                buf[data.draw(st.integers(0, len(buf) - 1))] = data.draw(
-                    st.integers(0, 255)
-                )
-        elif damage == "zero run" and buf:
-            # 8 to 16 zero bytes: a zero run longer than a 64-bit word and
-            # than any code of a valid record.
-            lo = data.draw(st.integers(0, len(buf) - 1))
-            hi = min(len(buf), lo + data.draw(st.integers(8, 16)))
-            buf[lo:hi] = bytes(hi - lo)
-        elif damage == "overlong":
-            buf += data.draw(st.binary(min_size=1, max_size=6))
-            nbits = data.draw(st.integers(nbits, 8 * len(buf)))
-        end_bit = data.draw(
-            st.one_of(st.just(nbits), st.integers(start, nbits)), label="end_bit"
-        )
-        count = data.draw(st.one_of(st.none(), st.integers(0, 26)), label="count")
-        args = (head, head_h, d, w, gamma, lossy)
-        fast = _decode_outcome(decode, bytes(buf), nbits, start, args, end_bit, count)
-        slow = _decode_outcome(
-            _oracle(version), bytes(buf), nbits, start, args, end_bit, count
-        )
-        assert fast == slow
-        if damage == "none" and end_bit == nbits and (count or 0) >= len(coords):
-            assert fast == ((list(coords), list(heights)), nbits)
+        encode, decode = data.draw(st.sampled_from(RECORD_CODES), label="code")
+        _check_against_oracle(stream, data, encode, decode, 3)
 
-    @pytest.mark.parametrize("v2", KERNELS, ids=lambda m: m.BACKEND)
+    @given(record_streams(), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_version_1_matches_bitwise_decoder(self, stream, data):
+        decode = _bits_py.decode_gamma_records
+        _check_against_oracle(stream, data, _oracle_encoder(1), decode, 1)
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=lambda m: m.BACKEND)
     @pytest.mark.parametrize("tail", ["height", "overflow", "truncated", "cut sign"])
-    def test_malformed_version_2_records(self, v2, tail):
+    def test_malformed_version_2_records(self, kern, tail):
         """A record after a valid one that is malformed in each way the
         decoder checks fails as in the oracle; the compiled kernel hands it
         back to ``_bits_py``."""
         cfg = Config(d=2, w=16, gamma=5)
         head, rest = (40000, 12000), [(40064, 12032)]
         writer = _bits_py.BitWriter()
-        v2.encode_records_v2(writer, head, 6, rest, [6], cfg.gamma, True)
+        kern.encode_records(writer, head, 6, rest, [6], cfg.gamma, True)
         cut = 0
         if tail == "height":
-            writer.write_signed_gamma(20)  # height 26 > w
+            write_signed_gamma(writer, 20)  # height 26 > w
             writer.write_bits(1 << 5, 6)  # two zero deltas
             writer.write_bits(1 << 5, 6)
         elif tail == "overflow":
@@ -562,14 +580,14 @@ class TestRecordDecodeOracle:
             writer.write_bits(1, 1)
             writer.write_bits(0, 3)
         else:
-            writer.write_signed_gamma(-3)
+            write_signed_gamma(writer, -3)
             writer.write_bits(1, 1)
             writer.write_bits(1 << 5, 6)
             cut = 1 + 6 + 1  # the stream ends before the height's sign bit
         data, nbits = writer.getvalue(), writer.bit_length - cut
         args = (head, 6, cfg.d, cfg.w, cfg.gamma, True)
-        got = _decode_outcome(v2.decode_records_v2, data, nbits, 0, args, nbits)
-        assert got == _decode_outcome(_oracle(2), data, nbits, 0, args, nbits)
+        got = _decode_outcome(kern.decode_records, data, nbits, 0, args, nbits)
+        assert got == _decode_outcome(bitwise_decode_records, data, nbits, 0, args, nbits)
         assert got[0][0] is (
             CorruptPayloadError if tail in ("height", "overflow") else TruncatedStreamError
         )
@@ -589,17 +607,17 @@ class TestRecordDecodeOracle:
                 assert outcomes[0] == outcomes[1], (cut, end_bit)
 
 
-    @pytest.mark.parametrize("version", sorted(PY_RECORDS))
+    @pytest.mark.parametrize("version", sorted(LOSSY_DECODERS))
     @pytest.mark.parametrize("tail", ["truncated", "overflow"])
     def test_errors_past_the_cut(self, version, tail, monkeypatch):
         """A read converts the bits up to one longest record past its
         end_bit; a record that runs past that cut is decoded again over the
         whole stream, for the oracle's exact error."""
         cfg = Config(d=2, w=16, gamma=5)
-        encode, decode = PY_RECORDS[version]
+        decode = LOSSY_DECODERS[version]
         head, rest = (40000, 12000), [(40064, 12032), (40000, 12096)]
         writer = _bits_py.BitWriter()
-        encode(writer, head, 6, rest, [6, 7], cfg.gamma, True)
+        _oracle_encoder(version)(writer, head, 6, rest, [6, 7], cfg.gamma, True)
         end_bit = writer.bit_length + 1
         writer.write_bits(1, 1)  # a zero height delta, then
         writer.write_bits(0, 300)  # a zero run past the cut
@@ -633,7 +651,7 @@ class TestChunkedDecode:
     @settings(deadline=None, max_examples=200)
     def test_chunks_concatenate_to_one_call(self, stream, data):
         d, w, gamma, lossy, head, head_h, coords, heights = stream
-        for _, encode, decode in RECORD_CODES:
+        for encode, decode in RECORD_CODES:
             # One record at a time, to know where each record ends.
             writer = _bits_py.BitWriter()
             bounds = [0]
@@ -666,14 +684,15 @@ class TestChunkedDecode:
             assert reader.tell() == nbits
 
 
-    @pytest.mark.parametrize("version", sorted(PY_RECORDS))
+    @pytest.mark.parametrize("version", sorted(LOSSY_DECODERS))
     def test_a_mid_block_read_converts_only_its_cut(self, version, monkeypatch):
         """A read that stops early turns only the bits up to one longest
         record past its end_bit into a string, not the rest of the block."""
         cfg = Config(d=2, w=16, gamma=5)
-        encode, decode = PY_RECORDS[version]
+        decode = LOSSY_DECODERS[version]
         pts = [((i * 40503) & 0xFFC0, (i * 9973) & 0xFFC0) for i in range(64)]
         writer = _bits_py.BitWriter()
+        encode = _oracle_encoder(version)
         encode(writer, pts[0], 11, pts[1:], [11] * 63, cfg.gamma, True)
         data, nbits = writer.getvalue(), writer.bit_length
         tops = []
@@ -692,16 +711,17 @@ class TestChunkedDecode:
         assert tops[0] < nbits // 4 and tops[1] == nbits
 
 
-    @pytest.mark.parametrize("version", sorted(PY_RECORDS))
+    @pytest.mark.parametrize("version", sorted(LOSSY_DECODERS))
     def test_a_longest_record_fits_the_cut(self, version, monkeypatch):
         """The cut holds a record of the greatest length a valid stream
         can have, so a valid stream never needs the whole-stream pass."""
         cfg = Config(d=2, w=16, gamma=5)
-        encode, decode = PY_RECORDS[version]
+        decode = LOSSY_DECODERS[version]
         # From height 16 down to 0 is the longest height delta, and at
         # height 0 nothing is shifted away from a delta of w one bits.
         pts = [(0xFFFF, 0xFFFF), (0, 0)] * 4
         writer = _bits_py.BitWriter()
+        encode = _oracle_encoder(version)
         encode(writer, (0, 0), 16, pts, [0, 16] * 4, cfg.gamma, True)
         data, nbits = writer.getvalue(), writer.bit_length
         tops = []
@@ -733,8 +753,8 @@ def _round_trip(encode, decode, stream):
 
 
 class TestBackendParity:
-    """The compiled kernel's gamma records against ``_bits_py``'s, lossy
-    and lossless."""
+    """The compiled kernel's records against ``_bits_py``'s, lossy and
+    lossless."""
 
     @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     @given(record_streams())
@@ -749,9 +769,8 @@ class TestBackendParity:
 
 class TestVersion2UnderEveryKernel:
     """Every kernel reads a version-2 file, written by older code, and
-    writes its points as the same version-3 file; the records of versions
-    2 and 3 are the kernels' ``*_v2`` functions, all over ``_bits_py``
-    streams."""
+    writes its points as the same version-3 file; versions 2 and 3 share
+    their records, which every kernel codes over ``_bits_py`` streams."""
 
     @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     def test_every_kernel_round_trips_a_version_2_store(self, monkeypatch):
@@ -778,16 +797,51 @@ class TestVersion2UnderEveryKernel:
                 files.setdefault(mode, set()).add((data, back.to_bytes()))
         assert all(len(seen) == 1 for seen in files.values())
 
+
+# Every committed file of an older writer or format version: (bytes,
+# whether a load saves them back as they are, _points_digest of the
+# store as the code that wrote them decoded it).
+COMMITTED_FILES = {
+    "version 1": (bytes.fromhex(GOLDEN_V1_HEX), False, GOLDEN_V1_POINTS),
+    "version 2": (V2_SPLIT_DATA, False, V2_SPLIT_POINTS),
+    "version 3 lossy": (
+        V3_LOSSY_DATA,
+        True,
+        "b63ab2dfc3070abc62b2f84ad5f5f835b9439465f27d11a356a865c52fa941fe",
+    ),
+    "version 3 lossless": (
+        V3_LOSSLESS_DATA,
+        True,
+        "57ba1bc3e011c3cfedcae21dd334991c521e5b10db25b4790b6625c91ff3e570",
+    ),
+}
+
+
+class TestCommittedFilesUnderEveryKernel:
+    """Every kernel loads each committed file to the points its writer
+    decoded and saves them as ``build``'s version-3 bytes, which are the
+    file's own for a version-3 file."""
+
+    @pytest.mark.parametrize("name", list(COMMITTED_FILES))
+    def test_loads_pinned_points_and_saves_builds_bytes(self, kern, name, monkeypatch):
+        data, saves_as_loaded, digest = COMMITTED_FILES[name]
+        monkeypatch.setattr(codec, "_impl", kern)
+        st = CompressedStore.from_bytes(data)
+        assert _points_digest(st) == digest
+        saved = st.to_bytes()
+        assert saved == CompressedStore.build(st.decode_all(), st.cfg, st.mode).to_bytes()
+        assert (saved == data) == saves_as_loaded
+
+
+class TestCompiledKernelExports:
     @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
-    @given(record_streams())
-    @settings(deadline=None, max_examples=200)
-    def test_version_2_record_parity(self, stream):
-        outcomes = [
-            _round_trip(k.encode_records_v2, k.decode_records_v2, stream)
-            for k in KERNELS
-        ]
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][3] == (list(stream[6]), list(stream[7]))
+    def test_only_the_names_codec_takes(self):
+        """``_bits_ext`` exports the record functions of the records that
+        saves write, and its backend name: the names ``codec`` takes from
+        either kernel."""
+        names = {n for n in dir(KERNELS[1]) if not n.startswith("__")}
+        assert names == {"encode_records", "decode_records", "BACKEND"}
+        assert all(hasattr(_bits_py, n) for n in names)
 
 
 def _stream_blocks(store):
@@ -800,8 +854,8 @@ def _stream_blocks(store):
     reader.seek(8 * 21)
     out = []
     for blk in store._blocks:
-        head = tuple(reader.read_bits(cfg.w) for _ in range(cfg.d))
-        height = reader.read_bits(height_bits)
+        head = tuple(read_bits(reader, cfg.w) for _ in range(cfg.d))
+        height = read_bits(reader, height_bits)
         out.append((reader.tell(), head, height, blk.count - 1))
         reader.seek(reader.tell() + blk.bit_len)
     return data, out
@@ -827,10 +881,11 @@ class TestCountBoundedDecode:
 
     def _outcomes(self, data, nbits, start, args, end_bit, count):
         got = [
-            _decode_outcome(k.decode_records_v2, data, nbits, start, args, end_bit, count)
+            _decode_outcome(k.decode_records, data, nbits, start, args, end_bit, count)
             for k in KERNELS
         ]
-        got.append(_decode_outcome(_oracle(2), data, nbits, start, args, end_bit, count))
+        oracle = bitwise_decode_records
+        got.append(_decode_outcome(oracle, data, nbits, start, args, end_bit, count))
         assert all(g == got[0] for g in got)
         return got[0]
 

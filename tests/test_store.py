@@ -240,8 +240,7 @@ class TestSearch:
         rounded = round_set(pts, cfg)
         st = CompressedStore.build(rounded, cfg, LOSSY)
         for rank in (0, 1, len(rounded) // 2, len(rounded) - 1):
-            assert st.heighted_at(rank) == rounded[rank]
-            assert st.height_at(rank) == rounded[rank].height
+            assert HeightedPoint(st.point_at(rank), st.height_at(rank)) == rounded[rank]
 
     def test_qtree_queries_match_array_source(self):
         from pqc.qtree import ArrayPointSource, is_crowded
@@ -393,7 +392,7 @@ class TestPack:
             return (
                 st.count(),
                 [st.key_at(r) for r in range(st.count())],
-                [st.heighted_at(r) for r in range(st.count())],
+                [(st.point_at(r), st.height_at(r)) for r in range(st.count())],
                 [square_of(p, st, cfg) for p in probes],
                 [vertices(TrieSquare(c, h), st) for c, h in squares],
                 restricted_voronoi(rounded[50].coords, st, cfg).polygon,
@@ -539,12 +538,13 @@ class TestPersistence:
         first = st._offsets[b]
         # Block b's first three points alone: the payload ends at a record
         # boundary, well before the block's count.
-        kept = [st.heighted_at(r) for r in range(first, first + 3)]
+        ranks = range(first, first + 3)
+        kept = [HeightedPoint(st.point_at(r), st.height_at(r)) for r in ranks]
         short = CompressedStore.build(kept, st.cfg, LOSSY)._blocks[0]
         blk = st._blocks[b]
         blk.payload, blk.bit_len = short.payload, short.bit_len
         st._cache.clear()
-        assert st.heighted_at(first + 2) == kept[2]
+        assert (st.point_at(first + 2), st.height_at(first + 2)) == kept[2]
         with pytest.raises(CorruptPayloadError) as exc:
             st.point_at(late)
         assert exc.value.block_index == b
@@ -782,7 +782,8 @@ class TestPrefixReads:
             elif kind == "height":
                 assert st.height_at(r) == oracle.height_at(r)
             elif kind == "heighted":
-                assert st.heighted_at(r) == (oracle.point_at(r), oracle.height_at(r))
+                got = st.point_at(r), st.height_at(r)
+                assert got == (oracle.point_at(r), oracle.height_at(r))
             elif kind == "range":
                 hi = min(r + data.draw(strategies.integers(1, 3 * cfg.w)), st.count())
                 assert list(st.iter_range(r, hi)) == list(oracle.iter_range(r, hi))
@@ -850,7 +851,8 @@ class TestBlockCache:
                 elif kind == "point":
                     assert st.point_at(r) == oracle.point_at(r)
                 elif kind == "heighted":
-                    assert st.heighted_at(r) == (oracle.point_at(r), oracle.height_at(r))
+                    got = st.point_at(r), st.height_at(r)
+                    assert got == (oracle.point_at(r), oracle.height_at(r))
                 else:
                     hi = min(last + 2, st.count())
                     assert list(st.iter_range(r, hi)) == list(oracle.iter_range(r, hi))

@@ -137,7 +137,7 @@ BUDGET = {
     ),
     "multiscan": (
         "25fc910a1721be37d8045b54cde22182e617e20e72fd27840a81ae74939a4159",
-        3287, 53268, 3699, 52963,
+        3287, 53268, 3699, 52953,
     ),
     "inserts": (
         "3bc2693ddcbc7413e30f983f963db5d5fe09b3355d580a16eb2d4377821791dc",
@@ -145,7 +145,7 @@ BUDGET = {
     ),
     "refine": (
         "5a1fe0a3c35e93092ee0d377266f1a0adbf467e5ac4363311e5d64b1645ef2ec",
-        32, 437, 279, 1529,
+        32, 437, 279, 1521,
     ),
 }
 
