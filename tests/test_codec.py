@@ -797,6 +797,32 @@ class TestVersion2UnderEveryKernel:
                 files.setdefault(mode, set()).add((data, back.to_bytes()))
         assert all(len(seen) == 1 for seen in files.values())
 
+    @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
+    def test_version_2_record_parity(self):
+        store = CompressedStore.from_bytes(V2_SPLIT_DATA)
+        cfg, lossy = store.cfg, store.mode == LOSSY
+        points = store.decode_all()
+        rank = 0
+        for blk in store._blocks:
+            head, height = blk.head.coords, blk.head.height
+            outcomes = []
+            for kern in KERNELS:
+                reader = _bits_py.BitReader(blk.payload, blk.bit_len)
+                args = (head, height, cfg.d, cfg.w, cfg.gamma, lossy, blk.bit_len)
+                coords, heights = kern.decode_records(reader, *args)
+                writer = _bits_py.BitWriter()
+                kern.encode_records(writer, head, height, coords, heights, cfg.gamma, lossy)
+                outcomes.append(
+                    (coords, heights, reader.tell(), writer.getvalue(), writer.bit_length)
+                )
+            assert all(o == outcomes[0] for o in outcomes)
+            coords, heights, end, payload, nbits = outcomes[0]
+            assert (end, payload, nbits) == (blk.bit_len, blk.payload, blk.bit_len)
+            block = points[rank : rank + blk.count]
+            assert [blk.head] + list(map(HeightedPoint, coords, heights)) == block
+            rank += blk.count
+        assert rank == len(points)
+
 
 # Every committed file of an older writer or format version: (bytes,
 # whether a load saves them back as they are, _points_digest of the
