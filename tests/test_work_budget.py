@@ -6,7 +6,9 @@ bytes it saves, plus the calls of ``codec.encode_records`` and
 ``codec.decode_records`` and the records they encoded and decoded.  Every
 read and write of records goes through those two functions, so the counts
 are the pipeline's whole kernel work, and they are the same on every
-machine.  A change that moves a constant here changes the bytes or the
+machine.  A load stage loads the file that one build stage saved and
+saves the loaded store again, and counts that load and save alone.  A
+change that moves a constant here changes the bytes or the
 work of the pipeline; it says so where it is described, and updates the
 constant it moved.
 """
@@ -147,7 +149,27 @@ BUDGET = {
         "5a1fe0a3c35e93092ee0d377266f1a0adbf467e5ac4363311e5d64b1645ef2ec",
         32, 437, 279, 1521,
     ),
+    "load-lossy-d2": (
+        "6219581a3952c0d7c4be8d60dafcb9784f01496a6b81978eada36d2091b99653",
+        0, 0, 12, 349,
+    ),
+    "load-lossless-d2": (
+        "a45a4fc3fd1320f02faa0638bc20997c6cde010e5d3267e1a6f82de27b760105",
+        0, 0, 12, 349,
+    ),
+    "load-lossy-d3": (
+        "205081b0ebcc356129072702e97a1db51086190474ea7bc0bb14aabccdbf3cb1",
+        0, 0, 20, 380,
+    ),
+    "load-lossless-d3": (
+        "d41e9953eae954b391076b874598c1cf547abb568b76f239aef56fe8a04668e1",
+        0, 0, 20, 380,
+    ),
 }
+
+
+# Each load stage and the build stage whose file it loads.
+LOADS = {"load-" + name[len("build-"):]: name for name in STAGES if name.startswith("build-")}
 
 
 @pytest.mark.parametrize("stage", list(STAGES))
@@ -155,3 +177,12 @@ def test_work_budget(monkeypatch, stage):
     tally = Tally(monkeypatch)
     data = STAGES[stage]()
     assert tally.budget(data) == BUDGET[stage]
+
+
+@pytest.mark.parametrize("stage", list(LOADS))
+def test_load_budget(monkeypatch, stage):
+    data = STAGES[LOADS[stage]]()
+    tally = Tally(monkeypatch)
+    saved = CompressedStore.from_bytes(data).to_bytes()
+    assert saved == data
+    assert tally.budget(saved) == BUDGET[stage]
