@@ -9,10 +9,11 @@ of the generated net (leaf-height sweep and rounding), the sweep alone
 ``CompressedStore.successor_rank`` calls, ``codec.encode_records`` calls
 and records encoded, and its file's size, ``bpv_file`` and framing bits:
 ``file_bits`` less ``payload_bits``, the header and the final padding),
-the loads of that net's store from its version-3 file and from a
-version-1 file written by the bit-serial oracle (whose gamma-coded lossy
-records only the pure-Python kernel reads, whichever kernel is selected),
-lossy block record encoding and decoding (the Exp-Golomb records of
+the loads of that net's store from its version-3 file and from
+version-1 and version-2 files written by the bit-serial oracle (a load of
+either re-encodes every block in the records of version 3; version 1's
+gamma-coded lossy records only the pure-Python kernel reads, whichever
+kernel is selected), lossy block record encoding and decoding (the Exp-Golomb records of
 versions 2 and 3) on the pure-Python kernel and on the compiled kernel
 ``_bits_ext`` when it is built, one ``encode_records`` call over all the
 records on each kernel (a call whose time grows faster than its records
@@ -22,8 +23,9 @@ encoder must write the pure-Python kernel's bytes from a writer that
 starts mid-byte, each kernel must decode its own streams back to exactly
 the encoded points and heights, the Morton keys must match the
 bit-by-bit definition, the multiscan must save the bytes of
-``round_set`` + ``build``, whose sizes it prints, and the version-1 file
-must load to the same points; a failed check stops the script.
+``round_set`` + ``build``, whose sizes it prints, and the version-1 and
+version-2 files must load to the same points; a failed check stops the
+script.
 It also counts the records a cold-cache ``successor_rank`` decodes on the
 store of that fixed net, for one key in each block: a first pass on a
 fresh store, which has no resume points, and a second pass over the same
@@ -120,13 +122,15 @@ def check_kernels_agree(mods, args):
         raise SystemExit("encode_records: the kernels write different streams")
 
 
-def version_1_file(store):
-    """``store``'s points as a lossy file of format version 1: per block
-    d x u32 head coordinates, a u8 head height, a u32 record bit length
-    and the byte-padded gamma-coded records of the bit-serial oracle."""
+def older_file(store, version):
+    """``store``'s points as a lossy file of format ``version``, 1 or 2:
+    per block d x u32 head coordinates, a u8 head height, a u32 record bit
+    length and the byte-padded records of the bit-serial oracle, whose
+    lossy deltas are gamma codes in version 1 and Exp-Golomb codes in
+    version 2."""
     cfg = store.cfg
     out = bytearray(store.to_bytes()[:21])
-    out[4] = 1
+    out[4] = version
     points = iter(store.decode_all())
     for blk in store._blocks:
         head, *rest = [next(points) for _ in range(blk.count)]
@@ -134,7 +138,7 @@ def version_1_file(store):
         coords = [hp.coords for hp in rest]
         heights = [hp.height for hp in rest]
         bitwise_encode_records(
-            w, head.coords, head.height, coords, heights, cfg.gamma, True, version=1
+            w, head.coords, head.height, coords, heights, cfg.gamma, True, version=version
         )
         out += struct.pack(f"<{cfg.d}LBL", *head.coords, head.height, w.bit_length)
         out += w.getvalue()
@@ -324,12 +328,14 @@ def main():
         raise SystemExit("read_multiscan does not save round_set + build's bytes")
     multiscan_s = bench(multiscan, args.repeat)
     first, second = records_per_search(built)
-    v1_bytes = version_1_file(built)
-    if CompressedStore.from_bytes(v1_bytes).to_bytes() != built_bytes:
-        raise SystemExit("the version-1 file does not load to build's points")
+    files = {version: older_file(built, version) for version in (1, 2)}
+    for version, data in files.items():
+        if CompressedStore.from_bytes(data).to_bytes() != built_bytes:
+            raise SystemExit(f"the version-{version} file does not load to build's points")
+    files[3] = built_bytes
     loads = {
         version: bench(lambda: CompressedStore.from_bytes(data), args.repeat)
-        for version, data in ((1, v1_bytes), (3, built_bytes))
+        for version, data in files.items()
     }
 
     print(f"\n{n} points, best of {args.repeat} runs (CPU seconds; Mpts/s in parens)")

@@ -2,15 +2,17 @@
 compiled kernel ``_bits_ext``.
 
 ``BitWriter`` and ``BitReader`` are the only bit-stream classes in the
-package.  ``encode_records`` and ``decode_records`` code the records that
-every save writes, those of format versions 2 and 3: Exp-Golomb deltas
-for lossy stores and gamma deltas for lossless ones.  They have compiled
-twins of the same names in ``_bits_ext``, which work on this module's
-streams, must produce bit-identical streams and hand every malformed
-stream back to this module for its exact error.  ``decode_gamma_records``
-reads gamma records; with ``lossy`` it reads the lossy records of format
-version 1, which only the load of a version-1 file needs, and it has no
-compiled twin.  The decoders stop at the first record boundary at or
+package.  ``encode_records`` and ``decode_records`` code the records
+that every save writes, those of format versions 2 and 3: Exp-Golomb
+deltas for lossy stores and gamma deltas for lossless ones.  They have
+compiled twins of the same names in ``_bits_ext``, which work on this
+module's streams, must produce bit-identical streams and hand every
+malformed stream back to this module for its exact error.
+``decode_gamma_records`` reads gamma records; with ``lossy`` it reads
+the lossy records of format version 1, which the load of a version-1
+file calls it for directly, and it has no compiled twin.  No function
+here takes a format version: each caller picks the function of the
+records it reads.  The decoders stop at the first record boundary at or
 after ``end_bit``, or after ``count`` records when a count is given: a
 version-3 file stores no block lengths, so its loader finds each block's
 end by decoding the block's count.  ``pqc.codec`` picks one of the two

@@ -22,9 +22,10 @@ Streams pack MSB-first within bytes.  Every stream is a ``_bits_py``
 BitWriter or BitReader.  The record loops run in one kernel, chosen at
 import: the compiled extension ``_bits_ext`` when it is built, else its
 pure-Python twin ``_bits_py``; both code the records of versions 2 and 3,
-the only records a save writes.  The lossy records of version 1 are read
-by ``_bits_py.decode_gamma_records`` alone, once, when a version-1 file
-loads.  Set ``PQC_BACKEND=py`` to force the pure-Python kernel, or
+the only records a save writes, and these functions take no format
+version.  The lossy records of version 1 are read by
+``_bits_py.decode_gamma_records`` alone, which the load of a version-1
+file calls itself.  Set ``PQC_BACKEND=py`` to force the pure-Python kernel, or
 ``PQC_BACKEND=c`` to require the compiled one (raising ImportError when it
 was not built).
 """
@@ -68,18 +69,14 @@ def encode_records(writer, prev, prev_h, coords_seq, heights_seq, gamma, lossy) 
     )
 
 
-def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count, version=3):
-    """Decode records from ``reader``, a BitReader, through the first
-    record boundary at or after ``end_bit`` or through the ``count``-th
-    record, whichever comes first (a count of None bounds nothing):
-    (coords, heights).  Versions 2 and 3 share their records, and their
-    lossless records are those of version 1; ``version`` 1 with ``lossy``
-    reads the gamma-coded lossy deltas of version 1, in pure Python."""
-    if version == 1 and lossy:
-        decode = _bits_py.decode_gamma_records
-    else:
-        decode = _impl.decode_records
-    return decode(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count)
+def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count):
+    """Decode records from ``reader``, a BitReader, in the records of
+    format versions 2 and 3, through the first record boundary at or after
+    ``end_bit`` or through the ``count``-th record, whichever comes first
+    (a count of None bounds nothing): (coords, heights)."""
+    return _impl.decode_records(
+        reader, prev, prev_h, d, w, gamma, lossy, end_bit, count
+    )
 
 
 def signed_gamma_bits(value: int) -> int:

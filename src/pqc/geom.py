@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, DuplicatePointError, PqcError
 from .morton import (
@@ -45,22 +45,19 @@ def round_point(p: Point, height: int, gamma: int) -> Point:
     return clear_low_bits(p, height - gamma)
 
 
-def round_set(
-    points: Sequence[Point], cfg: Config, gamma: Optional[int] = None
-) -> list[HeightedPoint]:
+def round_set(points: Sequence[Point], cfg: Config) -> list[HeightedPoint]:
     """Round a duplicate-free set against its own quadtree leaf heights.
 
     Heights come from one Morton-order sweep over the original set
     (:meth:`pqc.qtree.ArrayPointSource.leaf_heights`).  A point of
     height h is rounded as :func:`round_point` does, by masks made once
     per height: its coordinates and its Morton key lose their low s and
-    d*s bits, s = max(h - gamma, 0), so no point is keyed twice.  The
+    d*s bits, s = max(h - cfg.gamma, 0), so no point is keyed twice.  The
     result is in Morton order (rounding cannot reorder: each point stays
     inside its own leaf and leaves are disjoint); a collapse or a reorder,
     which correct heights never cause, raises.
     """
-    gamma = cfg.gamma if gamma is None else gamma
-    d, w = cfg.d, cfg.w
+    d, w, gamma = cfg.d, cfg.w, cfg.gamma
     src = ArrayPointSource(points, cfg)
     heights = src.leaf_heights()
     cleared = [max(h - gamma, 0) for h in range(w + 1)]

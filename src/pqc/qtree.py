@@ -38,7 +38,7 @@ import itertools
 import operator
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DimensionError, PqcError
+from .errors import DimensionError
 from .morton import (
     Config,
     Point,
@@ -153,7 +153,7 @@ class PointSource:
 class ArrayPointSource(PointSource):
     """PointSource over an in-memory, Morton-sorted list of points."""
 
-    def __init__(self, points: Sequence[Point], cfg: Config, heights=None, presorted=False):
+    def __init__(self, points: Sequence[Point], cfg: Config, presorted=False):
         self.cfg = cfg
         pts = list(map(tuple, points))
         if not all_on_grid(pts, cfg):
@@ -167,9 +167,6 @@ class ArrayPointSource(PointSource):
         check_increasing(keys, pts)
         self._points = pts
         self._keys = keys
-        self._heights = list(heights) if heights is not None else None
-        if self._heights is not None and len(self._heights) != len(pts):
-            raise PqcError("heights length does not match points")
         self.counters = Counters()
 
     def count(self) -> int:
@@ -180,13 +177,6 @@ class ArrayPointSource(PointSource):
 
     def successor_rank(self, key: int) -> int:
         return bisect.bisect_left(self._keys, key)
-
-    def height_at(self, rank: int) -> int:
-        return self._heights[rank] if self._heights is not None else 0
-
-    @property
-    def has_heights(self) -> bool:
-        return self._heights is not None
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Point]:
         return iter(self._points[lo:hi])

@@ -49,9 +49,9 @@ memory.
 Versions 1 and 2 store, per block, d x u32 head coordinates, a u8 head
 height, a u32 payload bit length and the payload zero-padded to a byte,
 and may hold blocks cut as inserts split them.  Version 1 codes lossy
-coordinate deltas with gamma; its lossy records are re-encoded at load.
-Either loads into the same in-memory store as version 3 and saves as
-version 3, in build's cut.
+coordinate deltas with gamma.  Either loads into build's cut of its
+points, re-encoded in the records of version 3, so a loaded store of any
+version saves without a re-cut.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
-from . import codec
+from . import _bits_py, codec
 from .codec import BitReader, BitWriter
 from .errors import (
     CorruptPayloadError,
@@ -260,13 +259,28 @@ class CompressedStore(PointSource):
             if any(map(operator.and_, keys, map(low_bits.__getitem__, heights))):
                 _check_each(points, cfg, lossy)
         check_increasing(keys, coords)
-        pos = 0
-        for size in _block_sizes(n, cfg.w):
-            end = pos + size
-            block = store._encode_block(coords[pos:end], heights[pos:end])
-            store._append_block(block, keys[pos])
-            pos = end
+        store._write_blocks(n, [(coords, heights, keys)])
         return store
+
+    def _write_blocks(self, n: int, runs):
+        """Append build's cut of ``n`` points (:func:`_block_sizes`), taken
+        in order from ``runs``, Morton-ordered (coords, heights, keys)
+        lists.  What a run's last block leaves over leads the next run, so
+        at most one run plus one block's points are held at a time."""
+        runs = iter(runs)
+        coords, heights, keys = [], [], []
+        pos = 0
+        for size in _block_sizes(n, self.cfg.w):
+            while len(coords) - pos < size:
+                more_coords, more_heights, more_keys = next(runs)
+                coords = coords[pos:] + more_coords
+                heights = heights[pos:] + more_heights
+                keys = keys[pos:] + more_keys
+                pos = 0
+            end = pos + size
+            block = self._encode_block(coords[pos:end], heights[pos:end])
+            self._append_block(block, keys[pos])
+            pos = end
 
     def _encode_block(self, coords: Sequence[Point], heights: Sequence[int]) -> Block:
         writer = BitWriter()
@@ -291,36 +305,16 @@ class CompressedStore(PointSource):
 
     # -- decoding ---------------------------------------------------------
 
-    def _decode(
-        self,
-        index: int,
-        reader,
-        prev: Point,
-        prev_h: int,
-        end_bit: int,
-        count: int | None = None,
-        version: int = VERSION,
-    ):
+    def _decode(self, index: int, reader, prev: Point, prev_h: int, end_bit: int, count=None):
         """Records of block ``index`` from ``reader``'s cursor, which sits
         after the point ``prev`` of height ``prev_h``, through the first
         record boundary at or after ``end_bit`` and no more than ``count``
-        of them: (coords, heights), in the records of format ``version``.
-        Raises CorruptPayloadError with the block id and bit offset on any
-        malformed payload."""
-        cfg = self.cfg
-        lossy = self.mode == LOSSY
+        of them: (coords, heights).  Raises CorruptPayloadError with the
+        block id and bit offset on any malformed payload."""
+        cfg, lossy = self.cfg, self.mode == LOSSY
         try:
             return codec.decode_records(
-                reader,
-                prev,
-                prev_h,
-                cfg.d,
-                cfg.w,
-                cfg.gamma,
-                lossy,
-                end_bit,
-                count,
-                version,
+                reader, prev, prev_h, cfg.d, cfg.w, cfg.gamma, lossy, end_bit, count
             )
         except (TruncatedStreamError, CorruptPayloadError) as exc:
             raise CorruptPayloadError(
@@ -542,7 +536,7 @@ class CompressedStore(PointSource):
             height = 0
         key = interleave(p, cfg)
         if not self._blocks:
-            self._append_block(self._encode_block([p], [height]), key)
+            self._write_blocks(1, [([p], [height], [key])])
             return
         b = max(bisect.bisect_right(self._head_keys, key) - 1, 0)
         entry = self._run(b, 0, self._blocks[b].count - 1)
@@ -645,26 +639,17 @@ class CompressedStore(PointSource):
     def pack(self):
         """Re-cut the blocks in place as :meth:`build` cuts the same points;
         a no-op when they already are.  One walk over the blocks feeds the
-        new ones, whose sizes come from n alone, so at most about 4w decoded
-        points are held at once.  The new blocks start without resume
-        points."""
+        block writer of a new store, so at most about 4w decoded points are
+        held at once, and this store keeps its blocks until the walk ends.
+        The new blocks start without resume points."""
         cfg = self.cfg
-        sizes = _block_sizes(self._n, cfg.w)
-        if sizes == [block.count for block in self._blocks]:
+        if [block.count for block in self._blocks] == _block_sizes(self._n, cfg.w):
             return
-        blocks, head_keys = [], []
-        coords, heights = [], []
-        walk = self._walk()
-        for size in sizes:
-            while len(coords) < size:
-                more_coords, more_heights = next(walk)
-                coords += more_coords
-                heights += more_heights
-            blocks.append(self._encode_block(coords[:size], heights[:size]))
-            head_keys.append(interleave(coords[0], cfg))
-            del coords[:size], heights[:size]
-        self._blocks, self._head_keys = blocks, head_keys
-        self._offsets = list(accumulate(sizes[:-1], initial=0))
+        packed = type(self)(cfg, self.mode)
+        runs = ((c, h, interleave_all(c, cfg)) for c, h in self._walk())
+        packed._write_blocks(self._n, runs)
+        self._blocks, self._head_keys = packed._blocks, packed._head_keys
+        self._offsets = packed._offsets
         self._cache.clear()
 
     def to_bytes(self) -> bytes:
@@ -725,15 +710,47 @@ class CompressedStore(PointSource):
             cfg = Config(d=d, w=w, gamma=gamma, **kwargs)
         except DomainError as exc:
             raise FormatError(f"invalid header fields: {exc}") from exc
+        stream_bits = 8 * (len(data) - _HEADER_BYTES)
+        # Every point costs at least one bit, so a larger n cannot be the
+        # file's, and this bounds the cut of n points by the file's size.
+        if n > stream_bits:
+            raise FormatError(
+                f"header says n={n}, more than the file's {stream_bits} bits"
+            )
         store = cls(cfg, _MODE_NAME[mode_code])
         if version == VERSION:
             store._load_stream(data, n, nblocks)
         else:
-            store._load_blocks(data, nblocks, version)
+            runs = store._older_runs(data, n, nblocks, version)
+            store._write_blocks(n, runs)
+            for _ in runs:  # the blocks past n points, and the file's end
+                pass
         store.counters.reset()  # a load has read nothing yet
-        if store._n != n:
-            raise FormatError(f"header says n={n}, blocks decode to {store._n}")
         return store
+
+    def _check_head(self, b: int, head: Point, height: int):
+        """Raise FormatError unless build would take block ``b``'s head at
+        ``height``: at most w, zero when lossless, and when lossy rounded
+        for it (a lossless height of 0 clears no bits)."""
+        if height > self.cfg.w or (height and self.mode == LOSSLESS):
+            raise FormatError(f"block {b}: {self.mode} head height {height}")
+        low = (1 << max(height - self.cfg.gamma, 0)) - 1
+        if low and any(c & low for c in head):
+            raise FormatError(f"block {b}: head {head} is not rounded for height {height}")
+
+    def _load_records(self, decode, b, reader, head, height, end_bit, count):
+        """``decode``'s records of block ``b`` of a file being loaded, from
+        ``reader``'s cursor after the head; a stream that ends inside a
+        record raises FormatError, a malformed one CorruptPayloadError."""
+        cfg, lossy = self.cfg, self.mode == LOSSY
+        try:
+            return decode(reader, head, height, cfg.d, cfg.w, cfg.gamma, lossy, end_bit, count)
+        except TruncatedStreamError as exc:
+            raise FormatError(f"truncated block {b}: {exc}") from exc
+        except CorruptPayloadError as exc:
+            raise CorruptPayloadError(
+                str(exc), block_index=b, bit_offset=reader.tell()
+            ) from exc
 
     def _load_stream(self, data: bytes, n: int, nblocks: int):
         """Blocks of a version-3 file: one bit stream after the header, in
@@ -741,14 +758,6 @@ class CompressedStore(PointSource):
         decode that finds the block's end and validates its records."""
         cfg = self.cfg
         d, w = cfg.d, cfg.w
-        lossy = self.mode == LOSSY
-        stream_bits = 8 * (len(data) - _HEADER_BYTES)
-        # Every point costs at least one bit, so a larger n cannot be the
-        # file's, and this bounds the size list below by the file's size.
-        if n > stream_bits:
-            raise FormatError(
-                f"header says n={n}, more than the file's {stream_bits} bits"
-            )
         sizes = _block_sizes(n, w)
         if nblocks != len(sizes):
             raise FormatError(
@@ -771,19 +780,11 @@ class CompressedStore(PointSource):
             packed = _bits_at(data, pos, start)
             head = tuple([packed >> shift & coord_mask for shift in shifts])
             height = packed & ((1 << height_bits) - 1)
-            if height > w:
-                raise FormatError(f"block {b}: head height {height}")
+            self._check_head(b, head, height)
             reader.seek(start)
-            try:
-                coords, heights = codec.decode_records(
-                    reader, head, height, d, w, cfg.gamma, lossy, end, size - 1
-                )
-            except TruncatedStreamError as exc:
-                raise FormatError(f"truncated block {b}: {exc}") from exc
-            except CorruptPayloadError as exc:
-                raise CorruptPayloadError(
-                    str(exc), block_index=b, bit_offset=reader.tell()
-                ) from exc
+            coords, heights = self._load_records(
+                codec.decode_records, b, reader, head, height, end, size - 1
+            )
             if len(coords) < size - 1:
                 raise FormatError(
                     f"truncated block {b}: {len(coords) + 1} of {size} points"
@@ -803,54 +804,52 @@ class CompressedStore(PointSource):
         if _bits_at(data, pos, end):
             raise FormatError("nonzero padding bits")
 
-    def _load_blocks(self, data: bytes, nblocks: int, version: int):
-        """Blocks of a version-1 or version-2 file, each with its own
-        header and byte-padded payload, whose count one validating decode
-        derives; version-1 lossy records are re-encoded in the records of
-        versions 2 and 3."""
+    def _older_runs(self, data: bytes, n: int, nblocks: int, version: int):
+        """The blocks of a version-1 or version-2 file, each with its own
+        header and byte-padded payload, as (coords, heights, keys) runs for
+        :meth:`_write_blocks`, each from one validating decode.  Only
+        ``_bits_py.decode_gamma_records`` reads version-1 lossy records.
+        The runs end by checking the file's length and its n points."""
         cfg = self.cfg
-        d, w = cfg.d, cfg.w
-        reencode = self.mode == LOSSY and version == 1
+        if version == 1 and self.mode == LOSSY:
+            decode = _bits_py.decode_gamma_records
+        else:
+            decode = codec.decode_records
+        table = struct.Struct(f"<{cfg.d}LBL")  # head coordinates, height, bits
         pos = _HEADER_BYTES
         prev_key = -1
+        total = 0
         for b in range(nblocks):
-            need = 4 * d + 5
-            if pos + need > len(data):
+            if pos + table.size > len(data):
                 raise FormatError(f"truncated block {b} header")
-            coords = struct.unpack_from(f"<{d}L", data, pos)
-            pos += 4 * d
-            height, bit_len = struct.unpack_from("<BL", data, pos)
-            pos += 5
+            *coords, height, bit_len = table.unpack_from(data, pos)
+            pos += table.size
             nbytes = (bit_len + 7) // 8
             if pos + nbytes > len(data):
                 raise FormatError(f"truncated block {b} payload")
             payload = data[pos : pos + nbytes]
             pos += nbytes
-            if bit_len & 7:
-                tail = payload[-1] & ((1 << (8 - (bit_len & 7))) - 1)
-                if tail:
-                    raise FormatError(f"block {b}: nonzero padding bits")
+            if payload and payload[-1] & ((1 << (-bit_len & 7)) - 1):
+                raise FormatError(f"block {b}: nonzero padding bits")
             try:
-                head = HeightedPoint(validate_point(coords, cfg), height)
+                head = validate_point(coords, cfg)
             except DomainError as exc:
                 raise FormatError(f"block {b}: {exc}") from exc
-            if not 0 <= height <= w:
-                raise FormatError(f"block {b}: head height {height}")
+            self._check_head(b, head, height)
             reader = BitReader(payload, bit_len)
-            coords, heights = self._decode(
-                b, reader, head.coords, height, bit_len, None, version
+            coords, heights = self._load_records(
+                decode, b, reader, head, height, bit_len, None
             )
-            coords.insert(0, head.coords)
+            coords.insert(0, head)
             heights.insert(0, height)
             keys = _ordered_keys(b, coords, cfg, prev_key)
             prev_key = keys[-1]
-            if reencode:
-                block = self._encode_block(coords, heights)
-            else:
-                block = Block(head, len(coords), payload, bit_len)
-            self._append_block(block, keys[0])
+            total += len(coords)
+            yield coords, heights, keys
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
+        if total != n:
+            raise FormatError(f"header says n={n}, blocks decode to {total}")
 
     @classmethod
     def load(cls, path, rho=None) -> "CompressedStore":

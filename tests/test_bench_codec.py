@@ -1,6 +1,7 @@
 """Smoke test of ``benchmarks/bench_codec.py``, which no other test runs:
 it imports, each record code it times round-trips a few blocks on every
-kernel, and the version-1 file it times loads to the store it came from."""
+kernel, and the version-1 and version-2 files it times load to the store
+they came from."""
 
 import importlib.util
 from pathlib import Path
@@ -44,9 +45,19 @@ def test_every_record_code_round_trips():
     bench.check_kernels_agree(mods, (head.coords, head.height, *args))
 
 
-def test_version_1_file_loads_to_its_store():
+def _loads_to_its_store(version):
     bench = _bench_codec()
     store = CompressedStore.build(round_set(bench.make_net(CFG, 200), CFG), CFG, LOSSY)
-    data = bench.version_1_file(store)
-    assert data[4] == 1
-    assert CompressedStore.from_bytes(data).to_bytes() == store.to_bytes()
+    data = bench.older_file(store, version)
+    assert data[4] == version
+    loaded = CompressedStore.from_bytes(data)
+    assert loaded.decode_all() == store.decode_all()
+    assert loaded.to_bytes() == store.to_bytes()
+
+
+def test_version_1_file_loads_to_its_store():
+    _loads_to_its_store(1)
+
+
+def test_version_2_file_loads_to_its_store():
+    _loads_to_its_store(2)

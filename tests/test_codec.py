@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,13 @@ from pqc.reference import (
     xor_code_strings,
 )
 from pqc.store import LOSSLESS, LOSSY, CompressedStore
-from test_store import GOLDEN_V1_HEX, GOLDEN_V1_POINTS, V2_SPLIT_POINTS, _points_digest
+from test_store import (
+    GOLDEN_V1_HEX,
+    GOLDEN_V1_POINTS,
+    V2_SPLIT_POINTS,
+    _legacy_blocks,
+    _points_digest,
+)
 
 
 def _kernels():
@@ -799,16 +806,20 @@ class TestVersion2UnderEveryKernel:
 
     @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernel not built")
     def test_version_2_record_parity(self):
+        # The file's own blocks, in the cut inserts left them: a load
+        # re-cuts them as build does.
         store = CompressedStore.from_bytes(V2_SPLIT_DATA)
         cfg, lossy = store.cfg, store.mode == LOSSY
         points = store.decode_all()
         rank = 0
-        for blk in store._blocks:
-            head, height = blk.head.coords, blk.head.height
+        for (table, _), (start, stop), bit_len in _legacy_blocks(V2_SPLIT_DATA):
+            *head, height, _ = struct.unpack_from(f"<{cfg.d}LBL", V2_SPLIT_DATA, table)
+            head = tuple(head)
+            stored = V2_SPLIT_DATA[start:stop]
             outcomes = []
             for kern in KERNELS:
-                reader = _bits_py.BitReader(blk.payload, blk.bit_len)
-                args = (head, height, cfg.d, cfg.w, cfg.gamma, lossy, blk.bit_len)
+                reader = _bits_py.BitReader(stored, bit_len)
+                args = (head, height, cfg.d, cfg.w, cfg.gamma, lossy, bit_len)
                 coords, heights = kern.decode_records(reader, *args)
                 writer = _bits_py.BitWriter()
                 kern.encode_records(writer, head, height, coords, heights, cfg.gamma, lossy)
@@ -817,10 +828,11 @@ class TestVersion2UnderEveryKernel:
                 )
             assert all(o == outcomes[0] for o in outcomes)
             coords, heights, end, payload, nbits = outcomes[0]
-            assert (end, payload, nbits) == (blk.bit_len, blk.payload, blk.bit_len)
-            block = points[rank : rank + blk.count]
-            assert [blk.head] + list(map(HeightedPoint, coords, heights)) == block
-            rank += blk.count
+            assert (end, payload, nbits) == (bit_len, stored, bit_len)
+            block = points[rank : rank + 1 + len(coords)]
+            head = HeightedPoint(head, height)
+            assert [head] + list(map(HeightedPoint, coords, heights)) == block
+            rank += len(block)
         assert rank == len(points)
 
 

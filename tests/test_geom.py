@@ -94,7 +94,7 @@ class TestRoundSet:
         cfg = Config(d=2, w=5, gamma=0)
         pts = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
         src = ArrayPointSource(pts, cfg)
-        for hp, p in zip(round_set(pts, cfg, gamma=0), pts):
+        for hp, p in zip(round_set(pts, cfg), pts):
             leaf = square_of(p, src, cfg)
             assert hp.coords == leaf.corner
 

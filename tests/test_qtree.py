@@ -15,7 +15,6 @@ from pqc.errors import (
     DimensionError,
     DomainError,
     DuplicatePointError,
-    PqcError,
     UnsortedInputError,
 )
 from pqc.geom import HeightedPoint, round_point, round_set
@@ -593,11 +592,6 @@ class TestArrayPointSourceRejections:
             ArrayPointSource(points, CFG5, presorted=presorted)
         assert type(info.value) is error
         assert str(info.value) == message
-
-    def test_heights_of_another_length(self):
-        with pytest.raises(PqcError) as info:
-            ArrayPointSource([(5, 2)], CFG5, heights=[0, 0])
-        assert str(info.value) == "heights length does not match points"
 
     def test_points_become_tuples(self):
         src = ArrayPointSource([[6, 3], [5, 2]], CFG5)

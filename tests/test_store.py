@@ -25,7 +25,7 @@ from pqc.morton import Config, interleave
 from pqc.reference import EpsilonNetSpec, generate_epsilon_net
 from pqc.store import LOSSLESS, LOSSY, CompressedStore, _block_sizes
 from pqc.qtree import ArrayPointSource, restricted_voronoi, square_of, vertices
-from pqc.morton import TrieSquare
+from pqc.morton import TrieSquare, square_of_point
 from pqc.refine import RefineParams, refine
 
 FIGURE_POINTS = [(5, 2), (6, 3), (8, 4), (9, 6), (10, 6)]
@@ -249,12 +249,7 @@ class TestSearch:
         pts = jittered_net(cfg, 21, f0=32)
         rounded = round_set(pts, cfg)
         st = CompressedStore.build(rounded, cfg, LOSSY)
-        arr = ArrayPointSource(
-            [hp.coords for hp in rounded],
-            cfg,
-            heights=[hp.height for hp in rounded],
-            presorted=True,
-        )
+        arr = ArrayPointSource([hp.coords for hp in rounded], cfg, presorted=True)
         rng = random.Random(8)
         for _ in range(200):
             h = rng.randrange(0, 8)
@@ -266,8 +261,9 @@ class TestSearch:
             s = TrieSquare(corner, h)
             assert vertices(s, st) == vertices(s, arr)
             assert is_crowded(s, st) == is_crowded(s, arr)
+        # A stored point's square is the one its recorded height names.
         for hp in rounded:
-            assert square_of(hp.coords, st, cfg) == square_of(hp.coords, arr, cfg)
+            assert square_of(hp.coords, st, cfg) == square_of_point(hp.coords, hp.height)
 
 
 class TestInsert:
@@ -483,6 +479,47 @@ class TestPersistence:
         data = bytearray(FUZZ_DATA)
         struct.pack_into("<Q", data, 9, 2**63)
         with pytest.raises(FormatError, match="n="):
+            CompressedStore.from_bytes(bytes(data))
+
+    def test_version_2_count_other_than_the_blocks_rejected(self):
+        # An older file is cut again from its header's n, so n is bounded
+        # by the file's size before the cut, and blocks that hold more or
+        # fewer points fail once they are all read.
+        data = bytearray(V2_SPLIT_DATA)
+        assert struct.unpack_from("<Q", data, 9) == (72,)
+        for n, message in ((2**63, "n=.*bits"), (71, "decode to 72"), (73, "decode to 72")):
+            struct.pack_into("<Q", data, 9, n)
+            with pytest.raises(FormatError, match=message):
+                CompressedStore.from_bytes(bytes(data))
+
+    def test_head_not_rounded_for_its_height_rejected(self):
+        # Block 3's head is (162, 156) at height 3, so with gamma = 2 its
+        # lowest coordinate bits must be zero.  Let in as (162, 157), the
+        # head would be re-cut into a record by the next repacking save,
+        # and the record would drop the bit.
+        st = CompressedStore.from_bytes(FUZZ_DATA)
+        assert st._blocks[3].head == HeightedPoint((162, 156), 3)
+        head_bits = st._head_bits()
+        bit = 8 * 21 + sum(head_bits + blk.bit_len for blk in st._blocks[:3])
+        bit += 2 * st.cfg.w - 1  # the lowest bit of y
+        data = bytearray(FUZZ_DATA)
+        data[bit >> 3] ^= 0x80 >> (bit & 7)
+        with pytest.raises(FormatError, match=r"block 3: head \(162, 157\) is not rounded"):
+            CompressedStore.from_bytes(bytes(data))
+        # The same head in a version-2 file, whose table holds y at bytes
+        # 4 to 7, least significant first.
+        data = bytearray(_legacy_bytes(st, 2))
+        table = _legacy_blocks(bytes(data))[3][0][0]
+        data[table + 4] ^= 1
+        with pytest.raises(FormatError, match=r"block 3: head \(162, 157\) is not rounded"):
+            CompressedStore.from_bytes(bytes(data))
+
+    def test_lossless_head_with_a_height_rejected(self):
+        # A lossless store has no heights: a version-2 head of height 1
+        # would not survive a save, which writes no head heights.
+        data = bytearray(_legacy_bytes(lossless_store(FIGURE_POINTS, CFG5), 2))
+        data[21 + 8] = 1
+        with pytest.raises(FormatError, match="block 0: lossless head height 1"):
             CompressedStore.from_bytes(bytes(data))
 
     def test_trailing_bytes_rejected(self):
@@ -762,7 +799,7 @@ class TestPrefixReads:
         st = CompressedStore.build(
             [HeightedPoint(p, height[p]) for p in stored], cfg, LOSSY
         )
-        oracle = ArrayPointSource(stored, cfg, [height[p] for p in stored])
+        oracle = ArrayPointSource(stored, cfg)
         assert st.block_count > 8
         for _ in range(data.draw(strategies.integers(1, 80), label="ops")):
             kind = data.draw(strategies.sampled_from(self.KINDS))
@@ -780,10 +817,10 @@ class TestPrefixReads:
             elif kind == "point":
                 assert st.point_at(r) == oracle.point_at(r)
             elif kind == "height":
-                assert st.height_at(r) == oracle.height_at(r)
+                assert st.height_at(r) == height[oracle.point_at(r)]
             elif kind == "heighted":
                 got = st.point_at(r), st.height_at(r)
-                assert got == (oracle.point_at(r), oracle.height_at(r))
+                assert got == (oracle.point_at(r), height[oracle.point_at(r)])
             elif kind == "range":
                 hi = min(r + data.draw(strategies.integers(1, 3 * cfg.w)), st.count())
                 assert list(st.iter_range(r, hi)) == list(oracle.iter_range(r, hi))
@@ -791,7 +828,7 @@ class TestPrefixReads:
                 p = withheld.pop()
                 st.insert(p, height[p])
                 stored = sorted(stored + [p], key=lambda q: interleave(q, cfg))
-                oracle = ArrayPointSource(stored, cfg, [height[q] for q in stored])
+                oracle = ArrayPointSource(stored, cfg)
         assert st.decode_all() == [HeightedPoint(p, height[p]) for p in stored]
 
 
@@ -811,14 +848,14 @@ class TestBlockCache:
         resumed = []  # the start of each run begun at a resume point
 
         def check():
-            oracle = ArrayPointSource(stored, cfg, [height[p] for p in stored])
+            oracle = ArrayPointSource(stored, cfg)
             assert st.count() == oracle.count()
             for _ in range(100):
                 k = rng.randrange(1 << (2 * cfg.w))
                 assert st.successor_rank(k) == oracle.successor_rank(k)
             for r in rng.sample(range(st.count()), 30):
                 assert st.point_at(r) == oracle.point_at(r)
-                assert st.height_at(r) == oracle.height_at(r)
+                assert st.height_at(r) == height[oracle.point_at(r)]
             lo = rng.randrange(st.count() - 60)
             assert list(st.iter_range(lo, lo + 60)) == list(oracle.iter_range(lo, lo + 60))
             # Each side of every block boundary: a head's key comes from the
@@ -852,7 +889,7 @@ class TestBlockCache:
                     assert st.point_at(r) == oracle.point_at(r)
                 elif kind == "heighted":
                     got = st.point_at(r), st.height_at(r)
-                    assert got == (oracle.point_at(r), oracle.height_at(r))
+                    assert got == (oracle.point_at(r), height[oracle.point_at(r)])
                 else:
                     hi = min(last + 2, st.count())
                     assert list(st.iter_range(r, hi)) == list(oracle.iter_range(r, hi))
@@ -1168,7 +1205,7 @@ class TestVersion2File:
         st = CompressedStore.from_bytes(V2_SPLIT_DATA)
         assert V2_SPLIT_DATA[4] == 2 and st.mode == LOSSY
         assert st.cfg == Config(d=2, w=8, gamma=2)
-        assert [blk.count for blk in st._blocks] == [9, 11, 9, 11, 8, 11, 13]
+        assert [blk.count for blk in st._blocks] == _block_sizes(72, 8)
         return st
 
     def test_decodes_and_answers_as_when_written(self):

@@ -3,14 +3,16 @@ seeded pipeline, pinned exactly.
 
 Each stage runs on the pure-Python kernel and records the sha256 of the
 bytes it saves, plus the calls of ``codec.encode_records`` and
-``codec.decode_records`` and the records they encoded and decoded.  Every
-read and write of records goes through those two functions, so the counts
-are the pipeline's whole kernel work, and they are the same on every
-machine.  A load stage loads the file that one build stage saved and
-saves the loaded store again, and counts that load and save alone.  A
-change that moves a constant here changes the bytes or the
-work of the pipeline; it says so where it is described, and updates the
-constant it moved.
+``codec.decode_records`` and the records they encoded and decoded.
+Every read and write of records goes through those two functions, so the
+counts are the pipeline's whole kernel work, and they are the same on
+every machine.  The one exception is the gamma-coded lossy records of
+format version 1, which the load of such a file reads with
+``_bits_py.decode_gamma_records`` itself; no stage loads one.  A load
+stage loads the file that one build stage saved and saves the loaded
+store again, and counts that load and save alone.  A change that moves a
+constant here changes the bytes or the work of the pipeline; it says so
+where it is described, and updates the constant it moved.
 """
 
 import hashlib
