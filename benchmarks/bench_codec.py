@@ -9,28 +9,27 @@ of the generated net (leaf-height sweep and rounding), the sweep alone
 ``CompressedStore.successor_rank`` calls, ``codec.encode_records`` calls
 and records encoded, and its file's size, ``bpv_file`` and framing bits:
 ``file_bits`` less ``payload_bits``, the header and the final padding),
-the loads of that net's store from its version-3 file and from
-version-1 and version-2 files written by the bit-serial oracle (a load of
-either re-encodes every block in the records of version 3; version 1's
+the loads of that net's store from its version-3 file and from version-1
+and version-2 files written by the bit-serial oracle (a load of either
+re-encodes every block in the records of version 3; version 1's
 gamma-coded lossy records only the pure-Python kernel reads, whichever
-kernel is selected), lossy block record encoding and decoding (the Exp-Golomb records of
-versions 2 and 3) on the pure-Python kernel and on the compiled kernel
-``_bits_ext`` when it is built, one ``encode_records`` call over all the
-records on each kernel (a call whose time grows faster than its records
-shows up there), and Morton key computation.  Every figure is the best
-process CPU time of ``--repeat`` runs.  Before timing, every kernel's
-encoder must write the pure-Python kernel's bytes from a writer that
-starts mid-byte, each kernel must decode its own streams back to exactly
-the encoded points and heights, the Morton keys must match the
-bit-by-bit definition, the multiscan must save the bytes of
-``round_set`` + ``build``, whose sizes it prints, and the version-1 and
-version-2 files must load to the same points; a failed check stops the
-script.
-It also counts the records a cold-cache ``successor_rank`` decodes on the
-store of that fixed net, for one key in each block: a first pass on a
-fresh store, which has no resume points, and a second pass over the same
-keys, with the resume points the first left.  Counts are the same on
-every machine.
+kernel is selected), lossy block record encoding and decoding (the
+Exp-Golomb records of versions 2 and 3) on the pure-Python kernel and on
+the compiled kernel ``_bits_ext`` when it is built, one
+``encode_records`` call over all the records on each kernel (a call
+whose time grows faster than its records shows up there), and Morton key
+computation.  Every figure is the best process CPU time of ``--repeat``
+runs.  Before timing, every kernel's encoder must write the pure-Python
+kernel's bytes from a writer that starts mid-byte, each kernel must
+decode its own streams back to exactly the encoded points and heights,
+the Morton keys must match the bit-by-bit definition, the multiscan must
+save the bytes of ``round_set`` + ``build``, whose sizes it prints, and
+the version-1 and version-2 files must load to the same points; a failed
+check stops the script.  It also counts the records a cold-cache
+``successor_rank`` decodes on the store of that fixed net, for one key
+in each block: a first pass on a fresh store, which has no resume
+points, and a second pass over the same keys, with the resume points the
+first left.  Counts are the same on every machine.
 
     python benchmarks/bench_codec.py --n 200000 --w 16 --gamma 5
 """

@@ -21,13 +21,13 @@ This is the persistent payload format:
 Streams pack MSB-first within bytes.  Every stream is a ``_bits_py``
 BitWriter or BitReader.  The record loops run in one kernel, chosen at
 import: the compiled extension ``_bits_ext`` when it is built, else its
-pure-Python twin ``_bits_py``; both code the records of versions 2 and 3,
-the only records a save writes, and these functions take no format
+pure-Python twin ``_bits_py``; both code the records of versions 2 and
+3, the only records a save writes, and these functions take no format
 version.  The lossy records of version 1 are read by
 ``_bits_py.decode_gamma_records`` alone, which the load of a version-1
-file calls itself.  Set ``PQC_BACKEND=py`` to force the pure-Python kernel, or
-``PQC_BACKEND=c`` to require the compiled one (raising ImportError when it
-was not built).
+file calls itself.  Set ``PQC_BACKEND=py`` to force the pure-Python
+kernel, or ``PQC_BACKEND=c`` to require the compiled one (raising
+ImportError when it was not built).
 """
 
 from __future__ import annotations
@@ -74,9 +74,7 @@ def decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count):
     format versions 2 and 3, through the first record boundary at or after
     ``end_bit`` or through the ``count``-th record, whichever comes first
     (a count of None bounds nothing): (coords, heights)."""
-    return _impl.decode_records(
-        reader, prev, prev_h, d, w, gamma, lossy, end_bit, count
-    )
+    return _impl.decode_records(reader, prev, prev_h, d, w, gamma, lossy, end_bit, count)
 
 
 def signed_gamma_bits(value: int) -> int:

@@ -690,9 +690,9 @@ class CompressedStore(PointSource):
 
     @classmethod
     def from_bytes(cls, data: bytes, rho=None) -> "CompressedStore":
-        """Load a file of any version in VERSIONS, validating every block:
-        Morton order within and across blocks, head heights, the point
-        count, and (version 3) the block count, padding and length."""
+        """Load a file of any version in VERSIONS into build's cut,
+        validating Morton order within and across blocks, each head's
+        height and rounding, the point and block counts, padding and length."""
         if data[:4] != MAGIC:
             raise FormatError("bad magic; not a PQC1 file")
         try:

@@ -813,7 +813,7 @@ class TestVersion2UnderEveryKernel:
         points = store.decode_all()
         rank = 0
         for (table, _), (start, stop), bit_len in _legacy_blocks(V2_SPLIT_DATA):
-            *head, height, _ = struct.unpack_from(f"<{cfg.d}LBL", V2_SPLIT_DATA, table)
+            *head, height = struct.unpack_from(f"<{cfg.d}LB", V2_SPLIT_DATA, table)
             head = tuple(head)
             stored = V2_SPLIT_DATA[start:stop]
             outcomes = []
@@ -830,8 +830,7 @@ class TestVersion2UnderEveryKernel:
             coords, heights, end, payload, nbits = outcomes[0]
             assert (end, payload, nbits) == (bit_len, stored, bit_len)
             block = points[rank : rank + 1 + len(coords)]
-            head = HeightedPoint(head, height)
-            assert [head] + list(map(HeightedPoint, coords, heights)) == block
+            assert list(map(HeightedPoint, [head, *coords], [height, *heights])) == block
             rank += len(block)
         assert rank == len(points)
 

@@ -475,21 +475,20 @@ class TestPersistence:
 
     def test_count_past_the_file_rejected_before_cutting(self):
         # n is checked against the file's size before the cut is made, so
-        # a huge n costs no memory.
-        data = bytearray(FUZZ_DATA)
-        struct.pack_into("<Q", data, 9, 2**63)
-        with pytest.raises(FormatError, match="n="):
-            CompressedStore.from_bytes(bytes(data))
+        # a huge n costs no memory.  Older files are cut from n too.
+        for data in (bytearray(FUZZ_DATA), bytearray(V2_SPLIT_DATA)):
+            struct.pack_into("<Q", data, 9, 2**63)
+            with pytest.raises(FormatError, match="n=.*bits"):
+                CompressedStore.from_bytes(bytes(data))
 
-    def test_version_2_count_other_than_the_blocks_rejected(self):
-        # An older file is cut again from its header's n, so n is bounded
-        # by the file's size before the cut, and blocks that hold more or
-        # fewer points fail once they are all read.
+    def test_version_2_count_other_than_its_blocks_rejected(self):
+        # Blocks that hold more or fewer points than n fail once they are
+        # all read.
         data = bytearray(V2_SPLIT_DATA)
         assert struct.unpack_from("<Q", data, 9) == (72,)
-        for n, message in ((2**63, "n=.*bits"), (71, "decode to 72"), (73, "decode to 72")):
+        for n in (71, 73):
             struct.pack_into("<Q", data, 9, n)
-            with pytest.raises(FormatError, match=message):
+            with pytest.raises(FormatError, match=f"n={n}, blocks decode to 72"):
                 CompressedStore.from_bytes(bytes(data))
 
     def test_head_not_rounded_for_its_height_rejected(self):
